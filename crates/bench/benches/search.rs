@@ -28,14 +28,15 @@ fn bench_find_best_condition(c: &mut Criterion) {
             b.iter(|| find_best_condition(v, EvalMetric::ZNumber, &no_ranges).expect("candidate"))
         });
         let sequential = SearchOptions {
-            parallel: false,
+            max_workers: Some(1),
             ..Default::default()
         };
         group.bench_with_input(BenchmarkId::new("sequential", n), &view, |b, v| {
             b.iter(|| find_best_condition(v, EvalMetric::ZNumber, &sequential).expect("candidate"))
         });
         let threaded = SearchOptions {
-            parallel_min_cells: 0,
+            // Uncapped: one worker per hardware thread, at least two.
+            max_workers: Some(usize::MAX),
             ..Default::default()
         };
         group.bench_with_input(BenchmarkId::new("threaded", n), &view, |b, v| {

@@ -142,7 +142,7 @@ fn run_workload(
     iters: usize,
 ) -> WorkloadResult {
     let n = data.n_rows();
-    let compiled = CompiledModel::compile(model).expect("benchmark models compile");
+    let compiled = CompiledModel::compile(model);
 
     // Bit-identity gate: a fast engine that scores differently is a bug,
     // not a baseline.

@@ -105,11 +105,12 @@ fn main() {
     let iters = 30;
 
     let sequential = SearchOptions {
-        parallel: false,
+        max_workers: Some(1),
         ..Default::default()
     };
     let threaded = SearchOptions {
-        parallel_min_cells: 0,
+        // Uncapped: one worker per hardware thread, at least two.
+        max_workers: Some(usize::MAX),
         ..Default::default()
     };
     let (seq_mean, seq_min) = time_ns(iters, || {
@@ -141,14 +142,14 @@ fn main() {
     // full-view and restricted-view counters apart.
     let full_sink = Arc::new(RecordingSink::new());
     let full_instrumented = SearchOptions {
-        parallel: false,
+        max_workers: Some(1),
         sink: full_sink.clone(),
         ..Default::default()
     };
     find_best_condition(&view, EvalMetric::ZNumber, &full_instrumented).expect("candidate");
     let cold_sink = Arc::new(RecordingSink::new());
     let cold_instrumented = SearchOptions {
-        parallel: false,
+        max_workers: Some(1),
         sink: cold_sink.clone(),
         ..Default::default()
     };

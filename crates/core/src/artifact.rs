@@ -20,8 +20,8 @@
 //! [`ArtifactError::UnsupportedVersion`] is only reachable through an
 //! intact file whose checksum verifies.
 //!
-//! Writes are atomic (tmp + rename, the checkpoint-store convention), so
-//! a crash mid-save leaves either the old artifact or none at all.
+//! Writes go through [`pnr_data::write_atomic`], so a crash mid-save
+//! leaves either the old artifact or none at all.
 
 use crate::learn::FitReport;
 use crate::model::PnruleModel;
@@ -465,21 +465,11 @@ impl ModelArtifact {
         Ok(artifact)
     }
 
-    /// Writes the artifact atomically: the text form goes to
-    /// `<path>.tmp`, then a rename makes it visible. Readers never see a
-    /// partially written file.
+    /// Writes the artifact atomically ([`pnr_data::write_atomic`]).
+    /// Readers never see a partially written file.
     pub fn save(&self, path: &Path) -> Result<(), ArtifactError> {
         let text = self.to_file_string()?;
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                fs::create_dir_all(parent)?;
-            }
-        }
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        fs::write(&tmp, text)?;
-        fs::rename(&tmp, path)?;
+        pnr_data::write_atomic(path, text.as_bytes())?;
         Ok(())
     }
 

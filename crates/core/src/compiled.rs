@@ -18,7 +18,7 @@
 use crate::model::{PnruleModel, RuleTrace};
 use crate::scoring::ScoreMatrix;
 use pnr_data::Dataset;
-use pnr_rules::compiled::{CompileError, CompiledMatcher, CompiledRuleSet};
+use pnr_rules::compiled::{CompiledMatcher, CompiledRuleSet};
 
 /// A [`PnruleModel`] lowered into compiled P- and N-phase predicate
 /// programs plus the scoring mechanism. Compile once per model; score
@@ -32,17 +32,14 @@ pub struct CompiledModel {
 }
 
 impl CompiledModel {
-    /// Lowers `model` into a compiled engine. Fails only when a rule list
-    /// is malformed (one attribute tested both categorically and
-    /// numerically — see [`CompileError`]); artifacts that pass
-    /// validation always compile.
-    pub fn compile(model: &PnruleModel) -> Result<CompiledModel, CompileError> {
-        Ok(CompiledModel {
+    /// Lowers `model` into a compiled engine.
+    pub fn compile(model: &PnruleModel) -> CompiledModel {
+        CompiledModel {
             threshold: model.threshold,
-            p: CompiledRuleSet::compile(&model.p_rules)?,
-            n: CompiledRuleSet::compile(&model.n_rules)?,
+            p: CompiledRuleSet::compile(&model.p_rules),
+            n: CompiledRuleSet::compile(&model.n_rules),
             score_matrix: model.score_matrix.clone(),
-        })
+        }
     }
 
     /// The decision threshold carried over from the source model.
@@ -171,41 +168,6 @@ impl CompiledScorer<'_> {
     }
 }
 
-/// Which rule-evaluation engine the serving layer runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScoringEngine {
-    /// Compiled engine when the model compiles, interpreter otherwise
-    /// (default).
-    #[default]
-    Auto,
-    /// Always the compiled engine; falls back to the interpreter only if
-    /// the model does not compile.
-    Compiled,
-    /// Always the per-rule interpreter.
-    Interpreter,
-}
-
-impl ScoringEngine {
-    /// Parses the CLI spelling (`auto` | `compiled` | `interpreter`).
-    pub fn parse(s: &str) -> Option<ScoringEngine> {
-        match s {
-            "auto" => Some(ScoringEngine::Auto),
-            "compiled" => Some(ScoringEngine::Compiled),
-            "interpreter" => Some(ScoringEngine::Interpreter),
-            _ => None,
-        }
-    }
-
-    /// The CLI spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            ScoringEngine::Auto => "auto",
-            ScoringEngine::Compiled => "compiled",
-            ScoringEngine::Interpreter => "interpreter",
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,7 +217,7 @@ mod tests {
     #[test]
     fn compiled_scores_are_bit_identical_to_the_interpreter() {
         let (model, d) = model_and_data();
-        let compiled = CompiledModel::compile(&model).expect("compiles");
+        let compiled = CompiledModel::compile(&model);
         let scorer = compiled.scorer(&d);
         for row in 0..d.n_rows() {
             let (want_score, want_trace) = model.score_with_trace(&d, row);
@@ -277,7 +239,7 @@ mod tests {
     #[test]
     fn lookup_path_matches_interpreter_with_unknowns() {
         let (model, d) = model_and_data();
-        let compiled = CompiledModel::compile(&model).expect("compiles");
+        let compiled = CompiledModel::compile(&model);
         // all values known
         for row in 0..d.n_rows() {
             let num = |a: usize| Some(d.num(a, row));
@@ -300,22 +262,9 @@ mod tests {
     }
 
     #[test]
-    fn engine_spellings_round_trip() {
-        for engine in [
-            ScoringEngine::Auto,
-            ScoringEngine::Compiled,
-            ScoringEngine::Interpreter,
-        ] {
-            assert_eq!(ScoringEngine::parse(engine.name()), Some(engine));
-        }
-        assert_eq!(ScoringEngine::parse("turbo"), None);
-        assert_eq!(ScoringEngine::default(), ScoringEngine::Auto);
-    }
-
-    #[test]
     fn threshold_carries_over() {
         let (model, _) = model_and_data();
-        let compiled = CompiledModel::compile(&model).expect("compiles");
+        let compiled = CompiledModel::compile(&model);
         assert_eq!(compiled.threshold().to_bits(), model.threshold.to_bits());
     }
 }

@@ -4,9 +4,9 @@
 //! fit is naturally quantised by the covering loops — one accepted rule at
 //! a time — so the checkpoint granularity is **per accepted rule**: after
 //! every P- or N-rule acceptance the fit persists one small JSON file
-//! (atomic temp-file + rename, mirroring the experiment pipeline's cell
-//! store), and a restarted fit replays the checkpointed rules instead of
-//! re-searching them.
+//! (through [`pnr_data::write_atomic`], like the experiment pipeline's
+//! cell store), and a restarted fit replays the checkpointed rules instead
+//! of re-searching them.
 //!
 //! # Bit-identical resume
 //!
@@ -188,7 +188,7 @@ impl FitCheckpointStore {
     }
 
     /// Crash drill: the store panics immediately after its `n`-th
-    /// successful write, *after* the file is durably renamed into place —
+    /// successful write, *after* the file is renamed into place —
     /// the closest a test can get to `kill -9` between a checkpoint and
     /// the next unit of work. Kill-tolerance tests sweep `n` over every
     /// write position and assert the resumed model is byte-identical.
@@ -220,9 +220,9 @@ impl FitCheckpointStore {
         Some(ckpt)
     }
 
-    /// Persists a checkpoint atomically (temp file + rename). IO problems
-    /// are reported to stderr but never fail the fit: a checkpoint is an
-    /// optimisation, not a correctness requirement.
+    /// Persists a checkpoint atomically ([`pnr_data::write_atomic`]). IO
+    /// problems are reported to stderr but never fail the fit: a
+    /// checkpoint is an optimisation, not a correctness requirement.
     pub fn store(&self, ckpt: &FitCheckpoint) {
         if !self.enabled {
             return;
@@ -235,11 +235,7 @@ impl FitCheckpointStore {
             }
         };
         let path = self.path_for(&ckpt.key);
-        let tmp = path.with_extension("tmp");
-        let write = std::fs::create_dir_all(&self.dir)
-            .and_then(|()| std::fs::write(&tmp, json))
-            .and_then(|()| std::fs::rename(&tmp, &path));
-        if let Err(e) = write {
+        if let Err(e) = pnr_data::write_atomic(&path, json.as_bytes()) {
             eprintln!("fit checkpoint write failed for {}: {e}", path.display());
         }
         let n = self.writes.fetch_add(1, Ordering::Relaxed) + 1;

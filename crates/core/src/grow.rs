@@ -133,7 +133,6 @@ pub fn grow_rule(view: &TaskView<'_>, opts: &GrowOptions) -> Option<GrownRule> {
         sink: opts.sink.clone(),
         max_workers: opts.search_workers,
         row_shards: opts.row_shards,
-        ..Default::default()
     };
 
     let mut rule = Rule::empty();

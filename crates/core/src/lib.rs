@@ -65,7 +65,7 @@ pub use artifact::{
     file_checksum, is_transient_io, load_with_retry, retry_transient, ArtifactError,
     ArtifactLineage, ModelArtifact, RetryPolicy, FORMAT_VERSION,
 };
-pub use compiled::{CompiledModel, CompiledScorer, ScoringEngine};
+pub use compiled::{CompiledModel, CompiledScorer};
 pub use fit_checkpoint::{FitCheckpoint, FitCheckpointStore, FitKey};
 pub use grow::{grow_rule, GrowOptions, GrownRule, RecallGuard};
 pub use learn::{FitReport, PnruleLearner};

@@ -73,7 +73,7 @@ pub struct PnruleParams {
     pub budget: FitBudget,
     /// Worker-thread cap for the condition search in both phases:
     /// `None` (default) lets the size-based heuristic decide, `Some(1)`
-    /// forces the sequential reference scan, `Some(k)` forces the
+    /// runs the search inline on the calling thread, `Some(k)` forces the
     /// threaded path with at most `k` workers even on small fits. The
     /// learned model is bit-identical for every setting (the `cargo
     /// xtask determinism` harness sweeps {1, 2, max} to prove it), so

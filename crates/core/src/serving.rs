@@ -20,22 +20,21 @@
 //! * [`UnknownPolicy::Reject`] — any unknown value is a typed per-record
 //!   error; the record is quarantined, not scored.
 //!
-//! Rule evaluation itself runs on the **compiled engine** by default
-//! (see [`crate::compiled`]): the model's rule lists are lowered into
+//! Rule evaluation runs on the **compiled engine** (see
+//! [`crate::compiled`]): the model's rule lists are lowered into
 //! attribute-indexed dispatch tables at construction, and unknown values
 //! mask an attribute's entire dispatch table — the exact compiled form
-//! of "a `None` lookup never satisfies a condition". The engines are
-//! bit-identical; [`ScoringEngine`] selects one explicitly.
+//! of "a `None` lookup never satisfies a condition". It is bit-identical
+//! to the interpreter ([`crate::PnruleModel::score_with_trace`]), which
+//! stays as the test oracle.
 //!
 //! Every path reports to telemetry: `rows_scored`, `rows_quarantined`,
-//! `unseen_category_hits`, `nan_numeric_hits` (the hit counters count
+//! `unseen_category_hits` and `nan_numeric_hits` (the hit counters count
 //! *values*, and are bumped for every fault in a record before the
-//! policy decides its fate) and `compiled_dispatch_hits` (records routed
-//! through the compiled engine). Nothing in this module panics on any
-//! input.
+//! policy decides its fate). Nothing in this module panics on any input.
 
 use crate::artifact::{ArtifactError, ModelArtifact};
-use crate::compiled::{CompiledModel, ScoringEngine};
+use crate::compiled::CompiledModel;
 use crate::model::RuleTrace;
 use pnr_data::{AttrType, Dataset};
 use pnr_telemetry::{Counter, TelemetrySink};
@@ -224,26 +223,20 @@ pub struct ServingModel {
     artifact: ModelArtifact,
     unknown_policy: UnknownPolicy,
     missing_policy: MissingColumnPolicy,
-    engine: ScoringEngine,
-    /// The compiled engine, built eagerly at construction. `None` only
-    /// when the model does not compile (an attribute tested both
-    /// categorically and numerically — impossible for artifacts that
-    /// passed validation); scoring then falls back to the interpreter.
-    compiled: Option<CompiledModel>,
+    /// The compiled engine, built eagerly at construction.
+    compiled: CompiledModel,
     sink: Arc<dyn TelemetrySink>,
 }
 
 impl ServingModel {
     /// Wraps an artifact with the default policies (`ConditionFalse`
-    /// unknowns, `Reject` missing columns, `Auto` engine) and no
-    /// telemetry.
+    /// unknowns, `Reject` missing columns) and no telemetry.
     pub fn new(artifact: ModelArtifact) -> Self {
-        let compiled = CompiledModel::compile(&artifact.model).ok();
+        let compiled = CompiledModel::compile(&artifact.model);
         ServingModel {
             artifact,
             unknown_policy: UnknownPolicy::default(),
             missing_policy: MissingColumnPolicy::default(),
-            engine: ScoringEngine::default(),
             compiled,
             sink: pnr_telemetry::noop(),
         }
@@ -261,15 +254,6 @@ impl ServingModel {
         self
     }
 
-    /// Selects the rule-evaluation engine. The engines are bit-identical
-    /// (property-tested), so this only trades evaluation cost;
-    /// [`ScoringEngine::Interpreter`] exists for cross-checking and
-    /// benchmarking.
-    pub fn with_engine(mut self, engine: ScoringEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// Routes serving counters to `sink`.
     pub fn with_sink(mut self, sink: Arc<dyn TelemetrySink>) -> Self {
         self.sink = sink;
@@ -284,23 +268,6 @@ impl ServingModel {
     /// The active unknown-value policy.
     pub fn unknown_policy(&self) -> UnknownPolicy {
         self.unknown_policy
-    }
-
-    /// The engine that will actually evaluate rules: `"compiled"` unless
-    /// the interpreter was forced (or the model failed to compile).
-    pub fn active_engine(&self) -> &'static str {
-        match (self.engine, &self.compiled) {
-            (ScoringEngine::Interpreter, _) | (_, None) => "interpreter",
-            (_, Some(_)) => "compiled",
-        }
-    }
-
-    /// The compiled engine when it is the active one.
-    fn active_compiled(&self) -> Option<&CompiledModel> {
-        match self.engine {
-            ScoringEngine::Interpreter => None,
-            ScoringEngine::Auto | ScoringEngine::Compiled => self.compiled.as_ref(),
-        }
     }
 
     /// Maps an incoming CSV header onto the stored schema by name.
@@ -469,36 +436,11 @@ impl ServingModel {
             Some(ServingValue::Code(c)) => Some(*c),
             _ => None,
         };
-        let model = &self.artifact.model;
-        let (score, trace) = match self.active_compiled() {
-            Some(compiled) => {
-                self.count(Counter::CompiledDispatchHits);
-                compiled.score_with_trace_lookup(num, cat)
-            }
-            None => match model.p_rules.first_match_lookup(num, cat) {
-                None => (
-                    0.0,
-                    RuleTrace {
-                        p_rule: None,
-                        n_rule: None,
-                    },
-                ),
-                Some(pi) => {
-                    let nj = model.n_rules.first_match_lookup(num, cat);
-                    (
-                        model.score_matrix.score(pi, nj),
-                        RuleTrace {
-                            p_rule: Some(pi),
-                            n_rule: nj,
-                        },
-                    )
-                }
-            },
-        };
+        let (score, trace) = self.compiled.score_with_trace_lookup(num, cat);
         self.count(Counter::RowsScored);
         Ok(ScoredRecord {
             score,
-            decision: score > model.threshold,
+            decision: score > self.compiled.threshold(),
             trace,
             abstained: false,
             unknown_values,

@@ -1,8 +1,8 @@
 //! Property-based tests for the PNrule learner's invariants.
 
 use pnr_core::{
-    CompiledModel, ModelArtifact, PnruleLearner, PnruleParams, ScoreMatrix, ScoringEngine,
-    ServingModel, ServingValue, UnknownKind, UnknownPolicy,
+    CompiledModel, ModelArtifact, PnruleLearner, PnruleParams, RecordError, RuleTrace, ScoreMatrix,
+    ScoredRecord, ServingModel, ServingValue, UnknownKind, UnknownPolicy,
 };
 use pnr_data::{AttrType, Dataset, DatasetBuilder, Value};
 use pnr_rules::{BinaryClassifier, Condition, Rule, RuleSet};
@@ -138,7 +138,7 @@ proptest! {
         // interpreter's — not approximately equal.
         let (d, _) = dataset(&data_rows);
         let model = PnruleLearner::new(PnruleParams::default()).fit(&d, 0);
-        let compiled = CompiledModel::compile(&model).expect("trained models always compile");
+        let compiled = CompiledModel::compile(&model);
         for row in 0..d.n_rows() {
             let (si, ti) = model.score_with_trace(&d, row);
             let (sc, tc) = compiled.score_with_trace(&d, row);
@@ -149,31 +149,25 @@ proptest! {
     }
 
     #[test]
-    fn serving_engines_agree_under_every_unknown_policy(
+    fn serving_matches_the_interpreter_under_every_unknown_policy(
         data_rows in rows(),
         masks in prop::collection::vec((prop::bool::ANY, prop::bool::ANY), 24),
     ) {
-        // ServingModel with engine=Compiled vs engine=Interpreter must be
-        // observationally identical — score bits, decision, abstention,
-        // unknown-value count, trace — under each unknown-value policy,
-        // including records carrying unknowns in either or both columns.
+        // `ServingModel::score_values` (compiled) must be observationally
+        // identical to an inline interpreter oracle — score bits,
+        // decision, abstention, unknown-value count, trace — under each
+        // unknown-value policy, including records carrying unknowns in
+        // either or both columns.
         let (d, _) = dataset(&data_rows);
         let params = PnruleParams::default();
         let (model, report) = PnruleLearner::new(params.clone()).fit_with_report(&d, 0);
-        let artifact = ModelArtifact::new(model, params, report, d.schema().clone()).unwrap();
+        let artifact = ModelArtifact::new(model.clone(), params, report, d.schema().clone()).unwrap();
         for policy in [
             UnknownPolicy::ConditionFalse,
             UnknownPolicy::Abstain,
             UnknownPolicy::Reject,
         ] {
-            let fast = ServingModel::new(artifact.clone())
-                .with_unknown_policy(policy)
-                .with_engine(ScoringEngine::Compiled);
-            let slow = ServingModel::new(artifact.clone())
-                .with_unknown_policy(policy)
-                .with_engine(ScoringEngine::Interpreter);
-            prop_assert_eq!(fast.active_engine(), "compiled");
-            prop_assert_eq!(slow.active_engine(), "interpreter");
+            let serving = ServingModel::new(artifact.clone()).with_unknown_policy(policy);
             for (i, &(hide_x, hide_y)) in masks.iter().enumerate() {
                 let row = i % d.n_rows();
                 let x = if hide_x {
@@ -187,7 +181,48 @@ proptest! {
                     ServingValue::Num(d.num(1, row))
                 };
                 let values = [x, y];
-                match (fast.score_values(&values), slow.score_values(&values)) {
+                let unknown_values = usize::from(hide_x) + usize::from(hide_y);
+                let num = |a: usize| match values[a] {
+                    ServingValue::Num(v) => Some(v),
+                    _ => None,
+                };
+                let cat = |a: usize| match values[a] {
+                    ServingValue::Code(c) => Some(c),
+                    _ => None,
+                };
+                let no_match = RuleTrace { p_rule: None, n_rule: None };
+                let want = match (policy, unknown_values) {
+                    (UnknownPolicy::Reject, n) if n > 0 => {
+                        Err(RecordError::UnknownRejected { unknown_values: n })
+                    }
+                    (UnknownPolicy::Abstain, n) if n > 0 => Ok(ScoredRecord {
+                        score: 0.0,
+                        decision: false,
+                        trace: no_match,
+                        abstained: true,
+                        unknown_values: n,
+                    }),
+                    _ => {
+                        let (score, trace) = match model.p_rules.first_match_lookup(num, cat) {
+                            None => (0.0, no_match),
+                            Some(pi) => {
+                                let nj = model.n_rules.first_match_lookup(num, cat);
+                                (
+                                    model.score_matrix.score(pi, nj),
+                                    RuleTrace { p_rule: Some(pi), n_rule: nj },
+                                )
+                            }
+                        };
+                        Ok(ScoredRecord {
+                            score,
+                            decision: score > model.threshold,
+                            trace,
+                            abstained: false,
+                            unknown_values,
+                        })
+                    }
+                };
+                match (serving.score_values(&values), want) {
                     (Ok(a), Ok(b)) => {
                         prop_assert_eq!(a.score.to_bits(), b.score.to_bits(),
                             "policy {:?} values {:?}: {} != {}", policy, &values, a.score, b.score);
@@ -197,7 +232,7 @@ proptest! {
                         prop_assert_eq!(a.trace, b.trace);
                     }
                     (Err(a), Err(b)) => prop_assert_eq!(a, b),
-                    (a, b) => prop_assert!(false, "engines disagree on outcome: {:?} vs {:?}", a, b),
+                    (a, b) => prop_assert!(false, "serving {:?} vs oracle {:?}", a, b),
                 }
             }
         }

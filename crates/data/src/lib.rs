@@ -27,6 +27,7 @@
 //! assert_eq!(data.class_name(data.label(1)), "attack");
 //! ```
 
+mod atomic;
 #[cfg(feature = "audit")]
 pub mod audit;
 mod builder;
@@ -42,6 +43,7 @@ mod split;
 mod stats;
 pub mod weights;
 
+pub use atomic::write_atomic;
 pub use builder::{DatasetBuilder, Value};
 pub use csv::{
     read_csv, read_csv_chunked, read_csv_str, read_csv_str_with_report, read_csv_with_report,

@@ -4,7 +4,6 @@
 //! predict --model <file.artifact> --input <file.csv>
 //!         [--unknown condition-false|abstain|reject]
 //!         [--missing reject|default]
-//!         [--engine auto|compiled|interpreter]
 //!         [--out <file.ndjson>] [--describe] [--verify-only]
 //! ```
 //!
@@ -24,7 +23,7 @@
 //! invocation. Artifact loads retry transient I/O failures with bounded
 //! exponential backoff before giving up.
 
-use pnr_core::{MissingColumnPolicy, RecordError, ScoringEngine, ServingModel, UnknownPolicy};
+use pnr_core::{MissingColumnPolicy, RecordError, ServingModel, UnknownPolicy};
 use pnr_telemetry::{Counter, RecordingSink, TelemetrySink};
 use std::io::Write;
 use std::path::Path;
@@ -32,7 +31,7 @@ use std::sync::Arc;
 
 const USAGE: &str = "usage: predict --model <file.artifact> --input <file.csv> \
 [--unknown condition-false|abstain|reject] [--missing reject|default] \
-[--engine auto|compiled|interpreter] [--out <file.ndjson>] [--describe] [--verify-only]";
+[--out <file.ndjson>] [--describe] [--verify-only]";
 
 fn bail(problem: &str) -> ! {
     eprintln!("error: {problem}");
@@ -52,7 +51,6 @@ struct Options {
     input: Option<String>,
     unknown: UnknownPolicy,
     missing: MissingColumnPolicy,
-    engine: ScoringEngine,
     out: Option<String>,
     describe: bool,
     verify_only: bool,
@@ -63,7 +61,6 @@ fn parse_args() -> Options {
     let mut input = None;
     let mut unknown = UnknownPolicy::default();
     let mut missing = MissingColumnPolicy::default();
-    let mut engine = ScoringEngine::default();
     let mut out = None;
     let mut describe = false;
     let mut verify_only = false;
@@ -90,14 +87,6 @@ fn parse_args() -> Options {
                     bail(&format!("--missing takes reject or default; got {raw:?}"))
                 });
             }
-            "--engine" => {
-                let raw = value("--engine");
-                engine = ScoringEngine::parse(&raw).unwrap_or_else(|| {
-                    bail(&format!(
-                        "--engine takes auto, compiled or interpreter; got {raw:?}"
-                    ))
-                });
-            }
             "--out" => out = Some(value("--out")),
             "--describe" => describe = true,
             "--verify-only" => verify_only = true,
@@ -113,7 +102,6 @@ fn parse_args() -> Options {
         input,
         unknown,
         missing,
-        engine,
         out,
         describe,
         verify_only,
@@ -154,7 +142,6 @@ fn main() {
     let serving = ServingModel::new(artifact)
         .with_unknown_policy(opts.unknown)
         .with_missing_policy(opts.missing)
-        .with_engine(opts.engine)
         .with_sink(recorder.clone() as Arc<dyn TelemetrySink>);
 
     let mut lines = text.lines();
@@ -168,13 +155,12 @@ fn main() {
     };
     eprintln!(
         "reconciled header: {} columns ({} missing, {} extra), \
-         unknown-policy {}, missing-policy {}, engine {}",
+         unknown-policy {}, missing-policy {}",
         header.len(),
         map.n_missing(),
         map.n_extra(),
         opts.unknown.name(),
         opts.missing.name(),
-        serving.active_engine()
     );
 
     let mut sink: Box<dyn Write> = match &opts.out {
@@ -237,12 +223,11 @@ fn main() {
     }
     eprintln!(
         "serving report: {n_records} record(s): rows_scored={} rows_quarantined={} \
-         unseen_category_hits={} nan_numeric_hits={} compiled_dispatch_hits={} \
+         unseen_category_hits={} nan_numeric_hits={} \
          | {n_positive} positive, {n_abstained} abstained, {n_errors} not scored",
         recorder.value(Counter::RowsScored),
         recorder.value(Counter::RowsQuarantined),
         recorder.value(Counter::UnseenCategoryHits),
         recorder.value(Counter::NanNumericHits),
-        recorder.value(Counter::CompiledDispatchHits),
     );
 }

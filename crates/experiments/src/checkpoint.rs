@@ -2,9 +2,10 @@
 //!
 //! Every completed (experiment, method, scale, seed) cell is persisted as
 //! one small JSON file under `<out_dir>/checkpoints/`, written atomically
-//! (temp file + rename) the moment the cell finishes. On restart with
-//! `--resume` (the default) completed cells are loaded instead of re-run,
-//! so a `kill -9` mid-table loses at most the cells that were in flight.
+//! ([`pnr_data::write_atomic`]) the moment the cell finishes. On restart
+//! with `--resume` (the default) completed cells are loaded instead of
+//! re-run, so a `kill -9` mid-table loses at most the cells that were in
+//! flight.
 //!
 //! Files are keyed by an FNV-1a fingerprint of the cell inputs; the full
 //! canonical key is stored inside the file and verified on load, so a
@@ -13,6 +14,7 @@
 //! Failed cells are never checkpointed — a resumed run retries them.
 
 use crate::report::ResultRow;
+use pnr_data::fingerprint::fnv1a_64;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
@@ -48,14 +50,7 @@ impl CellKey {
     /// ([`crate::telemetry_out`]) name their files by this value, so a
     /// cell's result and its trace sit side by side under the same key.
     pub fn fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash = FNV_OFFSET;
-        for byte in self.canonical().bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-        hash
+        fnv1a_64(self.canonical().as_bytes())
     }
 }
 
@@ -106,10 +101,10 @@ impl Checkpoint {
         Some(record.row)
     }
 
-    /// Persists a completed cell atomically (temp file + rename). Failed
-    /// rows are not stored — a resumed run should retry them. IO problems
-    /// are reported to stderr but never fail the run: a checkpoint is an
-    /// optimisation, not a correctness requirement.
+    /// Persists a completed cell atomically. Failed rows are not stored —
+    /// a resumed run should retry them. IO problems are reported to stderr
+    /// but never fail the run: a checkpoint is an optimisation, not a
+    /// correctness requirement.
     pub fn store(&self, key: &CellKey, row: &ResultRow) {
         if !self.enabled || row.is_failed() {
             return;
@@ -126,11 +121,7 @@ impl Checkpoint {
             }
         };
         let path = self.path_for(key);
-        let tmp = path.with_extension("tmp");
-        let write = std::fs::create_dir_all(&self.dir)
-            .and_then(|()| std::fs::write(&tmp, json))
-            .and_then(|()| std::fs::rename(&tmp, &path));
-        if let Err(e) = write {
+        if let Err(e) = pnr_data::write_atomic(&path, json.as_bytes()) {
             eprintln!("checkpoint write failed for {}: {e}", path.display());
         }
     }
@@ -258,5 +249,15 @@ mod tests {
             seed: 1,
         };
         assert_ne!(k1.fingerprint(), k2.fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_is_pinned_so_existing_files_still_resolve() {
+        // Checkpoint and telemetry files on disk are named by this value;
+        // changing it orphans every saved cell.
+        assert_eq!(
+            key("table1/nsyn1", "PNrule").fingerprint(),
+            0x8508_d310_ef86_f8e8
+        );
     }
 }

@@ -6,9 +6,9 @@
 //! Each `<fingerprint>.ndjson` file starts with one meta line naming the
 //! cell (experiment, method, scale, seed, fingerprint), followed by the
 //! recording sink's counter and span records. Files are written
-//! atomically (temp file + rename); IO problems are reported to stderr
-//! and never fail the run — telemetry is observation, not a correctness
-//! requirement.
+//! atomically ([`pnr_data::write_atomic`]); IO problems are reported to
+//! stderr and never fail the run — telemetry is observation, not a
+//! correctness requirement.
 
 use crate::checkpoint::CellKey;
 use pnr_telemetry::RecordingSink;
@@ -61,12 +61,7 @@ pub fn write_cell(out_dir: impl AsRef<Path>, key: &CellKey, sink: &RecordingSink
         text.push('\n');
     }
     let path = telemetry_path(out_dir, key);
-    let tmp = path.with_extension("tmp");
-    let dir = path.parent().map(Path::to_path_buf).unwrap_or_default();
-    let write = std::fs::create_dir_all(&dir)
-        .and_then(|()| std::fs::write(&tmp, text))
-        .and_then(|()| std::fs::rename(&tmp, &path));
-    if let Err(e) = write {
+    if let Err(e) = pnr_data::write_atomic(&path, text.as_bytes()) {
         eprintln!("telemetry write failed for {}: {e}", path.display());
     }
 }

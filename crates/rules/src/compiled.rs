@@ -35,6 +35,15 @@
 //! attribute's **entire dispatch table**, leaving only `base` — rules
 //! without conditions on that attribute.
 //!
+//! Programs are keyed by `(attribute, kind)`, so every rule set compiles.
+//! An attribute that some rules test with `CatEq` and others numerically
+//! gets one categorical and one numeric program. Under the lookup
+//! semantics this is exact: a categorical value is `None` to the numeric
+//! program and a numeric value is `None` to the categorical one, so each
+//! rule testing the attribute by the other kind is masked out, just as
+//! the interpreter's conditions fail. A single rule mixing both kinds on
+//! one attribute folds to a contradiction and never matches.
+//!
 //! # Value domain
 //!
 //! Dispatch assumes the dataset invariant that numeric cells are finite
@@ -53,33 +62,6 @@ use pnr_data::{Column, Dataset};
 /// Widest live mask (in 64-bit words) evaluated on the stack; rule sets
 /// beyond `64 × STACK_WORDS` rules fall back to a heap buffer per call.
 const STACK_WORDS: usize = 8;
-
-/// Why a rule set could not be lowered into a predicate program.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CompileError {
-    /// One attribute is tested both by categorical equalities and by
-    /// numeric thresholds across the rule set. No dataset column can
-    /// satisfy both, so the rule set is malformed (the interpreter would
-    /// panic on whichever condition mismatches the column's type).
-    MixedConditionKinds {
-        /// The attribute with conflicting condition kinds.
-        attr: usize,
-    },
-}
-
-impl std::fmt::Display for CompileError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CompileError::MixedConditionKinds { attr } => write!(
-                f,
-                "MixedConditionKinds: attribute {attr} is tested both by \
-                 categorical equalities and by numeric thresholds"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for CompileError {}
 
 /// A value fed to the predicate program for one attribute.
 #[derive(Debug, Clone, Copy)]
@@ -132,6 +114,28 @@ struct AttrProgram {
 }
 
 impl AttrProgram {
+    /// The program for `attr` whose `table` dispatches `rules`.
+    fn new(
+        attr: usize,
+        rules: impl Iterator<Item = usize>,
+        table: DispatchTable,
+        n_rules: usize,
+        stride: usize,
+    ) -> AttrProgram {
+        let mut base = ones(n_rules, stride);
+        let mut constrained = vec![0u64; stride];
+        for r in rules {
+            clear_bit(&mut base, r);
+            set_bit(&mut constrained, r);
+        }
+        AttrProgram {
+            attr,
+            base,
+            constrained,
+            table,
+        }
+    }
+
     /// Index of the dispatch entry `value` selects, or `None` when the
     /// value reaches no entry (unknown, or a code beyond the table).
     #[inline]
@@ -171,8 +175,9 @@ pub struct CompiledRuleSet {
     stride: usize,
     /// Rules that can match at all (contradictory conjunctions cleared).
     alive: Vec<u64>,
-    /// Per-attribute programs, most selective first (fewest `base` bits,
-    /// ties on attribute index); attributes no rule tests are absent.
+    /// Per-`(attribute, kind)` programs, most selective first (fewest
+    /// `base` bits, ties on attribute index, categorical before numeric);
+    /// attributes no rule tests are absent.
     programs: Vec<AttrProgram>,
 }
 
@@ -189,50 +194,26 @@ enum Requirement {
     Contradiction,
 }
 
-/// Attribute kind as witnessed by conditions across the whole rule set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AttrKind {
-    Cat,
-    Num,
-}
-
 impl CompiledRuleSet {
-    /// Lowers `rules` into a predicate program. Fails only when the rule
-    /// set itself is malformed (one attribute tested as both categorical
-    /// and numeric); contradictory individual rules compile fine and
-    /// simply never match, exactly as under the interpreter.
-    pub fn compile(rules: &RuleSet) -> Result<CompiledRuleSet, CompileError> {
+    /// Lowers `rules` into a predicate program. Every rule set compiles:
+    /// contradictory rules (including one mixing categorical and numeric
+    /// tests on one attribute) simply never match, exactly as under the
+    /// interpreter.
+    pub fn compile(rules: &RuleSet) -> CompiledRuleSet {
         let n_rules = rules.len();
         let stride = n_rules.div_ceil(64).max(1);
+        let n_attrs = rules
+            .rules()
+            .iter()
+            .flat_map(|rule| rule.conditions())
+            .map(|cond| cond.attr() + 1)
+            .max()
+            .unwrap_or(0);
 
-        // Pass 1: attribute kinds (and the attribute range in play).
-        let mut kinds: Vec<Option<AttrKind>> = Vec::new();
-        for rule in rules.rules() {
-            for cond in rule.conditions() {
-                let attr = cond.attr();
-                if attr >= kinds.len() {
-                    kinds.resize(attr + 1, None);
-                }
-                let kind = match cond {
-                    Condition::CatEq { .. } => AttrKind::Cat,
-                    Condition::NumLe { .. }
-                    | Condition::NumGt { .. }
-                    | Condition::NumRange { .. } => AttrKind::Num,
-                };
-                match kinds[attr] {
-                    None => kinds[attr] = Some(kind),
-                    Some(k) if k == kind => {}
-                    Some(_) => return Err(CompileError::MixedConditionKinds { attr }),
-                }
-            }
-        }
-
-        // Pass 2: fold every rule's conditions into one requirement per
-        // attribute, and collect them per attribute.
-        let n_attrs = kinds.len();
+        // Pass 1: fold every rule's conditions into one requirement per
+        // attribute, and collect them per `(attribute, kind)`.
         let mut pins: Vec<Vec<(usize, u32)>> = vec![Vec::new(); n_attrs];
         let mut intervals: Vec<Vec<(usize, f64, f64)>> = vec![Vec::new(); n_attrs];
-        let mut constrained: Vec<Vec<usize>> = vec![Vec::new(); n_attrs];
         let mut alive = ones(n_rules, stride);
         let mut reqs: Vec<Requirement> = vec![Requirement::Free; n_attrs];
         for (r, rule) in rules.rules().iter().enumerate() {
@@ -244,111 +225,39 @@ impl CompiledRuleSet {
                 }
                 reqs[attr] = fold(reqs[attr], cond);
             }
-            let mut dead = false;
             for &attr in &touched {
                 match reqs[attr] {
                     Requirement::Free => {}
-                    Requirement::Pinned(code) => {
-                        pins[attr].push((r, code));
-                        constrained[attr].push(r);
-                    }
-                    Requirement::Interval(lo, hi) => {
-                        intervals[attr].push((r, lo, hi));
-                        constrained[attr].push(r);
-                    }
-                    Requirement::Contradiction => {
-                        constrained[attr].push(r);
-                        dead = true;
-                    }
+                    Requirement::Pinned(code) => pins[attr].push((r, code)),
+                    Requirement::Interval(lo, hi) => intervals[attr].push((r, lo, hi)),
+                    // A dead rule needs no program: it is never live.
+                    Requirement::Contradiction => clear_bit(&mut alive, r),
                 }
                 reqs[attr] = Requirement::Free;
             }
-            if dead {
-                clear_bit(&mut alive, r);
-            }
         }
 
-        // Pass 3: build one program per constrained attribute.
+        // Pass 2: build one program per constrained `(attribute, kind)`,
+        // categorical first.
         let mut programs = Vec::new();
         for attr in 0..n_attrs {
-            if constrained[attr].is_empty() {
-                continue;
+            if !pins[attr].is_empty() {
+                let table = cat_table(&pins[attr], stride);
+                let rules = pins[attr].iter().map(|&(r, _)| r);
+                programs.push(AttrProgram::new(attr, rules, table, n_rules, stride));
             }
-            let mut base = ones(n_rules, stride);
-            let mut cmask = vec![0u64; stride];
-            for &r in &constrained[attr] {
-                clear_bit(&mut base, r);
-                set_bit(&mut cmask, r);
+            if !intervals[attr].is_empty() {
+                let table = num_table(&intervals[attr], stride, &mut alive);
+                let rules = intervals[attr].iter().map(|&(r, ..)| r);
+                programs.push(AttrProgram::new(attr, rules, table, n_rules, stride));
             }
-            let table = match kinds[attr] {
-                Some(AttrKind::Cat) => {
-                    let n_codes = pins[attr]
-                        .iter()
-                        .map(|&(_, code)| code as usize + 1)
-                        .max()
-                        .unwrap_or(0);
-                    let mut masks = vec![0u64; n_codes * stride];
-                    for &(r, code) in &pins[attr] {
-                        set_bit(&mut masks[code as usize * stride..], r);
-                    }
-                    DispatchTable::Cat { masks, n_codes }
-                }
-                Some(AttrKind::Num) => {
-                    let mut breakpoints: Vec<f64> = Vec::new();
-                    for &(_, lo, hi) in &intervals[attr] {
-                        if lo.is_finite() {
-                            breakpoints.push(lo);
-                        }
-                        if hi.is_finite() {
-                            breakpoints.push(hi);
-                        }
-                    }
-                    breakpoints.sort_by(f64::total_cmp);
-                    breakpoints.dedup();
-                    let n_segments = breakpoints.len() + 1;
-                    let mut masks = vec![0u64; n_segments * stride];
-                    for &(r, lo, hi) in &intervals[attr] {
-                        if lo.is_nan() || hi.is_nan() || lo >= hi {
-                            // Empty interval (includes NaN endpoints):
-                            // the rule can never match.
-                            clear_bit(&mut alive, r);
-                            continue;
-                        }
-                        // Segments whose left edge is ≥ lo …
-                        let first = if lo.is_finite() {
-                            breakpoints.partition_point(|b| *b < lo) + 1
-                        } else {
-                            0
-                        };
-                        // … and whose right edge is ≤ hi.
-                        let last = if hi.is_finite() {
-                            breakpoints.partition_point(|b| *b <= hi)
-                        } else {
-                            n_segments
-                        };
-                        for s in first..last.max(first) {
-                            set_bit(&mut masks[s * stride..], r);
-                        }
-                    }
-                    DispatchTable::Num { breakpoints, masks }
-                }
-                // Unreachable: `constrained[attr]` is non-empty only when
-                // a condition fixed the kind in pass 1.
-                None => continue,
-            };
-            programs.push(AttrProgram {
-                attr,
-                base,
-                constrained: cmask,
-                table,
-            });
         }
 
         // Most-selective programs first (fewest rules passing regardless
         // of value), so the live mask empties — and evaluation
         // short-circuits — as early as possible. The AND steps commute,
-        // so ordering cannot change the result; ties break on attribute
-        // index for determinism.
+        // so ordering cannot change the result; the stable sort breaks
+        // ties on attribute index, then categorical before numeric.
         programs.sort_by_key(|p| {
             (
                 p.base
@@ -359,12 +268,12 @@ impl CompiledRuleSet {
             )
         });
 
-        Ok(CompiledRuleSet {
+        CompiledRuleSet {
             n_rules,
             stride,
             alive,
             programs,
-        })
+        }
     }
 
     /// Number of rules in the compiled set.
@@ -372,7 +281,8 @@ impl CompiledRuleSet {
         self.n_rules
     }
 
-    /// Number of attribute programs (attributes any rule tests).
+    /// Number of attribute programs: one per `(attribute, kind)` the
+    /// rules test (a rule contradictory on an attribute adds none).
     pub fn n_programs(&self) -> usize {
         self.programs.len()
     }
@@ -449,7 +359,8 @@ impl CompiledRuleSet {
     ///
     /// # Panics
     /// Panics (like the interpreter) when a tested attribute's column
-    /// type contradicts its conditions or indexes are out of range.
+    /// type contradicts its conditions or indexes are out of range — in
+    /// particular for any rule set testing one attribute both ways.
     #[inline]
     pub fn first_match(&self, data: &Dataset, row: usize) -> Option<usize> {
         self.eval(|prog| match &prog.table {
@@ -709,6 +620,64 @@ fn first_bit(words: &[u64]) -> Option<usize> {
     None
 }
 
+/// Code-indexed dispatch table over one attribute's `(rule, pinned code)`
+/// requirements.
+fn cat_table(pins: &[(usize, u32)], stride: usize) -> DispatchTable {
+    let n_codes = pins
+        .iter()
+        .map(|&(_, code)| code as usize + 1)
+        .max()
+        .unwrap_or(0);
+    let mut masks = vec![0u64; n_codes * stride];
+    for &(r, code) in pins {
+        set_bit(&mut masks[code as usize * stride..], r);
+    }
+    DispatchTable::Cat { masks, n_codes }
+}
+
+/// Segment-indexed dispatch table over one attribute's `(rule, lo, hi)`
+/// fused intervals. Rules whose interval is empty are cleared from
+/// `alive`.
+fn num_table(intervals: &[(usize, f64, f64)], stride: usize, alive: &mut [u64]) -> DispatchTable {
+    let mut breakpoints: Vec<f64> = Vec::new();
+    for &(_, lo, hi) in intervals {
+        if lo.is_finite() {
+            breakpoints.push(lo);
+        }
+        if hi.is_finite() {
+            breakpoints.push(hi);
+        }
+    }
+    breakpoints.sort_by(f64::total_cmp);
+    breakpoints.dedup();
+    let n_segments = breakpoints.len() + 1;
+    let mut masks = vec![0u64; n_segments * stride];
+    for &(r, lo, hi) in intervals {
+        if lo.is_nan() || hi.is_nan() || lo >= hi {
+            // Empty interval (includes NaN endpoints): the rule can never
+            // match.
+            clear_bit(alive, r);
+            continue;
+        }
+        // Segments whose left edge is ≥ lo …
+        let first = if lo.is_finite() {
+            breakpoints.partition_point(|b| *b < lo) + 1
+        } else {
+            0
+        };
+        // … and whose right edge is ≤ hi.
+        let last = if hi.is_finite() {
+            breakpoints.partition_point(|b| *b <= hi)
+        } else {
+            n_segments
+        };
+        for s in first..last.max(first) {
+            set_bit(&mut masks[s * stride..], r);
+        }
+    }
+    DispatchTable::Num { breakpoints, masks }
+}
+
 /// Folds one more condition into an attribute requirement.
 fn fold(req: Requirement, cond: &Condition) -> Requirement {
     let (lo, hi) = match *cond {
@@ -780,7 +749,7 @@ mod tests {
     }
 
     fn assert_identical(rules: &RuleSet, data: &Dataset) {
-        let compiled = CompiledRuleSet::compile(rules).expect("compiles");
+        let compiled = CompiledRuleSet::compile(rules);
         let matcher = compiled.matcher(data);
         for row in 0..data.n_rows() {
             let want = rules.first_match(data, row);
@@ -807,7 +776,7 @@ mod tests {
     #[test]
     fn empty_ruleset_matches_nothing() {
         let d = data();
-        let compiled = CompiledRuleSet::compile(&RuleSet::new()).expect("compiles");
+        let compiled = CompiledRuleSet::compile(&RuleSet::new());
         for row in 0..d.n_rows() {
             assert_eq!(compiled.first_match(&d, row), None);
         }
@@ -817,7 +786,7 @@ mod tests {
     fn empty_rule_matches_everything_first() {
         let d = data();
         let rules = RuleSet::from_rules(vec![Rule::empty(), Rule::new(vec![le(10.0)])]);
-        let compiled = CompiledRuleSet::compile(&rules).expect("compiles");
+        let compiled = CompiledRuleSet::compile(&rules);
         for row in 0..d.n_rows() {
             assert_eq!(compiled.first_match(&d, row), Some(0));
         }
@@ -837,7 +806,7 @@ mod tests {
             Rule::new(vec![le(3.0)]),
         ]);
         assert_identical(&rules, &d);
-        let compiled = CompiledRuleSet::compile(&rules).expect("compiles");
+        let compiled = CompiledRuleSet::compile(&rules);
         for row in 0..d.n_rows() {
             assert!(!matches!(
                 compiled.first_match(&d, row),
@@ -877,7 +846,7 @@ mod tests {
             Rule::new(vec![le(10.0)]),
             Rule::empty(),
         ]);
-        let compiled = CompiledRuleSet::compile(&rules).expect("compiles");
+        let compiled = CompiledRuleSet::compile(&rules);
         // categorical unknown: rule 0 cannot fire, rule 1 can
         assert_eq!(
             compiled.first_match_lookup(|_| Some(1.0), |_| None),
@@ -893,21 +862,33 @@ mod tests {
     #[test]
     fn codes_beyond_the_dispatch_table_satisfy_no_equality() {
         let rules = RuleSet::from_rules(vec![Rule::new(vec![cat(0)]), Rule::empty()]);
-        let compiled = CompiledRuleSet::compile(&rules).expect("compiles");
+        let compiled = CompiledRuleSet::compile(&rules);
         assert_eq!(compiled.first_match_lookup(|_| None, |_| Some(7)), Some(1));
         assert_eq!(rules.first_match_lookup(|_| None, |_| Some(7)), Some(1));
     }
 
     #[test]
-    fn mixed_kinds_on_one_attribute_refuse_to_compile() {
+    fn mixed_kinds_on_one_attribute_get_one_program_per_kind() {
+        // rank 0 tests attribute 0 categorically, rank 1 numerically,
+        // rank 2 both ways (a contradiction), rank 3 is unconditional.
         let rules = RuleSet::from_rules(vec![
             Rule::new(vec![Condition::CatEq { attr: 0, value: 0 }]),
             Rule::new(vec![le(1.0)]),
+            Rule::new(vec![Condition::CatEq { attr: 0, value: 0 }, le(1.0)]),
+            Rule::empty(),
         ]);
-        assert_eq!(
-            CompiledRuleSet::compile(&rules).err(),
-            Some(CompileError::MixedConditionKinds { attr: 0 })
-        );
+        let compiled = CompiledRuleSet::compile(&rules);
+        assert_eq!(compiled.n_programs(), 2);
+        for (num, cat, want) in [
+            (None, Some(0), Some(0)),
+            (Some(0.5), None, Some(1)),
+            (Some(2.0), None, Some(3)),
+            (None, Some(1), Some(3)),
+            (None, None, Some(3)),
+        ] {
+            assert_eq!(compiled.first_match_lookup(|_| num, |_| cat), want);
+            assert_eq!(rules.first_match_lookup(|_| num, |_| cat), want);
+        }
     }
 
     #[test]
@@ -921,7 +902,7 @@ mod tests {
             .collect();
         rules.push(Rule::empty());
         let rules = RuleSet::from_rules(rules);
-        let compiled = CompiledRuleSet::compile(&rules).expect("compiles");
+        let compiled = CompiledRuleSet::compile(&rules);
         assert_eq!(compiled.stride, 2);
         assert_identical(&rules, &d);
         for row in 0..d.n_rows() {

@@ -21,10 +21,10 @@
 //! off a shared counter (phase A); the main thread then reduces each
 //! attribute's shard partials in **shard-index order** through
 //! [`pnr_data::weights::ordered_sum`]-style left folds, charges the budget
-//! and scores candidates in ascending attribute order (phase B). Because
-//! [`find_best_condition_sequential`] accumulates through the *same* plan,
-//! the threaded scan is bit-identical to it for any worker count —
-//! including the "first best wins, lowest attribute index" tie-break.
+//! and scores candidates in ascending attribute order (phase B). With one
+//! worker, phase A runs inline through the *same* plan, so the result is
+//! bit-identical for any worker count — including the "first best wins,
+//! lowest attribute index" tie-break.
 
 use crate::budget::BudgetTracker;
 use crate::condition::Condition;
@@ -53,18 +53,6 @@ pub struct SearchOptions {
     /// supported by earlier rules" — i.e. against the rule's starting view,
     /// not the shrinking refinement view.
     pub context: Option<(f64, f64)>,
-    /// Evaluate attributes on worker threads when the search is large
-    /// enough to amortise the spawn cost (see
-    /// [`Self::parallel_min_cells`]). The result is bit-identical to the
-    /// sequential scan either way; disable to force single-threaded
-    /// execution.
-    pub parallel: bool,
-    /// Minimum `view rows × attributes` product before the parallel path
-    /// engages; defaults to [`PARALLEL_MIN_CELLS`]. Tests and benchmarks
-    /// lower it to engage worker threads on small inputs; `0` always takes
-    /// the threaded path (at least two workers, even on a single core), so
-    /// the thread/merge machinery can be exercised anywhere.
-    pub parallel_min_cells: usize,
     /// Optional training-budget tracker candidates are charged against.
     /// When a charge crosses the budget's candidate limit (or its
     /// wall-clock deadline has passed) the whole search call returns
@@ -78,12 +66,12 @@ pub struct SearchOptions {
     /// a no-op branch. Telemetry is write-only — it never influences the
     /// search result.
     pub sink: Arc<dyn TelemetrySink>,
-    /// Explicit worker-thread cap. `None` (default) leaves the
-    /// size-based heuristic in charge; `Some(1)` forces the sequential
-    /// scan; `Some(k)` with `k > 1` forces the threaded path with at
-    /// most `k` workers even below [`Self::parallel_min_cells`] — the
-    /// determinism harness uses this to prove bit-identity across
-    /// thread counts on small fits.
+    /// Explicit worker-thread cap. `None` (default) engages threads only
+    /// once the search reaches [`PARALLEL_MIN_CELLS`]; `Some(1)` runs
+    /// inline on the calling thread; `Some(k)` with `k > 1` forces worker
+    /// threads (at least two, at most `k`) even on small searches — tests
+    /// and the determinism harness use this to prove bit-identity across
+    /// thread counts on small fits. The result never depends on it.
     pub max_workers: Option<usize>,
     /// Row-shard count for the [`ShardPlan`]. `None` (default) keeps one
     /// shard, which reproduces the unsharded scan's float arithmetic
@@ -100,8 +88,6 @@ impl Default for SearchOptions {
             use_ranges: true,
             min_support_weight: 0.0,
             context: None,
-            parallel: true,
-            parallel_min_cells: PARALLEL_MIN_CELLS,
             budget: None,
             sink: pnr_telemetry::noop(),
             max_workers: None,
@@ -142,9 +128,8 @@ fn budget_depleted(opts: &SearchOptions) -> bool {
     }
 }
 
-/// Minimum `view rows × attributes` product before a parallel search pays
-/// for its thread spawns. Below this the sequential scan is used even with
-/// [`SearchOptions::parallel`] set.
+/// Minimum `view rows × attributes` product before a search with no
+/// explicit [`SearchOptions::max_workers`] cap pays for thread spawns.
 pub const PARALLEL_MIN_CELLS: usize = 16 * 1024;
 
 /// A scored candidate condition.
@@ -194,9 +179,12 @@ enum ShardPartial {
 /// Finds the highest-scoring single condition over the view, or `None` when
 /// no candidate has positive support under the constraints.
 ///
-/// Large searches evaluate `(attribute × shard)` statistics tasks on worker
-/// threads (unless [`SearchOptions::parallel`] is off); the merged result
-/// is always bit-identical to [`find_best_condition_sequential`].
+/// Phase A computes the `(attribute × shard)` partial statistics: inline
+/// on the calling thread when [`worker_count`] allows one worker, on
+/// scoped worker threads otherwise. Phase B reduces each attribute's
+/// partials in shard-index order, charges the budget and scores the
+/// candidates in ascending attribute order on the calling thread, so the
+/// result is bit-identical for any worker count.
 pub fn find_best_condition(
     view: &TaskView<'_>,
     metric: EvalMetric,
@@ -207,27 +195,23 @@ pub fn find_best_condition(
     }
     let n_attrs = view.data.n_attrs();
     let plan = ShardPlan::new(view.n_rows(), opts.row_shards);
-    let tasks = n_attrs * plan.n_shards();
     let available = std::thread::available_parallelism().map_or(1, |p| p.get());
     let workers = worker_count(
-        opts.parallel,
         opts.max_workers,
-        opts.parallel_min_cells,
         view.n_rows() * n_attrs,
-        tasks,
+        n_attrs * plan.n_shards(),
         available,
     );
-    if workers <= 1 {
-        return find_best_condition_sequential(view, metric, opts);
-    }
     if opts.sink.enabled() {
-        // Record the effective thread policy so sweeps read the real
-        // worker count instead of guessing: mean workers per threaded
-        // search = SearchWorkerThreads / ParallelSearchCalls.
-        opts.sink.add(Counter::ParallelSearchCalls, 1);
-        opts.sink.add(Counter::SearchWorkerThreads, workers as u64);
-        // Warm/cold projection telemetry is classified here, before any
-        // worker materialises a projection.
+        if workers > 1 {
+            // Record the effective thread policy so sweeps read the real
+            // worker count instead of guessing: mean workers per threaded
+            // search = SearchWorkerThreads / ParallelSearchCalls.
+            opts.sink.add(Counter::ParallelSearchCalls, 1);
+            opts.sink.add(Counter::SearchWorkerThreads, workers as u64);
+        }
+        // Warm/cold projection telemetry is classified here, before
+        // phase A materialises any projection.
         for attr in 0..n_attrs {
             if matches!(view.data.column(attr), Column::Num(_)) {
                 let counter = if view.projection_is_warm(attr) {
@@ -243,16 +227,47 @@ pub fn find_best_condition(
     let (pos_total, n_total) = opts
         .context
         .unwrap_or_else(|| (view.pos_weight(), view.total_weight()));
-    // Phase A: workers claim (attribute × shard) partial-statistics tasks
-    // off a shared counter (task = attr * n_shards + shard); each slot is
-    // written by exactly one worker.
+    // Threaded phase A runs to completion up front; inline phase A runs
+    // one attribute at a time, just before phase B scores it.
+    let mut threaded = (workers > 1).then(|| threaded_partials(view, &plan, workers).into_iter());
+    let mut best = Best::default();
+    for attr in 0..n_attrs {
+        let partials: Vec<ShardPartial> = match threaded.as_mut() {
+            Some(done) => done.by_ref().take(plan.n_shards()).flatten().collect(),
+            None => plan
+                .ranges()
+                .map(|(lo, hi)| compute_shard_partial(view, attr, lo, hi))
+                .collect(),
+        };
+        score_merged_attribute(
+            view, attr, partials, metric, opts, pos_total, n_total, &mut best,
+        );
+    }
+    if budget_depleted(opts) {
+        // The budget fired somewhere in this call: discard the partial
+        // scan so the result does not depend on where it fired.
+        return None;
+    }
+    best.cand
+}
+
+/// Phase A on `workers` scoped threads. Workers claim `(attribute ×
+/// shard)` tasks off a shared counter (task = attr * n_shards + shard)
+/// and each slot is written by exactly one worker; the partials come back
+/// in task order.
+fn threaded_partials(
+    view: &TaskView<'_>,
+    plan: &ShardPlan,
+    workers: usize,
+) -> Vec<Option<ShardPartial>> {
+    let tasks = view.data.n_attrs() * plan.n_shards();
     let slots: Vec<std::sync::Mutex<Option<ShardPartial>>> =
         (0..tasks).map(|_| std::sync::Mutex::new(None)).collect();
     let next = std::sync::atomic::AtomicUsize::new(0);
-    // Workers race only over *which* slot they fill; phase B below reduces
-    // each attribute's shard partials in shard-index order and visits
-    // attributes in ascending order on this thread, so the outcome is
-    // bit-identical to the sequential scan. det:merge(shard-index-order)
+    // Workers race only over *which* slot they fill; phase B reduces each
+    // attribute's shard partials in shard-index order and visits
+    // attributes in ascending order on the calling thread, so the outcome
+    // is bit-identical to the inline scan. det:merge(shard-index-order)
     std::thread::scope(|s| {
         for _ in 0..workers {
             s.spawn(|| loop {
@@ -271,73 +286,13 @@ pub fn find_best_condition(
             });
         }
     });
-    // Phase B: deterministic reduce + charge + score on the main thread,
-    // in ascending attribute order — the same sequence of budget charges
-    // and `Best::offer`s the sequential scan makes.
-    let mut slot_iter = slots.into_iter();
-    let mut best = Best::default();
-    for attr in 0..n_attrs {
-        let partials: Vec<ShardPartial> = slot_iter
-            .by_ref()
-            .take(plan.n_shards())
-            .filter_map(|s| {
-                s.into_inner()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-            })
-            .collect();
-        score_merged_attribute(
-            view, attr, partials, metric, opts, pos_total, n_total, &mut best,
-        );
-    }
-    if budget_depleted(opts) {
-        // The budget fired somewhere in this call: discard the partial
-        // scan so the result does not depend on worker interleaving.
-        return None;
-    }
-    best.cand
-}
-
-/// The single-threaded reference scan; [`find_best_condition`] must always
-/// agree with it bit-for-bit. It accumulates through the same
-/// [`ShardPlan`] as the threaded path, so a sharded scan has one defined
-/// arithmetic regardless of worker count.
-pub fn find_best_condition_sequential(
-    view: &TaskView<'_>,
-    metric: EvalMetric,
-    opts: &SearchOptions,
-) -> Option<CandidateCondition> {
-    if view.is_empty() || budget_depleted(opts) {
-        return None;
-    }
-    let plan = ShardPlan::new(view.n_rows(), opts.row_shards);
-    let (pos_total, n_total) = opts
-        .context
-        .unwrap_or_else(|| (view.pos_weight(), view.total_weight()));
-    let mut best = Best::default();
-    for attr in 0..view.data.n_attrs() {
-        if opts.sink.enabled() && matches!(view.data.column(attr), Column::Num(_)) {
-            // Classified before the partial pass materialises the projection.
-            let counter = if view.projection_is_warm(attr) {
-                Counter::ViewWarmHits
-            } else {
-                Counter::ViewColdBuilds
-            };
-            opts.sink.add(counter, 1);
-        }
-        let partials: Vec<ShardPartial> = plan
-            .ranges()
-            .map(|(lo, hi)| compute_shard_partial(view, attr, lo, hi))
-            .collect();
-        score_merged_attribute(
-            view, attr, partials, metric, opts, pos_total, n_total, &mut best,
-        );
-    }
-    if budget_depleted(opts) {
-        // Mirror of the parallel path: a budget that fired mid-call
-        // invalidates the whole scan.
-        return None;
-    }
-    best.cand
+    slots
+        .into_iter()
+        .map(|s| {
+            s.into_inner()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+        })
+        .collect()
 }
 
 /// Computes one attribute's statistics over the shard rows `[lo, hi)` —
@@ -373,7 +328,7 @@ fn compute_shard_partial(view: &TaskView<'_>, attr: usize, lo: usize, hi: usize)
 
 /// Merges per-attribute shard partials (in shard-index order) and scores
 /// the attribute's candidates into `best`. This is the only scoring entry
-/// point, shared verbatim by the sequential and threaded drivers.
+/// point, shared by the inline and threaded phase A.
 #[allow(clippy::too_many_arguments)]
 fn score_merged_attribute(
     view: &TaskView<'_>,
@@ -1082,7 +1037,7 @@ mod tests {
     }
 
     #[test]
-    fn forced_parallel_matches_sequential_search() {
+    fn threaded_search_matches_inline_search() {
         let (d, is_pos) = mixed_data();
         let v = TaskView::full(&d, &is_pos, d.weights());
         for metric in [
@@ -1091,15 +1046,15 @@ mod tests {
             EvalMetric::Laplace,
         ] {
             let par = SearchOptions {
-                parallel_min_cells: 0,
+                max_workers: Some(4),
                 ..Default::default()
             };
             let seq = SearchOptions {
-                parallel: false,
+                max_workers: Some(1),
                 ..Default::default()
             };
             let g = find_best_condition(&v, metric, &par).unwrap();
-            let s = find_best_condition_sequential(&v, metric, &seq).unwrap();
+            let s = find_best_condition(&v, metric, &seq).unwrap();
             assert_eq!(g.condition, s.condition, "{metric:?}");
             assert_eq!(g.score.to_bits(), s.score.to_bits(), "{metric:?}");
             assert_eq!(g.stats, s.stats, "{metric:?}");
@@ -1107,25 +1062,25 @@ mod tests {
     }
 
     #[test]
-    fn row_sharded_parallel_matches_row_sharded_sequential() {
+    fn row_sharded_threaded_matches_row_sharded_inline() {
         // For every shard count, the threaded (attr × shard) scan must be
-        // bit-identical to the sequential scan over the *same* plan, even
+        // bit-identical to the inline scan over the *same* plan, even
         // with non-unit weights.
         let (d, is_pos) = mixed_data();
         let v = TaskView::full(&d, &is_pos, d.weights());
         for shards in [1usize, 2, 3, 7, 60, 200] {
             let par = SearchOptions {
-                parallel_min_cells: 0,
+                max_workers: Some(4),
                 row_shards: Some(shards),
                 ..Default::default()
             };
             let seq = SearchOptions {
-                parallel: false,
+                max_workers: Some(1),
                 row_shards: Some(shards),
                 ..Default::default()
             };
             let g = find_best_condition(&v, EvalMetric::ZNumber, &par).unwrap();
-            let s = find_best_condition_sequential(&v, EvalMetric::ZNumber, &seq).unwrap();
+            let s = find_best_condition(&v, EvalMetric::ZNumber, &seq).unwrap();
             assert_eq!(g.condition, s.condition, "shards={shards}");
             assert_eq!(g.score.to_bits(), s.score.to_bits(), "shards={shards}");
             assert_eq!(g.stats, s.stats, "shards={shards}");
@@ -1144,14 +1099,13 @@ mod tests {
         let (d, is_pos) = numeric_data(&rows);
         let v = TaskView::full(&d, &is_pos, d.weights());
         let baseline =
-            find_best_condition_sequential(&v, EvalMetric::ZNumber, &SearchOptions::default())
-                .unwrap();
+            find_best_condition(&v, EvalMetric::ZNumber, &SearchOptions::default()).unwrap();
         for shards in [2usize, 3, 8, 80] {
             let opts = SearchOptions {
                 row_shards: Some(shards),
                 ..Default::default()
             };
-            let got = find_best_condition_sequential(&v, EvalMetric::ZNumber, &opts).unwrap();
+            let got = find_best_condition(&v, EvalMetric::ZNumber, &opts).unwrap();
             assert_eq!(got.condition, baseline.condition, "shards={shards}");
             assert_eq!(
                 got.score.to_bits(),
@@ -1168,7 +1122,7 @@ mod tests {
         let v = TaskView::full(&d, &is_pos, d.weights());
         let sink = std::sync::Arc::new(pnr_telemetry::RecordingSink::new());
         let opts = SearchOptions {
-            parallel_min_cells: 0,
+            max_workers: Some(4),
             sink: sink.clone(),
             ..Default::default()
         };
@@ -1177,10 +1131,10 @@ mod tests {
         let threads = sink.value(Counter::SearchWorkerThreads);
         assert_eq!(calls, 1, "one threaded search");
         assert!(threads >= 2, "forced path spawns at least two workers");
-        // Sequential scans record no worker policy.
+        // Inline scans record no worker policy.
         let seq_sink = std::sync::Arc::new(pnr_telemetry::RecordingSink::new());
         let seq = SearchOptions {
-            parallel: false,
+            max_workers: Some(1),
             sink: seq_sink.clone(),
             ..Default::default()
         };

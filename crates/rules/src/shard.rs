@@ -6,17 +6,16 @@
 //! `(n_rows, requested shard count)`: it never consults the machine, so the
 //! same request yields the same chunk boundaries (and therefore the same
 //! float-addition grouping and the same learned model) on any host with any
-//! worker count. The single-threaded reference scan
-//! ([`crate::search::find_best_condition_sequential`]) accumulates through
-//! the *same* plan, which is what makes the parallel scan bit-identical to
-//! it by construction rather than by luck.
+//! worker count. [`crate::search::find_best_condition`] accumulates through
+//! the plan whether its statistics pass runs inline or on worker threads,
+//! which is what makes the two bit-identical by construction rather than
+//! by luck.
 //!
 //! [`worker_count`] is the one policy deciding how many worker threads a
-//! search spawns. It unifies what used to be three divergent inline
-//! computations in `find_best_condition` (the explicit-cap force-threaded
-//! branch, the `parallel_min_cells == 0` forced-floor hack, and the default
-//! size heuristic) and is shared by the attribute-level and row-sharded
-//! paths — the task count it caps against is `attributes × shards`.
+//! search spawns, shared by the attribute-level and row-sharded paths —
+//! the task count it caps against is `attributes × shards`.
+
+use crate::search::PARALLEL_MIN_CELLS;
 
 /// Rows per shard the automatic plan aims for. Chosen so a shard's partial
 /// statistics stay cache-friendly while leaving enough shards to occupy a
@@ -89,35 +88,28 @@ impl ShardPlan {
 /// Returns how many worker threads to spawn for a search of `tasks`
 /// independent units (`attributes × shards`) over `cells = rows ×
 /// attributes`, given `available` hardware threads. A return of `1` means
-/// the caller must take the sequential reference scan. The three historical
-/// behaviours are preserved exactly:
+/// the caller runs the search inline.
 ///
-/// * `max_workers == Some(1)` (or `parallel` off, or a degenerate search
-///   with at most one task) → sequential;
-/// * `max_workers == Some(k > 1)` forces the threaded path even below the
+/// * `max_workers == Some(1)` (or a degenerate search with at most one
+///   task) → inline;
+/// * `max_workers == Some(k > 1)` forces worker threads even below the
 ///   cell threshold, with at least two workers so single-core hosts still
 ///   exercise the worker merge (thread-count sweeps rely on this);
 /// * `max_workers == None` engages threads only when `cells` reaches
-///   `parallel_min_cells`; an explicit `0` threshold keeps the historical
-///   forced floor of two workers.
+///   [`PARALLEL_MIN_CELLS`].
 pub fn worker_count(
-    parallel: bool,
     max_workers: Option<usize>,
-    parallel_min_cells: usize,
     cells: usize,
     tasks: usize,
     available: usize,
 ) -> usize {
-    if !parallel || tasks <= 1 {
+    if tasks <= 1 {
         return 1;
     }
     match max_workers {
         Some(cap) if cap <= 1 => 1,
         Some(cap) => available.max(2).min(cap).min(tasks),
-        None if cells >= parallel_min_cells => {
-            let forced_floor = if parallel_min_cells == 0 { 2 } else { 1 };
-            available.max(forced_floor).min(tasks)
-        }
+        None if cells >= PARALLEL_MIN_CELLS => available.max(1).min(tasks),
         None => 1,
     }
 }
@@ -184,37 +176,33 @@ mod tests {
     }
 
     #[test]
-    fn sequential_cases_return_one_worker() {
-        // parallel off
-        assert_eq!(worker_count(false, None, 0, 1 << 20, 64, 8), 1);
+    fn inline_cases_return_one_worker() {
         // degenerate search: at most one task
-        assert_eq!(worker_count(true, None, 0, 1 << 20, 1, 8), 1);
-        assert_eq!(worker_count(true, Some(8), 0, 1 << 20, 0, 8), 1);
-        // explicit sequential cap
-        assert_eq!(worker_count(true, Some(1), 0, 1 << 20, 64, 8), 1);
-        assert_eq!(worker_count(true, Some(0), 0, 1 << 20, 64, 8), 1);
+        assert_eq!(worker_count(None, 1 << 20, 1, 8), 1);
+        assert_eq!(worker_count(Some(8), 1 << 20, 0, 8), 1);
+        // explicit one-worker cap
+        assert_eq!(worker_count(Some(1), 1 << 20, 64, 8), 1);
+        assert_eq!(worker_count(Some(0), 1 << 20, 64, 8), 1);
         // below the size threshold with no explicit cap
-        assert_eq!(worker_count(true, None, 16 * 1024, 100, 64, 8), 1);
+        assert_eq!(worker_count(None, 100, 64, 8), 1);
     }
 
     #[test]
     fn explicit_cap_forces_threads_below_the_threshold() {
         // Small search, cap 4, 8 hardware threads: threaded with 4 workers.
-        assert_eq!(worker_count(true, Some(4), 16 * 1024, 100, 64, 8), 4);
+        assert_eq!(worker_count(Some(4), 100, 64, 8), 4);
         // A single-core host still gets the two-worker floor under a cap.
-        assert_eq!(worker_count(true, Some(4), 16 * 1024, 100, 64, 1), 2);
+        assert_eq!(worker_count(Some(4), 100, 64, 1), 2);
         // Never more workers than tasks.
-        assert_eq!(worker_count(true, Some(16), 0, 1 << 20, 3, 8), 3);
+        assert_eq!(worker_count(Some(16), 1 << 20, 3, 8), 3);
     }
 
     #[test]
     fn default_heuristic_uses_available_parallelism() {
         // Above threshold: one worker per hardware thread, capped by tasks.
-        assert_eq!(worker_count(true, None, 16 * 1024, 1 << 20, 64, 8), 8);
-        assert_eq!(worker_count(true, None, 16 * 1024, 1 << 20, 3, 8), 3);
-        // Single core above the threshold stays sequential (floor 1).
-        assert_eq!(worker_count(true, None, 16 * 1024, 1 << 20, 64, 1), 1);
-        // A zero threshold forces the historical two-worker floor.
-        assert_eq!(worker_count(true, None, 0, 0, 64, 1), 2);
+        assert_eq!(worker_count(None, PARALLEL_MIN_CELLS, 64, 8), 8);
+        assert_eq!(worker_count(None, 1 << 20, 3, 8), 3);
+        // Single core above the threshold stays inline.
+        assert_eq!(worker_count(None, 1 << 20, 64, 1), 1);
     }
 }

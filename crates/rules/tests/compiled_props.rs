@@ -48,7 +48,7 @@ fn rows() -> impl Strategy<Value = Vec<(f64, f64, u8)>> {
 }
 
 /// Random atomic condition. Attribute kinds are fixed (0 and 1 numeric,
-/// 2 categorical) so every generated ruleset compiles. `CatEq` may pin
+/// 2 categorical) so every generated ruleset can run against a dataset. `CatEq` may pin
 /// code 3, which no row carries, and `NumRange` may be empty (`lo >= hi`)
 /// or NaN-free contradictory when conjoined — all shapes the compiler must
 /// fold identically to the interpreter.
@@ -75,13 +75,52 @@ fn ruleset() -> impl Strategy<Value = RuleSet> {
         .prop_map(|rules| RuleSet::from_rules(rules.into_iter().map(Rule::new).collect()))
 }
 
+/// Random condition on attribute 0 or 1 of either kind, so one attribute
+/// is tested categorically by some rules (or conditions) and numerically
+/// by others.
+fn mixed_condition() -> impl Strategy<Value = Condition> {
+    (0u8..4, 0usize..2, -4.0f64..4.0, 0.0f64..4.0, 0u32..3).prop_map(|(kind, attr, v, w, code)| {
+        match kind {
+            0 => Condition::NumLe { attr, value: v },
+            1 => Condition::NumGt { attr, value: v },
+            2 => Condition::NumRange {
+                attr,
+                lo: v,
+                hi: v + w,
+            },
+            _ => Condition::CatEq { attr, value: code },
+        }
+    })
+}
+
+fn mixed_ruleset() -> impl Strategy<Value = RuleSet> {
+    prop::collection::vec(prop::collection::vec(mixed_condition(), 0..4), 0..8)
+        .prop_map(|rules| RuleSet::from_rules(rules.into_iter().map(Rule::new).collect()))
+}
+
+/// One serving-time value: a dictionary code, a finite number, or unknown.
+#[derive(Debug, Clone, Copy)]
+enum Lookup {
+    Code(u32),
+    Num(f64),
+    Unknown,
+}
+
+fn lookup() -> impl Strategy<Value = Lookup> {
+    (0u8..3, 0u32..4, -5.0f64..5.0).prop_map(|(kind, code, x)| match kind {
+        0 => Lookup::Code(code),
+        1 => Lookup::Num(x),
+        _ => Lookup::Unknown,
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn dense_first_match_is_bit_identical(data_rows in rows(), rules in ruleset()) {
         let d = dataset(&data_rows);
-        let compiled = CompiledRuleSet::compile(&rules).expect("fixed attr kinds always compile");
+        let compiled = CompiledRuleSet::compile(&rules);
         for row in 0..d.n_rows() {
             prop_assert_eq!(
                 compiled.first_match(&d, row),
@@ -101,7 +140,7 @@ proptest! {
         // unknown-value outcome, which must suppress the attribute's whole
         // dispatch table, never fire it.
         let d = dataset(&data_rows);
-        let compiled = CompiledRuleSet::compile(&rules).expect("fixed attr kinds always compile");
+        let compiled = CompiledRuleSet::compile(&rules);
         for row in 0..d.n_rows() {
             let num = |attr: usize| (!mask[attr]).then(|| d.num(attr, row));
             let cat = |attr: usize| (!mask[attr]).then(|| d.cat(attr, row));
@@ -129,7 +168,7 @@ proptest! {
             let i = dup_at % rules.len();
             with_dup.push(rules.rules()[i].clone());
         }
-        let compiled = CompiledRuleSet::compile(&with_dup).expect("fixed attr kinds always compile");
+        let compiled = CompiledRuleSet::compile(&with_dup);
         for row in 0..d.n_rows() {
             let brute = with_dup
                 .rules()
@@ -144,9 +183,36 @@ proptest! {
     }
 
     #[test]
+    fn mixed_kind_attributes_match_the_interpreter_under_lookups(
+        rules in mixed_ruleset(),
+        records in prop::collection::vec(prop::collection::vec(lookup(), 2), 1..24),
+    ) {
+        // One attribute tested both by `CatEq` and numerically compiles to
+        // one program per kind; a record's value for it is one kind (or
+        // unknown), so the other kind's rules must fall through exactly as
+        // the interpreter's conditions do.
+        let compiled = CompiledRuleSet::compile(&rules);
+        for record in &records {
+            let num = |attr: usize| match record[attr] {
+                Lookup::Num(x) => Some(x),
+                _ => None,
+            };
+            let cat = |attr: usize| match record[attr] {
+                Lookup::Code(c) => Some(c),
+                _ => None,
+            };
+            prop_assert_eq!(
+                compiled.first_match_lookup(num, cat),
+                rules.first_match_lookup(num, cat),
+                "record {:?} of {:?}", record, &rules
+            );
+        }
+    }
+
+    #[test]
     fn batch_matcher_agrees_with_row_at_a_time(data_rows in rows(), rules in ruleset()) {
         let d = dataset(&data_rows);
-        let compiled = CompiledRuleSet::compile(&rules).expect("fixed attr kinds always compile");
+        let compiled = CompiledRuleSet::compile(&rules);
         let matcher = compiled.matcher(&d);
         for row in 0..d.n_rows() {
             prop_assert_eq!(matcher.first_match(row), rules.first_match(&d, row));

@@ -2,7 +2,6 @@
 //! metric invariants.
 
 use pnr_data::{AttrType, Dataset, DatasetBuilder, Value};
-use pnr_rules::search::find_best_condition_sequential;
 use pnr_rules::{
     find_best_condition, CandidateCondition, Condition, CovStats, EvalMetric, Rule, SearchOptions,
     TaskView,
@@ -325,7 +324,6 @@ proptest! {
     ) {
         let (d, flags) = build(&rows);
         let metric = ALL_METRICS[midx];
-        let opts = SearchOptions { use_ranges, ..Default::default() };
         let full = TaskView::full(&d, &flags, d.weights());
         // A pseudo-random restriction plus a second-level restriction, so
         // the view's sorted projections exercise the parent-chain path.
@@ -339,14 +337,15 @@ proptest! {
         };
         let once = full.restricted_to(full.rows.filter(|r| keep(1, r)));
         let twice = once.restricted_to(once.rows.filter(|r| keep(2, r)));
-        for view in [&full, &once, &twice] {
-            let got = find_best_condition_sequential(view, metric, &opts);
+        for (view, workers) in [&full, &once, &twice].into_iter().flat_map(|v| [(v, 1), (v, 4)]) {
+            let opts = SearchOptions { use_ranges, max_workers: Some(workers), ..Default::default() };
+            let got = find_best_condition(view, metric, &opts);
             let want = brute_force_best(view, metric, &opts);
             match (got, want) {
                 (None, None) => {}
                 (Some(g), Some(w)) => {
                     prop_assert_eq!(&g.condition, &w.condition,
-                        "metric {:?} view {} rows", metric, view.n_rows());
+                        "metric {:?} view {} rows, {} workers", metric, view.n_rows(), workers);
                     prop_assert_eq!(g.stats, w.stats);
                     prop_assert_eq!(g.score.to_bits(), w.score.to_bits(),
                         "scores {} vs {}", g.score, w.score);
@@ -357,7 +356,7 @@ proptest! {
     }
 
     #[test]
-    fn parallel_search_is_bit_identical_to_sequential(
+    fn threaded_search_is_bit_identical_to_inline(
         rows in rows_strategy(),
         weights in prop::collection::vec(0.1f64..10.0, 80),
         midx in 0usize..ALL_METRICS.len(),
@@ -366,9 +365,9 @@ proptest! {
         let (d, flags) = build(&rows);
         let w: Vec<f64> = (0..d.n_rows()).map(|r| weights[r % weights.len()]).collect();
         let metric = ALL_METRICS[midx];
-        // parallel_min_cells 0 forces worker threads even on tiny views
-        let par = SearchOptions { parallel: true, parallel_min_cells: 0, ..Default::default() };
-        let seq = SearchOptions { parallel: false, ..Default::default() };
+        // An explicit cap above one forces worker threads even on tiny views
+        let par = SearchOptions { max_workers: Some(4), ..Default::default() };
+        let seq = SearchOptions { max_workers: Some(1), ..Default::default() };
         let full = TaskView::full(&d, &flags, &w);
         let keep = |r: u32| {
             mask_seed
@@ -390,7 +389,7 @@ proptest! {
                     prop_assert_eq!(g.stats.total.to_bits(), s.stats.total.to_bits());
                     prop_assert_eq!(g.score.to_bits(), s.score.to_bits());
                 }
-                (g, s) => prop_assert!(false, "parallel {g:?} vs sequential {s:?}"),
+                (g, s) => prop_assert!(false, "threaded {g:?} vs inline {s:?}"),
             }
         }
     }

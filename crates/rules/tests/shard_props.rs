@@ -1,13 +1,12 @@
 //! Property suite pinning bit-identity of the row-sharded condition
 //! search: for any shard count, metric, restricted view and weight
-//! assignment, the threaded `(attribute × shard)` scan must agree
-//! bit-for-bit with `find_best_condition_sequential` run over the *same*
-//! shard plan, and a one-shard plan must reproduce the legacy unsharded
-//! scan exactly. Mirrors the attribute-parallel property tests in
-//! `props.rs`.
+//! assignment, the threaded `(attribute × shard)` scan (`max_workers:
+//! Some(4)`) must agree bit-for-bit with the inline scan (`max_workers:
+//! Some(1)`) over the *same* shard plan, and a one-shard plan must
+//! reproduce the legacy unsharded scan exactly. Mirrors the
+//! attribute-parallel property tests in `props.rs`.
 
 use pnr_data::{AttrType, Dataset, DatasetBuilder, Value};
-use pnr_rules::search::find_best_condition_sequential;
 use pnr_rules::{find_best_condition, EvalMetric, SearchOptions, ShardPlan, TaskView};
 use proptest::prelude::*;
 
@@ -58,11 +57,11 @@ fn keep(seed: u64, salt: u64, r: u32) -> bool {
 }
 
 proptest! {
-    /// The headline identity: threaded row-sharded scan ≡ sequential scan
+    /// The headline identity: threaded row-sharded scan ≡ inline scan
     /// over the same plan, bit for bit, across shard counts × all metrics
     /// × restricted views × random (non-unit) weights.
     #[test]
-    fn row_sharded_parallel_is_bit_identical_to_sequential(
+    fn row_sharded_threaded_is_bit_identical_to_inline(
         rows in rows_strategy(),
         weights in prop::collection::vec(0.1f64..10.0, 80),
         midx in 0usize..ALL_METRICS.len(),
@@ -72,15 +71,14 @@ proptest! {
         let (d, flags) = build(&rows);
         let w: Vec<f64> = (0..d.n_rows()).map(|r| weights[r % weights.len()]).collect();
         let metric = ALL_METRICS[midx];
-        // parallel_min_cells 0 forces worker threads even on tiny views
+        // An explicit cap above one forces worker threads even on tiny views
         let par = SearchOptions {
-            parallel: true,
-            parallel_min_cells: 0,
+            max_workers: Some(4),
             row_shards: Some(shards),
             ..Default::default()
         };
         let seq = SearchOptions {
-            parallel: false,
+            max_workers: Some(1),
             row_shards: Some(shards),
             ..Default::default()
         };
@@ -89,7 +87,7 @@ proptest! {
         let twice = once.restricted_to(once.rows.filter(|r| keep(mask_seed, 2, r)));
         for view in [&full, &once, &twice] {
             let got = find_best_condition(view, metric, &par);
-            let want = find_best_condition_sequential(view, metric, &seq);
+            let want = find_best_condition(view, metric, &seq);
             match (got, want) {
                 (None, None) => {}
                 (Some(g), Some(s)) => {
@@ -100,7 +98,7 @@ proptest! {
                     prop_assert_eq!(g.score.to_bits(), s.score.to_bits(),
                         "scores {} vs {}", g.score, s.score);
                 }
-                (g, s) => prop_assert!(false, "parallel {g:?} vs sequential {s:?}"),
+                (g, s) => prop_assert!(false, "threaded {g:?} vs inline {s:?}"),
             }
         }
     }
@@ -117,11 +115,11 @@ proptest! {
         let w: Vec<f64> = (0..d.n_rows()).map(|r| weights[r % weights.len()]).collect();
         let metric = ALL_METRICS[midx];
         let v = TaskView::full(&d, &flags, &w);
-        let legacy = find_best_condition_sequential(
-            &v, metric, &SearchOptions { parallel: false, ..Default::default() });
-        let one = find_best_condition_sequential(
+        let legacy = find_best_condition(
+            &v, metric, &SearchOptions { max_workers: Some(1), ..Default::default() });
+        let one = find_best_condition(
             &v, metric,
-            &SearchOptions { parallel: false, row_shards: Some(1), ..Default::default() });
+            &SearchOptions { max_workers: Some(1), row_shards: Some(1), ..Default::default() });
         match (legacy, one) {
             (None, None) => {}
             (Some(l), Some(o)) => {
@@ -150,12 +148,12 @@ proptest! {
         let full = TaskView::full(&d, &flags, d.weights());
         let sub = full.restricted_to(full.rows.filter(|r| keep(mask_seed, 3, r)));
         for view in [&full, &sub] {
-            let baseline = find_best_condition_sequential(
-                view, metric, &SearchOptions { parallel: false, ..Default::default() });
-            let sharded = find_best_condition_sequential(
+            let baseline = find_best_condition(
+                view, metric, &SearchOptions { max_workers: Some(1), ..Default::default() });
+            let sharded = find_best_condition(
                 view, metric,
                 &SearchOptions {
-                    parallel: false,
+                    max_workers: Some(1),
                     row_shards: Some(shards),
                     ..Default::default()
                 });

@@ -4,8 +4,8 @@
 //! pnr-serve --model <artifact> [--addr 127.0.0.1:0] [--workers N]
 //!           [--queue-capacity N] [--shed reject|drop-oldest]
 //!           [--deadline-ms N] [--unknown condition-false|abstain|reject]
-//!           [--missing reject|default] [--engine auto|compiled|interpreter]
-//!           [--state <path>] [--addr-file <path>] [--enable-fault-injection]
+//!           [--missing reject|default] [--state <path>]
+//!           [--addr-file <path>] [--enable-fault-injection]
 //! ```
 //!
 //! Binds a TCP listener (port 0 picks a free port), prints
@@ -24,8 +24,7 @@ use std::process::ExitCode;
 const USAGE: &str = "usage: pnr-serve --model <artifact> [--addr A] [--workers N] \
 [--queue-capacity N] [--shed reject|drop-oldest] [--deadline-ms N] \
 [--unknown condition-false|abstain|reject] [--missing reject|default] \
-[--engine auto|compiled|interpreter] [--state <path>] [--addr-file <path>] \
-[--enable-fault-injection]";
+[--state <path>] [--addr-file <path>] [--enable-fault-injection]";
 
 fn bail(msg: &str) -> ExitCode {
     eprintln!("error: {msg}");
@@ -81,14 +80,6 @@ fn main() -> ExitCode {
                     None => return bail("--missing must be reject or default"),
                 }
             }
-            "--engine" => match args
-                .next()
-                .as_deref()
-                .and_then(pnr_core::ScoringEngine::parse)
-            {
-                Some(e) => config.engine = e,
-                None => return bail("--engine must be auto, compiled or interpreter"),
-            },
             "--state" => match args.next() {
                 Some(v) => config.state_path = Some(PathBuf::from(v)),
                 None => return bail("--state needs a path"),

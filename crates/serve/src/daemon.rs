@@ -31,7 +31,7 @@ use crate::sink::ServeSink;
 use crate::state;
 use pnr_core::{
     load_with_retry, ColumnMap, MissingColumnPolicy, ModelArtifact, RecordError, RetryPolicy,
-    ScoringEngine, ServingModel, UnknownPolicy,
+    ServingModel, UnknownPolicy,
 };
 use pnr_telemetry::{Counter, Span, SpanKind, TelemetrySink};
 use serde::Content;
@@ -66,8 +66,6 @@ pub struct DaemonConfig {
     pub unknown: UnknownPolicy,
     /// Missing-column policy for the served models.
     pub missing: MissingColumnPolicy,
-    /// Rule-evaluation engine for the served models.
-    pub engine: ScoringEngine,
     /// State file remembering the active artifact across restarts.
     pub state_path: Option<PathBuf>,
     /// Enables the `panic` / `stall` fault-injection commands.
@@ -88,7 +86,6 @@ impl Default for DaemonConfig {
             default_deadline_ms: None,
             unknown: UnknownPolicy::default(),
             missing: MissingColumnPolicy::default(),
-            engine: ScoringEngine::default(),
             state_path: None,
             fault_injection: false,
             addr_file: None,
@@ -217,7 +214,6 @@ fn build_serving(
     ServingModel::new(artifact)
         .with_unknown_policy(config.unknown)
         .with_missing_policy(config.missing)
-        .with_engine(config.engine)
         .with_sink(sink)
 }
 
@@ -463,10 +459,6 @@ fn handle_line(line: &str, conn: &mut ConnState, tx: &mpsc::Sender<String>, shar
                         "hello",
                         vec![
                             ("epoch", Content::U64(active.epoch)),
-                            (
-                                "engine",
-                                Content::Str(active.serving.active_engine().to_string()),
-                            ),
                             ("missing", Content::U64(map.n_missing() as u64)),
                             ("extra", Content::U64(map.n_extra() as u64)),
                         ],
@@ -899,7 +891,7 @@ pub fn run(model_arg: &Path, config: DaemonConfig) -> Result<i32, String> {
     let sink = Arc::new(ServeSink::new());
     let serving = build_serving(artifact, &config, sink.clone());
     eprintln!(
-        "active artifact: {} ({}), target `{}`, engine {}",
+        "active artifact: {} ({}), target `{}`",
         model_path.display(),
         if from_state {
             "resumed from state file"
@@ -907,7 +899,6 @@ pub fn run(model_arg: &Path, config: DaemonConfig) -> Result<i32, String> {
             "from --model"
         },
         serving.artifact().target_class(),
-        serving.active_engine(),
     );
     if let Some(sp) = &config.state_path {
         state::persist_active(sp, &model_path)

@@ -6,7 +6,7 @@
 //! (`kill -9`, OOM), a restart from the command line would silently
 //! resurrect the *old* model. The state file closes that hole: the
 //! daemon writes the active artifact path at startup and after every
-//! successful swap (atomic tmp + rename, same discipline as artifact
+//! successful swap (through [`pnr_data::write_atomic`], like artifact
 //! saves), and on restart a present state file wins over `--model`.
 //!
 //! The file holds a single line — the artifact path — so it stays
@@ -19,11 +19,10 @@ use std::path::{Path, PathBuf};
 /// readers see either the previous path or the new one, never a torn
 /// write.
 pub fn persist_active(state_path: &Path, artifact_path: &Path) -> io::Result<()> {
-    let mut tmp = state_path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    std::fs::write(&tmp, format!("{}\n", artifact_path.display()))?;
-    std::fs::rename(&tmp, state_path)
+    pnr_data::write_atomic(
+        state_path,
+        format!("{}\n", artifact_path.display()).as_bytes(),
+    )
 }
 
 /// Reads the last persisted artifact path. `Ok(None)` when no state file
@@ -79,18 +78,5 @@ mod tests {
         std::fs::write(&state, "\n").unwrap();
         assert!(read_active(&state).is_err());
         std::fs::remove_dir_all(state.parent().unwrap()).ok();
-    }
-
-    #[test]
-    fn no_tmp_residue_after_persist() {
-        let state = temp_state("residue");
-        persist_active(&state, Path::new("x.artifact")).unwrap();
-        let dir = state.parent().unwrap();
-        let names: Vec<String> = std::fs::read_dir(dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .collect();
-        assert_eq!(names, ["active.state"], "{names:?}");
-        std::fs::remove_dir_all(dir).ok();
     }
 }

@@ -41,7 +41,7 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 
 /// Number of distinct [`Counter`]s (size of the recording array).
-pub const N_COUNTERS: usize = 27;
+pub const N_COUNTERS: usize = 26;
 
 /// Monotonic counter identities. Stored in a fixed array indexed by the
 /// enum discriminant — deliberately not a hash map, so iteration order
@@ -77,10 +77,6 @@ pub enum Counter {
     UnseenCategoryHits,
     /// Serve-time numeric values that were NaN or infinite.
     NanNumericHits,
-    /// Records routed through the compiled rule-evaluation engine (one per
-    /// record whose P/N routing ran on dispatch tables instead of the
-    /// per-rule interpreter).
-    CompiledDispatchHits,
     /// Scoring requests the daemon answered (success or typed per-record
     /// error — everything except a shed request).
     RequestsServed,
@@ -99,8 +95,8 @@ pub enum Counter {
     /// artifact, bad schema, unreadable file); the old epoch kept serving.
     SwapFailures,
     /// Condition searches that took the threaded (attribute × shard)
-    /// path. Sequential scans — too small, capped at one worker, or
-    /// `parallel` off — don't tick this.
+    /// path. Inline scans — too small or capped at one worker — don't
+    /// tick this.
     ParallelSearchCalls,
     /// Worker threads spawned across all threaded searches; divided by
     /// `ParallelSearchCalls` this is the mean effective worker count, so
@@ -140,7 +136,6 @@ impl Counter {
         Counter::RowsQuarantined,
         Counter::UnseenCategoryHits,
         Counter::NanNumericHits,
-        Counter::CompiledDispatchHits,
         Counter::RequestsServed,
         Counter::RequestsShed,
         Counter::DeadlineExceeded,
@@ -172,7 +167,6 @@ impl Counter {
             Counter::RowsQuarantined => "rows_quarantined",
             Counter::UnseenCategoryHits => "unseen_category_hits",
             Counter::NanNumericHits => "nan_numeric_hits",
-            Counter::CompiledDispatchHits => "compiled_dispatch_hits",
             Counter::RequestsServed => "requests_served",
             Counter::RequestsShed => "requests_shed",
             Counter::DeadlineExceeded => "deadline_exceeded",
