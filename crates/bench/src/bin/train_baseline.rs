@@ -1,8 +1,8 @@
 //! Emits `BENCH_train.json` — a committed wall-clock baseline of the full
 //! out-of-core training pipeline: kddsim rows are stream-generated to CSV
-//! without ever materializing the dataset, ingested back through the
-//! chunked columnar reader, and a complete P/N fit is timed per row-shard
-//! plan.
+//! without ever materializing the dataset, read back through the streaming
+//! CSV reader (one line of text at a time), and a complete P/N fit is
+//! timed per row-shard plan.
 //!
 //! Run from the workspace root:
 //!
@@ -25,13 +25,13 @@
 //! `note` field says so rather than implying a win).
 //!
 //! `--smoke` runs the CI-scale drill instead: stream 10 million kddsim
-//! rows through the chunked loader (bounded generation and parse memory)
+//! rows through the CSV reader (bounded generation and parse memory)
 //! and drive a wall-clock-budgeted P/N fit over them, proving the
 //! out-of-core path works at paper scale without a bench-length run. No
 //! baseline file is written.
 
 use pnr_core::{FitBudget, ModelArtifact, PnruleLearner, PnruleParams};
-use pnr_data::{read_csv_chunked, CsvOptions, Dataset};
+use pnr_data::{read_csv_with_report, CsvOptions, Dataset};
 use pnr_kddsim::MixStream;
 use pnr_rules::ShardPlan;
 use std::io::Write;
@@ -43,8 +43,8 @@ use std::time::Instant;
 const BENCH_ROWS: usize = 1_000_000;
 /// Rows for the `--smoke` out-of-core drill.
 const SMOKE_ROWS: usize = 10_000_000;
-/// Generation/ingest chunk size (rows held in memory at once while
-/// streaming; matches `SHARD_TARGET_ROWS`).
+/// Generation chunk size (rows held in memory at once while streaming;
+/// matches `SHARD_TARGET_ROWS`).
 const CHUNK_ROWS: usize = 65_536;
 /// Wall-clock budget for the smoke fit: enough to grow real rules at 10M
 /// rows, bounded enough for CI.
@@ -53,8 +53,8 @@ const SMOKE_FIT_SECS: f64 = 120.0;
 const TARGET: &str = "probe";
 
 /// Stream-generates `n` kddsim train-mix rows straight to a CSV file,
-/// holding at most `CHUNK_ROWS` rows in memory, and returns the explicit
-/// attribute types the chunked reader requires.
+/// holding at most `CHUNK_ROWS` rows in memory, and returns the attribute
+/// types, so the load needs no inference pass.
 fn stream_to_csv(n: usize, seed: u64, path: &PathBuf) -> CsvOptions {
     let mut stream = MixStream::train(n, seed);
     let mut file = std::io::BufWriter::new(std::fs::File::create(path).expect("create csv"));
@@ -112,12 +112,12 @@ fn run_smoke() {
     let opts = stream_to_csv(SMOKE_ROWS, 42, &path);
     let gen_secs = t.elapsed().as_secs_f64();
     let t = Instant::now();
-    let (data, report) = read_csv_chunked(&path, &opts, CHUNK_ROWS).expect("chunked load");
+    let (data, report) = read_csv_with_report(&path, &opts).expect("csv load");
     let load_secs = t.elapsed().as_secs_f64();
     assert_eq!(data.n_rows(), SMOKE_ROWS, "every streamed row must load");
     assert_eq!(report.n_skipped(), 0, "generated rows are clean");
     eprintln!(
-        "smoke: generated in {gen_secs:.1}s, chunk-loaded {} rows in {load_secs:.1}s \
+        "smoke: generated in {gen_secs:.1}s, loaded {} rows in {load_secs:.1}s \
          ({:.0} rows/s)",
         data.n_rows(),
         data.n_rows() as f64 / load_secs,
@@ -151,7 +151,7 @@ fn run_smoke() {
         fit_report.budget_exhausted(),
     );
     std::fs::remove_file(path).ok();
-    println!("train smoke OK: {SMOKE_ROWS} rows streamed, chunk-loaded and fit end to end");
+    println!("train smoke OK: {SMOKE_ROWS} rows streamed, loaded and fit end to end");
 }
 
 fn main() {
@@ -183,7 +183,7 @@ fn main() {
     let opts = stream_to_csv(BENCH_ROWS, 42, &path);
     let gen_secs = t.elapsed().as_secs_f64();
     let t = Instant::now();
-    let (data, _) = read_csv_chunked(&path, &opts, CHUNK_ROWS).expect("chunked load");
+    let (data, _) = read_csv_with_report(&path, &opts).expect("csv load");
     let load_secs = t.elapsed().as_secs_f64();
     std::fs::remove_file(&path).ok();
     assert_eq!(data.n_rows(), BENCH_ROWS);

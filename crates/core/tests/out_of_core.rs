@@ -1,27 +1,30 @@
 //! Out-of-core training, end to end: a kddsim dataset is streamed to CSV
-//! chunk by chunk, ingested back through the chunked reader in bounded
-//! chunks, and a full P/N fit over the chunk-assembled dataset must be
-//! **byte-identical** (as a rendered model artifact) to a fit over the
-//! same file loaded whole. This pins the entire out-of-core contract:
-//! streaming generation, chunked parse with stable dictionary codes, and
-//! the fit pipeline on top.
+//! chunk by chunk and read back through the streaming CSV reader, which
+//! holds one line of text at a time. The streamed file must equal the
+//! one-shot render of the same dataset byte for byte, and a full P/N fit
+//! over the file must be **byte-identical** (as a rendered model artifact)
+//! to a fit over that render loaded from memory. This pins the whole
+//! out-of-core contract: streaming generation, streaming parse, and the fit
+//! pipeline on top.
 
 use pnr_core::{ModelArtifact, PnruleLearner, PnruleParams};
-use pnr_data::{read_csv_chunked, read_csv_with_report, CsvOptions, Dataset};
-use pnr_kddsim::MixStream;
+use pnr_data::{
+    read_csv_str_with_report, read_csv_with_report, write_csv_string, CsvOptions, Dataset,
+};
+use pnr_kddsim::{generate_train, MixStream};
 use std::io::Write;
 use std::path::PathBuf;
 
 const N_ROWS: usize = 6_000;
+const SEED: u64 = 1234;
 const GEN_CHUNK: usize = 512;
-const READ_CHUNK: usize = 777; // deliberately misaligned with GEN_CHUNK
 
 /// Streams `N_ROWS` kddsim records to a CSV file without ever holding the
-/// full dataset, returning the path and the attribute types for explicit
-/// chunked ingest.
+/// full dataset, returning the path and the attribute types, so the load
+/// needs no inference pass.
 fn stream_to_csv(name: &str) -> (PathBuf, CsvOptions) {
     let path = std::env::temp_dir().join(format!("pnr_ooc_{name}_{}.csv", std::process::id()));
-    let mut stream = MixStream::train(N_ROWS, 1234);
+    let mut stream = MixStream::train(N_ROWS, SEED);
     let mut file = std::fs::File::create(&path).expect("create csv");
     let mut first = true;
     let mut types = None;
@@ -57,18 +60,24 @@ fn artifact_string(data: &Dataset, target: &str, params: &PnruleParams) -> Strin
 }
 
 #[test]
-fn chunked_ingest_fit_matches_whole_file_fit() {
+fn streamed_csv_fit_matches_in_memory_fit() {
     let (path, opts) = stream_to_csv("fit");
-    let (chunked, chunked_report) =
-        read_csv_chunked(&path, &opts, READ_CHUNK).expect("chunked load");
-    let (whole, whole_report) = read_csv_with_report(&path, &opts).expect("whole load");
-    assert_eq!(chunked.n_rows(), N_ROWS);
+    let text = write_csv_string(&generate_train(N_ROWS, SEED), ',');
+    let streamed_bytes = std::fs::read(&path).expect("read streamed csv");
+    assert!(
+        streamed_bytes == text.as_bytes(),
+        "the streamed CSV must equal the one-shot render byte for byte"
+    );
+    let (streamed, streamed_report) = read_csv_with_report(&path, &opts).expect("file load");
+    let (whole, whole_report) = read_csv_str_with_report(&text, &opts).expect("text load");
+    assert_eq!(streamed.n_rows(), N_ROWS);
     assert_eq!(whole.n_rows(), N_ROWS);
-    assert_eq!(chunked_report.n_skipped(), whole_report.n_skipped());
+    assert_eq!(streamed_report.n_skipped(), 0);
+    assert_eq!(whole_report.n_skipped(), 0);
     assert_eq!(
-        chunked.schema().fingerprint(),
+        streamed.schema().fingerprint(),
         whole.schema().fingerprint(),
-        "chunked dictionary interning must reproduce whole-file codes"
+        "streamed dictionary interning must reproduce the in-memory codes"
     );
 
     // A rare class exercises both phases; default params keep the fit
@@ -76,24 +85,24 @@ fn chunked_ingest_fit_matches_whole_file_fit() {
     let params = PnruleParams::default();
     for target in ["probe", "dos"] {
         assert_eq!(
-            artifact_string(&chunked, target, &params),
+            artifact_string(&streamed, target, &params),
             artifact_string(&whole, target, &params),
-            "fit over chunk-assembled data diverged for target {target}"
+            "fit over the streamed file diverged for target {target}"
         );
     }
     std::fs::remove_file(path).ok();
 }
 
 #[test]
-fn chunked_ingest_fit_survives_kill_and_resumes_identically() {
-    // The full out-of-core story in one test: stream-generate, chunk-load,
+fn streamed_csv_fit_survives_kill_and_resumes_identically() {
+    // The full out-of-core story in one test: stream-generate, stream-load,
     // then kill the fit after its first checkpoint and resume to the same
     // bytes the uninterrupted fit produces.
     use pnr_core::FitCheckpointStore;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     let (path, opts) = stream_to_csv("resume");
-    let (data, _) = read_csv_chunked(&path, &opts, READ_CHUNK).expect("chunked load");
+    let (data, _) = read_csv_with_report(&path, &opts).expect("file load");
     let params = PnruleParams::default();
     let target = data.class_code("probe").expect("probe class");
     let learner = PnruleLearner::new(params.clone());

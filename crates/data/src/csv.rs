@@ -4,6 +4,10 @@
 //! one header line with attribute names followed by the class column name,
 //! then one record per line. Schema types are either supplied by the caller
 //! or inferred (a column is numeric when every field parses as `f64`).
+//!
+//! Every `read_csv*` function streams its source through one loader that
+//! reads a line at a time, so transient parse memory is one line whether
+//! the source is a string or a file far larger than RAM.
 
 use crate::builder::{DatasetBuilder, Value};
 use crate::dataset::{Column, Dataset};
@@ -11,7 +15,7 @@ use crate::error::DataError;
 use crate::schema::AttrType;
 use std::fmt::Write as _;
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
 /// What to do with a malformed data row (wrong field count, unparsable
@@ -49,8 +53,8 @@ impl LoadReport {
 pub struct CsvOptions {
     /// Field separator (default `,`).
     pub separator: char,
-    /// Explicit attribute types; when `None`, types are inferred from the
-    /// data (numeric iff every field parses as a finite `f64`).
+    /// Explicit attribute types; when `None`, a first pass over the data
+    /// infers them (numeric iff every field parses as a finite `f64`).
     pub types: Option<Vec<AttrType>>,
     /// Malformed-row handling (default [`RowPolicy::Fail`]).
     pub on_error: RowPolicy,
@@ -96,16 +100,29 @@ pub fn read_csv(path: impl AsRef<Path>, opts: &CsvOptions) -> Result<Dataset, Da
     read_csv_with_report(path, opts).map(|(d, _)| d)
 }
 
-/// Reads a dataset plus its [`LoadReport`] from a CSV file. See
-/// [`read_csv_str_with_report`].
+/// Reads a dataset plus its [`LoadReport`] from a CSV file, one line at a
+/// time: neither the file's text nor its records are ever held whole. With
+/// inferred types the file is read twice, once to infer and once to load.
+/// See [`read_csv_str_with_report`].
 pub fn read_csv_with_report(
     path: impl AsRef<Path>,
     opts: &CsvOptions,
 ) -> Result<(Dataset, LoadReport), DataError> {
-    let mut reader = BufReader::new(File::open(path)?);
-    let mut text = String::new();
-    reader.read_to_string(&mut text)?;
-    read_csv_str_with_report(&text, opts)
+    let path = path.as_ref();
+    load(|| Ok(BufReader::new(File::open(path)?)), opts)
+}
+
+/// The same load as [`read_csv_with_report`], which it forwards to.
+/// `chunk_rows` has no effect: the loader's transient parse memory is one
+/// line whatever the chunk size. The function remains only for the two
+/// call sites in the benchmark package (`pnrbench/`); the next change to
+/// the benchmark removes it together with them.
+pub fn read_csv_chunked(
+    path: impl AsRef<Path>,
+    opts: &CsvOptions,
+    _chunk_rows: usize,
+) -> Result<(Dataset, LoadReport), DataError> {
+    read_csv_with_report(path, opts)
 }
 
 /// Parses a dataset from CSV text. The last column is the class label; all
@@ -126,182 +143,151 @@ pub fn read_csv_str_with_report(
     text: &str,
     opts: &CsvOptions,
 ) -> Result<(Dataset, LoadReport), DataError> {
+    load(|| Ok(text.as_bytes()), opts)
+}
+
+/// The one loader behind every `read_csv*` function. `open` yields a fresh
+/// reader over the same bytes on each call: one for the load, plus one
+/// before it for the inference pass when [`CsvOptions::types`] is `None`.
+/// Rows are split once, pushed into one builder and quarantined into one
+/// report, all in file order.
+fn load<R: BufRead>(
+    open: impl Fn() -> Result<R, DataError>,
+    opts: &CsvOptions,
+) -> Result<(Dataset, LoadReport), DataError> {
     let sep = opts.separator;
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty());
-    let (_, header) = lines.next().ok_or_else(|| DataError::Csv {
-        line: 1,
-        message: "missing header".into(),
-    })?;
-    let names: Vec<&str> = header.split(sep).map(str::trim).collect();
-    if names.len() < 2 {
+    let types = match &opts.types {
+        Some(types) => types.clone(),
+        None => infer_types(open()?, sep)?,
+    };
+    let mut lines = Lines::new(open()?);
+    let names = lines.header(sep)?;
+    let n_attrs = names.len() - 1;
+    if types.len() != n_attrs {
         return Err(DataError::Csv {
             line: 1,
-            message: "header needs at least one attribute and a class column".into(),
+            message: format!("{} types supplied for {} attributes", types.len(), n_attrs),
         });
     }
-    for (i, name) in names.iter().enumerate() {
-        if names[..i].contains(name) {
-            return Err(DataError::DuplicateAttribute {
-                name: (*name).to_string(),
-            });
-        }
-    }
-    let n_attrs = names.len() - 1;
-    let mut report = LoadReport::default();
-
-    // Collect raw fields first; type inference needs a full pass.
-    let mut records: Vec<(usize, Vec<&str>)> = Vec::new();
-    for (lineno, line) in lines {
-        let fields: Vec<&str> = line.split(sep).map(str::trim).collect();
-        if fields.len() != names.len() {
-            quarantine(
-                &opts.on_error,
-                &mut report,
-                lineno + 1,
-                format!("expected {} fields, got {}", names.len(), fields.len()),
-            )?;
-            continue;
-        }
-        records.push((lineno + 1, fields));
-    }
-
-    let types: Vec<AttrType> = match &opts.types {
-        Some(t) => {
-            if t.len() != n_attrs {
-                return Err(DataError::Csv {
-                    line: 1,
-                    message: format!("{} types supplied for {} attributes", t.len(), n_attrs),
-                });
-            }
-            t.clone()
-        }
-        None => (0..n_attrs)
-            .map(|a| {
-                let all_numeric = records
-                    .iter()
-                    .all(|(_, f)| f[a].parse::<f64>().map(|x| x.is_finite()).unwrap_or(false));
-                if all_numeric && !records.is_empty() {
-                    AttrType::Numeric
-                } else {
-                    AttrType::Categorical
-                }
-            })
-            .collect(),
-    };
-
     let mut b = DatasetBuilder::new();
     for (name, ty) in names[..n_attrs].iter().zip(&types) {
-        b.add_attribute(*name, *ty);
+        b.add_attribute(name, *ty);
     }
-    b.reserve(records.len());
-    let mut row_vals: Vec<Value<'_>> = Vec::with_capacity(n_attrs);
-    'rows: for (lineno, fields) in &records {
-        row_vals.clear();
-        for (a, field) in fields[..n_attrs].iter().enumerate() {
-            match types[a] {
-                AttrType::Numeric => match field.parse::<f64>() {
-                    Ok(x) => row_vals.push(Value::Num(x)),
-                    Err(_) => {
-                        quarantine(
-                            &opts.on_error,
-                            &mut report,
-                            *lineno,
-                            format!("field {a} ({field:?}) is not numeric"),
-                        )?;
-                        continue 'rows;
-                    }
-                },
-                AttrType::Categorical => row_vals.push(Value::Cat(field)),
-            }
-        }
-        if let Err(e) = b.push_row(&row_vals, fields[n_attrs], 1.0) {
-            quarantine(&opts.on_error, &mut report, *lineno, e.to_string())?;
+    let mut report = LoadReport::default();
+    while let Some((lineno, line)) = lines.next_line()? {
+        let fields: Vec<&str> = line.split(sep).map(str::trim).collect();
+        if let Err(message) = push_record(&mut b, &types, &fields) {
+            quarantine(&opts.on_error, &mut report, lineno, message)?;
         }
     }
     Ok((b.finish(), report))
 }
 
-/// Streams a CSV source as a sequence of fixed-row-budget columnar chunks,
-/// so a dataset far larger than RAM never has to be materialised as one
-/// text buffer or one `Dataset`.
-///
-/// Each call to [`next_chunk`](Self::next_chunk) parses up to `chunk_rows`
-/// data rows into an ordinary [`Dataset`] sharing the source's schema.
-/// **Dictionary codes are stable across chunks**: every chunk's builder is
-/// pre-registered with all categorical values and class labels seen so
-/// far (the same trick the determinism harness uses for independently
-/// built datasets), so a value keeps the first-seen-order code it was
-/// assigned in its first chunk — concatenating the chunks reproduces the
-/// whole-file load's codes exactly.
-///
-/// Differences from the whole-file path, by design:
-///
-/// * attribute types must be supplied explicitly
-///   ([`CsvOptions::types`]) — inference needs a full pass, which is
-///   exactly what streaming avoids;
-/// * under [`RowPolicy::Skip`] the quarantine *counts and line numbers*
-///   match the whole-file load, but the report *order* may differ: the
-///   whole-file loader checks field counts in a first pass and value
-///   parses in a second, while the stream sees each row once.
-///
-/// One [`LoadReport`] and one skip budget span the whole stream — a
-/// malformed row is charged identically wherever a chunk boundary falls.
-#[derive(Debug)]
-pub struct ChunkedCsvReader<R: BufRead> {
-    reader: R,
-    sep: char,
-    policy: RowPolicy,
-    names: Vec<String>,
-    types: Vec<AttrType>,
-    chunk_rows: usize,
-    report: LoadReport,
-    /// Physical 1-based line number of the last line read.
-    lineno: usize,
-    /// Per-attribute dictionaries carried across chunks, in code order
-    /// (empty for numeric attributes).
-    dicts: Vec<Vec<String>>,
-    /// Class labels carried across chunks, in code order.
-    classes: Vec<String>,
-    done: bool,
+/// Appends one split record to `b`, or says why it is malformed: a wrong
+/// field count, an unparsable numeric field, or a row the builder rejects.
+fn push_record(b: &mut DatasetBuilder, types: &[AttrType], fields: &[&str]) -> Result<(), String> {
+    let n_attrs = types.len();
+    if fields.len() != n_attrs + 1 {
+        return Err(format!(
+            "expected {} fields, got {}",
+            n_attrs + 1,
+            fields.len()
+        ));
+    }
+    let mut row = Vec::with_capacity(n_attrs);
+    for (a, (field, ty)) in fields.iter().zip(types).enumerate() {
+        row.push(match ty {
+            AttrType::Numeric => Value::Num(
+                field
+                    .parse()
+                    .map_err(|_| format!("field {a} ({field:?}) is not numeric"))?,
+            ),
+            AttrType::Categorical => Value::Cat(field),
+        });
+    }
+    b.push_row(&row, fields[n_attrs], 1.0)
+        .map_err(|e| e.to_string())
 }
 
-impl<R: BufRead> ChunkedCsvReader<R> {
-    /// Reads and validates the header, returning a reader positioned at
-    /// the first data row. `chunk_rows` is the row budget per chunk
-    /// (minimum 1). Header problems are hard errors, exactly as in
-    /// [`read_csv_str_with_report`].
-    pub fn new(mut reader: R, opts: &CsvOptions, chunk_rows: usize) -> Result<Self, DataError> {
-        let Some(types) = opts.types.clone() else {
+/// The inference pass: an attribute is numeric iff at least one row has
+/// the right field count and every such row's field parses as a finite
+/// `f64`. Rows with a wrong field count are left to the load to report.
+fn infer_types(reader: impl BufRead, sep: char) -> Result<Vec<AttrType>, DataError> {
+    let mut lines = Lines::new(reader);
+    let n_fields = lines.header(sep)?.len();
+    let mut numeric = vec![true; n_fields - 1];
+    let mut any_row = false;
+    while let Some((_, line)) = lines.next_line()? {
+        let fields: Vec<&str> = line.split(sep).map(str::trim).collect();
+        if fields.len() != n_fields {
+            continue;
+        }
+        any_row = true;
+        for (is_numeric, field) in numeric.iter_mut().zip(&fields) {
+            *is_numeric = *is_numeric && field.parse::<f64>().is_ok_and(f64::is_finite);
+        }
+    }
+    Ok(numeric
+        .into_iter()
+        .map(|is_numeric| {
+            if is_numeric && any_row {
+                AttrType::Numeric
+            } else {
+                AttrType::Categorical
+            }
+        })
+        .collect())
+}
+
+/// The non-blank lines of a CSV source, read one at a time into one reused
+/// buffer.
+struct Lines<R> {
+    reader: R,
+    buf: String,
+    /// 1-based physical number of the line last read.
+    lineno: usize,
+}
+
+impl<R: BufRead> Lines<R> {
+    fn new(reader: R) -> Self {
+        Lines {
+            reader,
+            buf: String::new(),
+            lineno: 0,
+        }
+    }
+
+    /// The next non-blank line with its 1-based physical line number, its
+    /// `\n` or `\r\n` ending removed as [`str::lines`] removes it, or `None`
+    /// at the end of the source. A last line without a newline counts.
+    fn next_line(&mut self) -> Result<Option<(usize, &str)>, DataError> {
+        loop {
+            self.buf.clear();
+            if self.reader.read_line(&mut self.buf)? == 0 {
+                return Ok(None);
+            }
+            self.lineno += 1;
+            if !self.buf.trim().is_empty() {
+                let line = match self.buf.strip_suffix('\n') {
+                    Some(l) => l.strip_suffix('\r').unwrap_or(l),
+                    None => &self.buf,
+                };
+                return Ok(Some((self.lineno, line)));
+            }
+        }
+    }
+
+    /// Reads the header, the first non-blank line, and checks it: at least
+    /// one attribute and the class column, and no name twice. Returns the
+    /// trimmed column names, class column last.
+    fn header(&mut self, sep: char) -> Result<Vec<String>, DataError> {
+        let Some((_, header)) = self.next_line()? else {
             return Err(DataError::Csv {
                 line: 1,
-                message: "chunked reading requires explicit attribute types \
-                          (inference needs a full pass over the data)"
-                    .into(),
+                message: "missing header".into(),
             });
         };
-        let mut lineno = 0;
-        let mut line = String::new();
-        let header = loop {
-            line.clear();
-            if reader.read_line(&mut line)? == 0 {
-                return Err(DataError::Csv {
-                    line: 1,
-                    message: "missing header".into(),
-                });
-            }
-            lineno += 1;
-            let l = line.trim_end_matches(['\r', '\n']);
-            if !l.trim().is_empty() {
-                break l;
-            }
-        };
-        let names: Vec<String> = header
-            .split(opts.separator)
-            .map(|s| s.trim().to_string())
-            .collect();
+        let names: Vec<String> = header.split(sep).map(|s| s.trim().to_string()).collect();
         if names.len() < 2 {
             return Err(DataError::Csv {
                 line: 1,
@@ -313,173 +299,8 @@ impl<R: BufRead> ChunkedCsvReader<R> {
                 return Err(DataError::DuplicateAttribute { name: name.clone() });
             }
         }
-        let n_attrs = names.len() - 1;
-        if types.len() != n_attrs {
-            return Err(DataError::Csv {
-                line: 1,
-                message: format!("{} types supplied for {} attributes", types.len(), n_attrs),
-            });
-        }
-        Ok(ChunkedCsvReader {
-            reader,
-            sep: opts.separator,
-            policy: opts.on_error.clone(),
-            dicts: vec![Vec::new(); n_attrs],
-            names,
-            types,
-            chunk_rows: chunk_rows.max(1),
-            report: LoadReport::default(),
-            lineno,
-            classes: Vec::new(),
-            done: false,
-        })
+        Ok(names)
     }
-
-    /// Attribute names (the class column name excluded).
-    pub fn attr_names(&self) -> &[String] {
-        &self.names[..self.names.len() - 1]
-    }
-
-    /// Attribute types, in column order.
-    pub fn types(&self) -> &[AttrType] {
-        &self.types
-    }
-
-    /// The cumulative quarantine report over every chunk read so far.
-    pub fn report(&self) -> &LoadReport {
-        &self.report
-    }
-
-    /// Consumes the reader, yielding the final cumulative report.
-    pub fn into_report(self) -> LoadReport {
-        self.report
-    }
-
-    /// Parses the next chunk of at most `chunk_rows` data rows, or `None`
-    /// once the source is exhausted. Every returned dataset carries the
-    /// full schema accumulated so far (all dictionary codes seen in
-    /// earlier chunks pre-registered), all rows weighted 1.0.
-    pub fn next_chunk(&mut self) -> Result<Option<Dataset>, DataError> {
-        if self.done {
-            return Ok(None);
-        }
-        let n_attrs = self.names.len() - 1;
-        let mut b = DatasetBuilder::new();
-        for (name, ty) in self.names[..n_attrs].iter().zip(&self.types) {
-            b.add_attribute(name, *ty);
-        }
-        for (a, dict) in self.dicts.iter().enumerate() {
-            for value in dict {
-                b.add_cat_value(a, value);
-            }
-        }
-        for class in &self.classes {
-            b.add_class(class);
-        }
-        let mut line = String::new();
-        while b.n_rows() < self.chunk_rows {
-            line.clear();
-            if self.reader.read_line(&mut line)? == 0 {
-                // EOF; `read_line` still returns a final line that lacks a
-                // trailing newline, so nothing is lost here.
-                self.done = true;
-                break;
-            }
-            self.lineno += 1;
-            let l = line.trim_end_matches(['\r', '\n']);
-            if l.trim().is_empty() {
-                continue;
-            }
-            let fields: Vec<&str> = l.split(self.sep).map(str::trim).collect();
-            if fields.len() != self.names.len() {
-                quarantine(
-                    &self.policy,
-                    &mut self.report,
-                    self.lineno,
-                    format!("expected {} fields, got {}", self.names.len(), fields.len()),
-                )?;
-                continue;
-            }
-            let mut row_vals: Vec<Value<'_>> = Vec::with_capacity(n_attrs);
-            let mut bad: Option<String> = None;
-            for (a, field) in fields[..n_attrs].iter().enumerate() {
-                match self.types[a] {
-                    AttrType::Numeric => match field.parse::<f64>() {
-                        Ok(x) => row_vals.push(Value::Num(x)),
-                        Err(_) => {
-                            bad = Some(format!("field {a} ({field:?}) is not numeric"));
-                            break;
-                        }
-                    },
-                    AttrType::Categorical => row_vals.push(Value::Cat(field)),
-                }
-            }
-            let bad = bad.or_else(|| {
-                b.push_row(&row_vals, fields[n_attrs], 1.0)
-                    .err()
-                    .map(|e| e.to_string())
-            });
-            if let Some(message) = bad {
-                quarantine(&self.policy, &mut self.report, self.lineno, message)?;
-            }
-        }
-        if b.n_rows() == 0 {
-            // Only blank lines (or nothing) remained.
-            return Ok(None);
-        }
-        let chunk = b.finish();
-        // Read the chunk's grown dictionaries back so the next chunk's
-        // builder pre-registers them — this is the induction step keeping
-        // codes first-seen-order across the whole stream.
-        for (a, dict) in self.dicts.iter_mut().enumerate() {
-            let grown = &chunk.schema().attr(a).dict;
-            for (_, value) in grown.iter().skip(dict.len()) {
-                dict.push(value.to_string());
-            }
-        }
-        let classes = &chunk.schema().classes;
-        for (_, class) in classes.iter().skip(self.classes.len()) {
-            self.classes.push(class.to_string());
-        }
-        Ok(Some(chunk))
-    }
-}
-
-/// Loads a CSV file through [`ChunkedCsvReader`], draining every chunk
-/// into one dataset. The result (schema, dictionary codes, row order,
-/// values) is identical to [`read_csv_with_report`] with the same
-/// explicitly typed options, and the quarantine counts and line numbers
-/// match (report *order* may differ; see [`ChunkedCsvReader`]). Peak
-/// transient memory for text and parse state is bounded by `chunk_rows`
-/// rather than the file size; the columnar store being assembled is, of
-/// course, still resident.
-pub fn read_csv_chunked(
-    path: impl AsRef<Path>,
-    opts: &CsvOptions,
-    chunk_rows: usize,
-) -> Result<(Dataset, LoadReport), DataError> {
-    let file = BufReader::new(File::open(path)?);
-    let mut reader = ChunkedCsvReader::new(file, opts, chunk_rows)?;
-    let mut master = DatasetBuilder::new();
-    for (name, ty) in reader.attr_names().iter().zip(reader.types()) {
-        master.add_attribute(name, *ty);
-    }
-    while let Some(chunk) = reader.next_chunk()? {
-        master.reserve(chunk.n_rows());
-        let n_attrs = chunk.n_attrs();
-        let mut vals: Vec<Value<'_>> = Vec::with_capacity(n_attrs);
-        for row in 0..chunk.n_rows() {
-            vals.clear();
-            for a in 0..n_attrs {
-                match chunk.column(a) {
-                    Column::Num(_) => vals.push(Value::Num(chunk.num(a, row))),
-                    Column::Cat(_) => vals.push(Value::Cat(chunk.cat_name(a, row))),
-                }
-            }
-            master.push_row(&vals, chunk.class_name(chunk.label(row)), 1.0)?;
-        }
-    }
-    Ok((master.finish(), reader.into_report()))
 }
 
 /// Writes a dataset to a CSV file. See [`write_csv_string`].
@@ -680,177 +501,148 @@ mod tests {
         assert!(report.skipped.is_empty());
     }
 
-    /// Asserts that a chunked load of `text` (at the given chunk size)
-    /// matches the whole-file load exactly: row values, dictionary codes,
-    /// labels, and quarantine counts + line sets (order may differ — the
-    /// whole-file loader quarantines in two passes, the stream in one).
-    fn assert_chunked_matches_whole(text: &str, opts: &CsvOptions, chunk_rows: usize) {
-        let (whole, whole_report) = read_csv_str_with_report(text, opts).unwrap();
-        let dir = std::env::temp_dir().join("pnr_data_chunked_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("c{chunk_rows}_{}.csv", text.len()));
-        std::fs::write(&path, text).unwrap();
-        let (chunked, chunk_report) = read_csv_chunked(&path, opts, chunk_rows).unwrap();
-        std::fs::remove_file(&path).ok();
-
-        assert_eq!(chunked.n_rows(), whole.n_rows(), "row count");
-        assert_eq!(chunked.n_attrs(), whole.n_attrs());
-        for a in 0..whole.n_attrs() {
-            let (wd, cd) = (&whole.schema().attr(a).dict, &chunked.schema().attr(a).dict);
-            assert_eq!(
-                wd.iter().collect::<Vec<_>>(),
-                cd.iter().collect::<Vec<_>>(),
-                "dict codes attr {a}"
-            );
-            for row in 0..whole.n_rows() {
-                match whole.column(a) {
-                    Column::Num(_) => assert_eq!(
-                        chunked.num(a, row).to_bits(),
-                        whole.num(a, row).to_bits(),
-                        "attr {a} row {row}"
-                    ),
-                    Column::Cat(_) => {
-                        assert_eq!(chunked.cat(a, row), whole.cat(a, row), "attr {a} row {row}")
-                    }
-                }
-            }
-        }
-        assert_eq!(chunked.labels(), whole.labels(), "label codes");
-        assert_eq!(
-            chunk_report.n_skipped(),
-            whole_report.n_skipped(),
-            "skip count"
-        );
-        let lines = |r: &LoadReport| {
-            let mut l: Vec<usize> = r.skipped.iter().map(|(n, _)| *n).collect();
-            l.sort_unstable();
-            l
+    #[test]
+    fn skip_report_lists_rows_in_file_order() {
+        // A non-numeric field (line 3) comes before a short row (line 4);
+        // the report follows the file, whichever check a row failed.
+        let text = "x,class\n1,a\nnope,b\n2\n";
+        let opts = CsvOptions {
+            types: Some(vec![AttrType::Numeric]),
+            on_error: RowPolicy::Skip { max: 10 },
+            ..Default::default()
         };
-        assert_eq!(lines(&chunk_report), lines(&whole_report), "skip lines");
+        let (d, report) = read_csv_str_with_report(text, &opts).unwrap();
+        assert_eq!(d.n_rows(), 1);
+        let lines: Vec<usize> = report.skipped.iter().map(|(n, _)| *n).collect();
+        assert_eq!(lines, [3, 4], "{report:?}");
     }
 
     #[test]
-    fn chunked_load_matches_whole_file_across_chunk_sizes() {
-        let text = "x,k,class\n1,a,c0\n2,b,c1\n3,c,c0\n4,a,c1\n5,d,c0\n6,b,c1\n7,e,c0\n";
+    fn inference_reads_only_rows_with_the_right_field_count() {
         let opts = CsvOptions {
+            on_error: RowPolicy::Skip { max: 5 },
+            ..Default::default()
+        };
+        // "b,n" is short a field; were it read, "b" would make x categorical.
+        let (d, report) =
+            read_csv_str_with_report("x,k,class\n1,a,p\nb,n\n2,c,q\n", &opts).unwrap();
+        assert_eq!(d.schema().attr(0).ty, AttrType::Numeric);
+        assert_eq!((d.n_rows(), report.n_skipped()), (2, 1));
+        // With no row of the right field count, nothing is numeric.
+        for text in ["x,class\n", "x,class\n1\n"] {
+            let d = read_csv_str(text, &opts).unwrap();
+            assert_eq!(d.schema().attr(0).ty, AttrType::Categorical, "{text:?}");
+        }
+    }
+
+    /// A load's outcome in comparable form: the dataset as JSON (exact for
+    /// every `f64`, dictionary order included) with its report, or the
+    /// error message.
+    fn outcome(
+        load: &Result<(Dataset, LoadReport), DataError>,
+    ) -> Result<(String, LoadReport), String> {
+        match load {
+            Ok((d, report)) => Ok((serde_json::to_string(d).unwrap(), report.clone())),
+            Err(e) => Err(e.to_string()),
+        }
+    }
+
+    /// Loads `text` from a string and from a file, through both file entry
+    /// points, asserts that all three outcomes are identical, and returns
+    /// the string load.
+    fn assert_file_matches_str(
+        text: &str,
+        opts: &CsvOptions,
+    ) -> Result<(Dataset, LoadReport), DataError> {
+        static CASE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let case = CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join("pnr_data_csv_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("load_{}_{case}.csv", std::process::id()));
+        std::fs::write(&path, text).unwrap();
+        let from_file = [
+            read_csv_with_report(&path, opts),
+            read_csv_chunked(&path, opts, 1),
+        ];
+        std::fs::remove_file(&path).ok();
+        let from_str = read_csv_str_with_report(text, opts);
+        for load in &from_file {
+            assert_eq!(outcome(load), outcome(&from_str), "text {text:?}");
+        }
+        from_str
+    }
+
+    #[test]
+    fn file_and_str_loads_agree_with_typed_and_inferred_schemas() {
+        let text = "x,k,class\n1,a,c0\n2,b,c1\n3,c,c0\n4,a,c1\n5,d,c0\n6,b,c1\n7,e,c0\n";
+        let typed = CsvOptions {
             types: Some(vec![AttrType::Numeric, AttrType::Categorical]),
             ..Default::default()
         };
-        for chunk_rows in [1, 2, 3, 7, 100] {
-            assert_chunked_matches_whole(text, &opts, chunk_rows);
+        for opts in [typed, CsvOptions::default()] {
+            let (d, _) = assert_file_matches_str(text, &opts).unwrap();
+            assert_eq!(d.n_rows(), 7);
+            assert_eq!(d.schema().attr(0).ty, AttrType::Numeric);
+            let dict: Vec<&str> = d.schema().attr(1).dict.iter().map(|(_, v)| v).collect();
+            assert_eq!(dict, ["a", "b", "c", "d", "e"], "first-seen order");
         }
     }
 
     #[test]
-    fn chunked_final_line_without_trailing_newline_is_kept() {
-        // The last record has no trailing newline: both paths must load it
-        // (satellite regression — `BufRead::read_line` still yields it).
-        let text = "x,class\n1,a\n2,b\n3,c";
+    fn final_line_without_trailing_newline_is_kept() {
         let opts = CsvOptions {
             types: Some(vec![AttrType::Numeric]),
             on_error: RowPolicy::Skip { max: 4 },
             ..Default::default()
         };
-        for chunk_rows in [1, 2, 3, 50] {
-            assert_chunked_matches_whole(text, &opts, chunk_rows);
-        }
+        let (d, report) = assert_file_matches_str("x,class\n1,a\n2,b\n3,c", &opts).unwrap();
+        assert_eq!(d.n_rows(), 3);
+        assert!(report.skipped.is_empty());
         // And a final line that is both last and malformed.
-        let bad_tail = "x,class\n1,a\n2,b\nbroken";
-        for chunk_rows in [1, 2, 50] {
-            assert_chunked_matches_whole(bad_tail, &opts, chunk_rows);
-        }
+        let (d, report) = assert_file_matches_str("x,class\n1,a\n2,b\nbroken", &opts).unwrap();
+        assert_eq!(d.n_rows(), 2);
+        assert_eq!(report.skipped[0].0, 4);
     }
 
     #[test]
-    fn chunked_malformed_row_on_chunk_boundary_counts_once() {
-        // Data line 4 (physical line 4) is malformed. With chunk_rows = 2
-        // it is the first row the second chunk sees; with chunk_rows = 3
-        // it lands exactly on the boundary after a full chunk. The skip
-        // count and line set must match the whole-file path in every
-        // geometry (satellite regression).
-        let text = "x,class\n1,a\n2,b\n3\n4,c\n5,d\n";
+    fn malformed_rows_among_blank_lines_are_charged_once() {
         let opts = CsvOptions {
             types: Some(vec![AttrType::Numeric]),
             on_error: RowPolicy::Skip { max: 4 },
             ..Default::default()
         };
-        for chunk_rows in [1, 2, 3, 4, 100] {
-            assert_chunked_matches_whole(text, &opts, chunk_rows);
-        }
-        // Mixed failure modes (bad field count + non-numeric) around
-        // boundaries, blank lines interleaved.
+        let (d, report) =
+            assert_file_matches_str("x,class\n1,a\n2,b\n3\n4,c\n5,d\n", &opts).unwrap();
+        assert_eq!((d.n_rows(), report.n_skipped()), (4, 1));
+        // Mixed failure modes (bad field count + non-numeric) with blank
+        // lines interleaved; line numbers count the blank lines.
         let messy = "x,class\n\n1,a\nnope,b\n\n2\n3,c\n4,d\nbad,e\n5,f";
-        for chunk_rows in [1, 2, 3, 100] {
-            assert_chunked_matches_whole(messy, &opts, chunk_rows);
-        }
+        let (d, report) = assert_file_matches_str(messy, &opts).unwrap();
+        assert_eq!(d.n_rows(), 4);
+        let lines: Vec<usize> = report.skipped.iter().map(|(n, _)| *n).collect();
+        assert_eq!(lines, [4, 6, 9]);
     }
 
     #[test]
-    fn chunked_skip_cap_spans_chunk_boundaries() {
-        // Two malformed rows in different chunks; a budget of 1 must abort
-        // on the second even though each chunk alone sees only one.
+    fn one_skip_cap_spans_the_whole_file() {
+        // Two malformed rows far apart; a budget of 1 aborts on the second.
         let text = "x,class\n1\n2,a\n3\n4,b\n";
         let opts = CsvOptions {
             types: Some(vec![AttrType::Numeric]),
             on_error: RowPolicy::Skip { max: 1 },
             ..Default::default()
         };
-        let dir = std::env::temp_dir().join("pnr_data_chunked_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cap.csv");
-        std::fs::write(&path, text).unwrap();
-        let err = read_csv_chunked(&path, &opts, 2).unwrap_err();
+        let err = assert_file_matches_str(text, &opts).unwrap_err();
+        assert!(err.to_string().contains("line 4"), "{err}");
         assert!(err.to_string().contains("skip limit"), "{err}");
-        // With budget 2 the same stream loads.
+        // With budget 2 the same file loads.
         let opts2 = CsvOptions {
             on_error: RowPolicy::Skip { max: 2 },
             ..opts
         };
-        let (d, report) = read_csv_chunked(&path, &opts2, 2).unwrap();
-        std::fs::remove_file(&path).ok();
+        let (d, report) = assert_file_matches_str(text, &opts2).unwrap();
         assert_eq!(d.n_rows(), 2);
         assert_eq!(report.n_skipped(), 2);
-    }
-
-    #[test]
-    fn chunked_reader_yields_bounded_chunks_with_stable_dicts() {
-        let text = "x,k,class\n1,a,c0\n2,b,c1\n3,a,c0\n4,c,c1\n5,b,c0\n";
-        let opts = CsvOptions {
-            types: Some(vec![AttrType::Numeric, AttrType::Categorical]),
-            ..Default::default()
-        };
-        let mut r =
-            ChunkedCsvReader::new(std::io::BufReader::new(text.as_bytes()), &opts, 2).unwrap();
-        assert_eq!(r.attr_names(), ["x".to_string(), "k".to_string()]);
-        let mut sizes = Vec::new();
-        let mut code_of_b = None;
-        while let Some(chunk) = r.next_chunk().unwrap() {
-            sizes.push(chunk.n_rows());
-            // "b" first appears in chunk 0 (code fixed there); every later
-            // chunk's schema must agree.
-            if let Some(code) = chunk.schema().attr(1).dict.code("b") {
-                match code_of_b {
-                    None => code_of_b = Some(code),
-                    Some(prev) => assert_eq!(code, prev, "dict code drifted across chunks"),
-                }
-            }
-        }
-        assert_eq!(sizes, [2, 2, 1], "fixed row budget per chunk");
-        assert!(r.report().skipped.is_empty());
-    }
-
-    #[test]
-    fn chunked_reader_requires_explicit_types() {
-        let err = ChunkedCsvReader::new(
-            std::io::BufReader::new("x,class\n1,a\n".as_bytes()),
-            &CsvOptions::default(),
-            8,
-        )
-        .unwrap_err();
-        assert!(
-            err.to_string().contains("explicit attribute types"),
-            "{err}"
-        );
     }
 
     #[test]

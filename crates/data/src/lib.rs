@@ -47,8 +47,8 @@ pub use atomic::write_atomic;
 pub use builder::{DatasetBuilder, Value};
 pub use csv::{
     read_csv, read_csv_chunked, read_csv_str, read_csv_str_with_report, read_csv_with_report,
-    write_csv, write_csv_header_string, write_csv_rows_string, write_csv_string, ChunkedCsvReader,
-    CsvOptions, LoadReport, RowPolicy,
+    write_csv, write_csv_header_string, write_csv_rows_string, write_csv_string, CsvOptions,
+    LoadReport, RowPolicy,
 };
 pub use dataset::{Column, Dataset};
 pub use dict::Dictionary;

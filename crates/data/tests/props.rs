@@ -1,10 +1,13 @@
 //! Property-based tests for the dataset substrate.
 
 use pnr_data::{
-    read_csv_str, stratify_weights, write_csv_string, AttrType, CsvOptions, DatasetBuilder, RowSet,
-    Value,
+    read_csv_str, read_csv_str_with_report, read_csv_with_report, stratify_weights,
+    write_csv_string, AttrType, CsvOptions, DataError, Dataset, DatasetBuilder, LoadReport,
+    RowPolicy, RowSet, Value,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn rowset_strategy(max: u32) -> impl Strategy<Value = RowSet> {
     prop::collection::vec(0..max, 0..64).prop_map(RowSet::from_vec)
@@ -135,6 +138,155 @@ proptest! {
         for (new, &old) in rows.iter().enumerate() {
             prop_assert_eq!(s.num(0, new), d.num(0, old as usize));
             prop_assert_eq!(s.weight(new), d.weight(old as usize));
+        }
+    }
+}
+
+/// A random small typed table rendered by `write_csv_string`, then damaged
+/// by corruptions chosen by `seed`: a field dropped or added, a numeric
+/// field replaced by a word or a non-finite number, blank lines inserted,
+/// `\r\n` endings, no trailing newline, or the text cut off mid-line. The
+/// header line itself is never damaged. Returns the text and the types the
+/// table was rendered with.
+fn malformed_csv(seed: u64) -> (String, Vec<AttrType>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let types: Vec<AttrType> = (0..rng.gen_range(1..=3usize))
+        .map(|_| {
+            if rng.gen_bool(0.5) {
+                AttrType::Numeric
+            } else {
+                AttrType::Categorical
+            }
+        })
+        .collect();
+    let mut b = DatasetBuilder::new();
+    for (a, ty) in types.iter().enumerate() {
+        b.add_attribute(format!("a{a}"), *ty);
+    }
+    for _ in 0..rng.gen_range(0..12usize) {
+        let row: Vec<Value> = types
+            .iter()
+            .map(|ty| match ty {
+                AttrType::Numeric => Value::num(f64::from(rng.gen_range(-800..800i32)) / 8.0),
+                AttrType::Categorical => {
+                    Value::cat(["tcp", "udp", "7", "icmp"][rng.gen_range(0..4usize)])
+                }
+            })
+            .collect();
+        b.push_row(&row, ["n", "p"][rng.gen_range(0..2usize)], 1.0)
+            .unwrap();
+    }
+    let mut lines: Vec<String> = write_csv_string(&b.finish(), ',')
+        .lines()
+        .map(str::to_string)
+        .collect();
+    let numeric: Vec<usize> = (0..types.len())
+        .filter(|&a| types[a] == AttrType::Numeric)
+        .collect();
+    for _ in 0..rng.gen_range(0..5usize) {
+        if lines.len() < 2 {
+            break;
+        }
+        let i = rng.gen_range(1..lines.len());
+        let mut fields: Vec<&str> = lines[i].split(',').collect();
+        match rng.gen_range(0..3u32) {
+            0 => {
+                fields.remove(rng.gen_range(0..fields.len()));
+            }
+            1 => fields.insert(rng.gen_range(0..=fields.len()), "extra"),
+            _ => {
+                if let Some(&a) = numeric.get(rng.gen_range(0..numeric.len().max(1))) {
+                    if a < fields.len() {
+                        fields[a] = ["oops", "NaN", "inf", "1e999"][rng.gen_range(0..4usize)];
+                    }
+                }
+            }
+        }
+        lines[i] = fields.join(",");
+    }
+    // Blank lines may land anywhere, before the header included.
+    for _ in 0..rng.gen_range(0..3usize) {
+        let blank = ["", "  ", "\t"][rng.gen_range(0..3usize)];
+        lines.insert(rng.gen_range(0..=lines.len()), blank.to_string());
+    }
+    let ending = if rng.gen_bool(0.3) { "\r\n" } else { "\n" };
+    let header = lines.iter().position(|l| !l.trim().is_empty()).unwrap();
+    let header_end: usize = lines[..=header]
+        .iter()
+        .map(|l| l.len() + ending.len())
+        .sum();
+    let mut text: String = lines.iter().map(|l| format!("{l}{ending}")).collect();
+    if rng.gen_bool(0.25) {
+        text.truncate(text.len() - ending.len());
+    }
+    if rng.gen_bool(0.25) {
+        let cut = rng.gen_range(header_end.min(text.len())..=text.len());
+        text.truncate(cut);
+    }
+    (text, types)
+}
+
+/// A load's outcome in comparable form: the dataset as JSON (exact for
+/// every `f64`, dictionary order included) with its report, or the error
+/// message.
+fn outcome(
+    load: &Result<(Dataset, LoadReport), DataError>,
+) -> Result<(String, LoadReport), String> {
+    match load {
+        Ok((d, report)) => Ok((serde_json::to_string(d).unwrap(), report.clone())),
+        Err(e) => Err(e.to_string()),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn malformed_csv_is_quarantined_row_by_row_in_file_order(
+        seed in any::<u64>(),
+        explicit_types in prop::bool::ANY,
+    ) {
+        let (text, types) = malformed_csv(seed);
+        let skip = CsvOptions {
+            types: explicit_types.then_some(types),
+            on_error: RowPolicy::Skip { max: usize::MAX },
+            ..CsvOptions::default()
+        };
+        let loaded = read_csv_str_with_report(&text, &skip);
+        let (d, report) = match &loaded {
+            Ok(ok) => ok,
+            Err(e) => return Err(TestCaseError::fail(format!("{e} on {text:?}"))),
+        };
+
+        let data_lines = text.lines().filter(|l| !l.trim().is_empty()).count() - 1;
+        prop_assert_eq!(d.n_rows() + report.n_skipped(), data_lines, "text {:?}", text);
+        for w in report.skipped.windows(2) {
+            prop_assert!(w[0].0 < w[1].0, "report out of file order: {:?}", report);
+        }
+
+        let path = std::env::temp_dir().join(format!(
+            "pnr_data_props_{}_{seed:016x}_{explicit_types}.csv",
+            std::process::id()
+        ));
+        std::fs::write(&path, &text).unwrap();
+        let from_file = read_csv_with_report(&path, &skip);
+        std::fs::remove_file(&path).ok();
+        prop_assert_eq!(outcome(&from_file), outcome(&loaded), "text {:?}", text);
+
+        let fail = CsvOptions { on_error: RowPolicy::Fail, ..skip };
+        match (read_csv_str_with_report(&text, &fail), report.skipped.first()) {
+            (Ok((strict, _)), None) => {
+                prop_assert_eq!(outcome(&Ok((strict, LoadReport::default()))), outcome(&loaded));
+            }
+            (Err(DataError::Csv { line, message }), Some(first)) => {
+                prop_assert_eq!(&(line, message), first, "text {:?}", text);
+            }
+            (strict, first) => {
+                return Err(TestCaseError::fail(format!(
+                    "Fail gave {:?} but Skip's first quarantined row is {first:?}",
+                    strict.map(|(d, _)| d.n_rows())
+                )));
+            }
         }
     }
 }

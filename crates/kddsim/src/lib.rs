@@ -68,26 +68,17 @@ pub fn generate_test(n: usize, seed: u64) -> Dataset {
 }
 
 /// Generates `n` records from an explicit subclass mix (weights need not be
-/// normalised). Deterministic in `seed`.
+/// normalised). Deterministic in `seed`: one [`MixStream`] chunk of all `n`
+/// records, or the empty fixed-schema dataset when `n == 0`.
 pub fn generate_with_mix(n: usize, seed: u64, mix: &[(Subclass, f64)]) -> Dataset {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let counts = apportion(n, mix);
-
-    let mut b = build_schema_builder();
-    b.reserve(n);
-    for ((subclass, _), &count) in mix.iter().zip(&counts) {
-        let spec = subclass.spec();
-        for _ in 0..count {
-            spec.emit(&mut b, &mut rng);
-        }
-    }
-    b.finish()
+    MixStream::new(n, seed, mix)
+        .next_chunk(n)
+        .unwrap_or_else(|| build_schema_builder().finish())
 }
 
 /// Largest-remainder apportionment of `n` records over the mix: every
 /// subclass gets its exact share (stochastic rounding would lose rare
-/// subclasses entirely at small `n`). Pure in its inputs — the streaming
-/// and materialising generators share it so their emission plans agree.
+/// subclasses entirely at small `n`). Pure in its inputs.
 fn apportion(n: usize, mix: &[(Subclass, f64)]) -> Vec<usize> {
     assert!(!mix.is_empty(), "mix must not be empty");
     let total: f64 = mix.iter().map(|(_, w)| w).sum();
@@ -109,16 +100,16 @@ fn apportion(n: usize, mix: &[(Subclass, f64)]) -> Vec<usize> {
     counts
 }
 
-/// A streaming generator: the same records [`generate_with_mix`] would
-/// materialise, emitted as bounded-size [`Dataset`] chunks so tens of
-/// millions of rows never exist in memory at once.
+/// The generator's one emission loop: the records of a mix, emitted
+/// subclass by subclass from one seeded RNG as bounded-size [`Dataset`]
+/// chunks, so tens of millions of rows never exist in memory at once.
 ///
-/// The stream shares the materialising generator's apportionment, RNG
-/// seeding and subclass-by-subclass emission order, so the concatenation
-/// of its chunks is **bit-identical** to `generate_with_mix(n, seed, mix)`
-/// wherever the chunk boundaries fall. Every chunk carries the full fixed
-/// KDD schema ([`build_schema_builder`] pre-registers all dictionary
-/// values and classes), so chunk schemas never drift.
+/// [`generate_with_mix`] is this stream drained in one chunk, so the
+/// concatenation of any stream's chunks is **bit-identical** to
+/// `generate_with_mix(n, seed, mix)` wherever the chunk boundaries fall.
+/// Every chunk carries the full fixed KDD schema ([`build_schema_builder`]
+/// pre-registers all dictionary values and classes), so chunk schemas
+/// never drift.
 #[derive(Debug)]
 pub struct MixStream {
     rng: StdRng,
@@ -130,8 +121,9 @@ pub struct MixStream {
 }
 
 impl MixStream {
-    /// A stream that will emit exactly `n` records. Deterministic in
-    /// `seed`: same panics and same records as [`generate_with_mix`].
+    /// A stream that will emit exactly `n` records, deterministic in
+    /// `seed`. Panics if `mix` is empty or its weights do not sum to a
+    /// positive value.
     pub fn new(n: usize, seed: u64, mix: &[(Subclass, f64)]) -> Self {
         let counts = apportion(n, mix);
         MixStream {
@@ -262,6 +254,16 @@ mod tests {
     fn empty_mix_is_rejected() {
         let r = std::panic::catch_unwind(|| generate_with_mix(10, 0, &[]));
         assert!(r.is_err());
+    }
+
+    #[test]
+    fn zero_rows_yield_the_empty_fixed_schema() {
+        let empty = generate_train(0, 3);
+        assert_eq!(empty.n_rows(), 0);
+        assert_eq!(
+            empty.schema().fingerprint(),
+            generate_train(10, 3).schema().fingerprint()
+        );
     }
 
     #[test]
