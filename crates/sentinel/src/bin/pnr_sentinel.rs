@@ -34,7 +34,9 @@ use pnr_sentinel::{
     supervise_refit, DaemonClient, DetectorConfig, DriftDetector, DriftVerdict, RefitOutcome,
     SupervisorConfig, WindowDelta,
 };
-use pnr_telemetry::{RecordingSink, TelemetrySink};
+use pnr_serve::protocol::{object_line, Mode};
+use pnr_telemetry::{Counter, RecordingSink, TelemetrySink};
+use serde::Content;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -229,15 +231,7 @@ fn watch(opts: &Options) -> Result<(), String> {
         let snapshot = client.stats()?;
         let delta = WindowDelta::between(&previous, &snapshot);
         let verdict = detector.observe(&delta, &sink);
-        println!(
-            "{{\"record\":\"drift\",\"poll\":{poll},\"rows\":{},\"positive_rate\":{:.4},\
-             \"quarantine_rate\":{:.4},\"verdict\":\"{}\",\"mode\":\"{}\"}}",
-            delta.rows,
-            delta.positive_rate(),
-            delta.quarantine_rate(),
-            verdict.name(),
-            snapshot.mode,
-        );
+        println!("{}", drift_record(poll, &delta, verdict, snapshot.mode));
         previous = snapshot;
         if verdict != DriftVerdict::Refit {
             continue;
@@ -245,7 +239,8 @@ fn watch(opts: &Options) -> Result<(), String> {
         window_id += 1;
         // march the stream up to the daemon's position so the refit
         // window reflects post-shift traffic, then draw the window
-        let served = usize::try_from(previous.counter("rows_scored")).unwrap_or(usize::MAX);
+        let served =
+            usize::try_from(previous.counters.get(Counter::RowsScored)).unwrap_or(usize::MAX);
         if served > stream.position() + opts.window_rows {
             stream.skip(served - stream.position() - opts.window_rows);
         }
@@ -259,37 +254,107 @@ fn watch(opts: &Options) -> Result<(), String> {
             &sup_config,
             &sink,
         )?;
-        match outcome {
-            RefitOutcome::Published {
-                path,
-                epoch,
-                parent_checksum,
-                eval,
-                attempts,
-            } => {
-                println!(
-                    "{{\"record\":\"refit\",\"outcome\":\"published\",\"window_id\":{window_id},\
-                     \"parent_checksum\":\"{parent_checksum}\",\"epoch\":{epoch},\
-                     \"attempts\":{attempts},\"candidate_recall\":{:.4},\
-                     \"baseline_recall\":{:.4},\"path\":\"{}\"}}",
-                    eval.candidate_recall,
-                    eval.baseline_recall,
-                    path.display(),
-                );
-                lkg = path;
-            }
-            RefitOutcome::Degraded {
-                attempts,
-                last_error,
-            } => {
-                println!(
-                    "{{\"record\":\"refit\",\"outcome\":\"degraded\",\"window_id\":{window_id},\
-                     \"attempts\":{attempts},\"last_error\":{}}}",
-                    serde_json::to_string(&serde::Content::Str(last_error))
-                        .unwrap_or_else(|_| "\"?\"".to_string()),
-                );
-            }
+        println!("{}", refit_record(window_id, &outcome));
+        if let RefitOutcome::Published { path, .. } = outcome {
+            lkg = path;
         }
     }
     Ok(())
+}
+
+/// The NDJSON record for one poll.
+fn drift_record(poll: u32, delta: &WindowDelta, verdict: DriftVerdict, mode: Mode) -> String {
+    object_line([
+        ("record", Content::Str("drift".to_string())),
+        ("poll", Content::U64(u64::from(poll))),
+        ("rows", Content::U64(delta.rows)),
+        ("positive_rate", Content::F64(delta.positive_rate())),
+        ("quarantine_rate", Content::F64(delta.quarantine_rate())),
+        ("verdict", Content::Str(verdict.name().to_string())),
+        ("mode", Content::Str(mode.name().to_string())),
+    ])
+}
+
+/// The NDJSON record for one refit episode.
+fn refit_record(window_id: u64, outcome: &RefitOutcome) -> String {
+    match outcome {
+        RefitOutcome::Published {
+            path,
+            epoch,
+            parent_checksum,
+            eval,
+            attempts,
+        } => object_line([
+            ("record", Content::Str("refit".to_string())),
+            ("outcome", Content::Str("published".to_string())),
+            ("window_id", Content::U64(window_id)),
+            ("parent_checksum", Content::Str(parent_checksum.clone())),
+            ("epoch", Content::U64(*epoch)),
+            ("attempts", Content::U64(u64::from(*attempts))),
+            ("candidate_recall", Content::F64(eval.candidate_recall)),
+            ("baseline_recall", Content::F64(eval.baseline_recall)),
+            ("path", Content::Str(path.display().to_string())),
+        ]),
+        RefitOutcome::Degraded {
+            attempts,
+            last_error,
+        } => object_line([
+            ("record", Content::Str("refit".to_string())),
+            ("outcome", Content::Str("degraded".to_string())),
+            ("window_id", Content::U64(window_id)),
+            ("attempts", Content::U64(u64::from(*attempts))),
+            ("last_error", Content::Str(last_error.clone())),
+        ]),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn records_stay_valid_json_for_any_path_or_error() {
+        let eval = pnr_core::RefitEval {
+            candidate_recall: 0.9,
+            baseline_recall: 0.5,
+            train_rows: 10,
+            holdout_rows: 5,
+            holdout_targets: 2,
+        };
+        let path = PathBuf::from("out \"dir\"\\win\\refit-w1-a1.artifact");
+        let published = RefitOutcome::Published {
+            path: path.clone(),
+            epoch: 2,
+            parent_checksum: "1122334455667788".to_string(),
+            eval,
+            attempts: 1,
+        };
+        let line = refit_record(1, &published);
+        assert!(
+            line.starts_with("{\"record\":\"refit\",\"outcome\":\"published\","),
+            "{line}"
+        );
+        assert!(line.contains("\"parent_checksum\":\""), "{line}");
+        let v = serde_json::parse(&line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        assert_eq!(
+            v.get("path"),
+            Some(&Content::Str(path.display().to_string()))
+        );
+
+        let degraded = RefitOutcome::Degraded {
+            attempts: 3,
+            last_error: "attempt 3: \"swap_failed\"\n".to_string(),
+        };
+        assert!(serde_json::parse(&refit_record(2, &degraded)).is_ok());
+
+        let delta = WindowDelta {
+            rows: 10,
+            positives: 3,
+            quarantined: 0,
+            score_mean: None,
+        };
+        let line = drift_record(4, &delta, DriftVerdict::Warn, Mode::Degraded);
+        assert!(line.contains("\"mode\":\"degraded\""), "{line}");
+        assert!(serde_json::parse(&line).is_ok(), "{line}");
+    }
 }

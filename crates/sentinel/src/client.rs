@@ -6,32 +6,18 @@
 //! with seeded jitter, so a daemon that is still binding its port or
 //! briefly restarting does not kill the monitor.
 
-use crate::stats::{parse_stats, StatsSnapshot};
 use pnr_core::retry::{self, Backoff, RetryError};
+use pnr_serve::protocol::{decode_reply, ErrorReply, Request, Stats, SwapReply};
 use serde::Content;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::Path;
 use std::time::Duration;
 
-/// Reply to a publish (`swap`) attempt.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PublishOutcome {
-    /// The daemon swapped to the candidate.
-    Swapped {
-        /// New active epoch.
-        epoch: u64,
-        /// Candidate's envelope checksum as the daemon computed it.
-        checksum: String,
-    },
-    /// The daemon rejected the candidate; the old model keeps serving.
-    Rejected {
-        /// Typed error kind (`swap_failed`, `lineage_mismatch`, ...).
-        kind: String,
-        /// Human-readable detail.
-        detail: String,
-    },
-}
+/// Reply to a publish (`swap`) attempt: the daemon swapped to the
+/// candidate, or rejected it (`swap_failed`, `lineage_mismatch`, ...) and
+/// the old model keeps serving.
+pub type PublishOutcome = Result<SwapReply, ErrorReply>;
 
 /// A connected control client.
 #[derive(Debug)]
@@ -88,62 +74,37 @@ impl DaemonClient {
         }
     }
 
-    /// Fetches and parses a stats snapshot.
-    pub fn stats(&mut self) -> Result<StatsSnapshot, String> {
-        let reply = self.roundtrip("{\"cmd\":\"stats\"}")?;
-        parse_stats(&reply)
+    /// Fetches and decodes a stats snapshot.
+    pub fn stats(&mut self) -> Result<Stats, String> {
+        let reply = self.roundtrip(&Request::Stats.to_line())?;
+        Stats::parse(&reply)
     }
 
     /// Asks the daemon to hot-swap to the artifact at `path`. A rejected
-    /// swap is an `Ok(Rejected {..})` — the request worked, the daemon
-    /// said no — while transport failures are `Err`.
+    /// swap is an `Ok(Err(..))` — the request worked, the daemon said no
+    /// — while transport failures are `Err`.
     pub fn swap(&mut self, path: &Path) -> Result<PublishOutcome, String> {
-        let line = crate::render_cmd(vec![
-            ("cmd", Content::Str("swap".to_string())),
-            ("path", Content::Str(path.display().to_string())),
-        ]);
-        let reply = self.roundtrip(&line)?;
-        let v = serde_json::parse(&reply).map_err(|e| format!("bad swap reply: {e}"))?;
-        if v.get("ok") == Some(&Content::Bool(true)) {
-            let epoch = match v.get("epoch") {
-                Some(Content::U64(n)) => *n,
-                _ => return Err(format!("swap reply lacks `epoch`: {reply}")),
-            };
-            let checksum = match v.get("checksum") {
-                Some(Content::Str(s)) => s.clone(),
-                _ => return Err(format!("swap reply lacks `checksum`: {reply}")),
-            };
-            Ok(PublishOutcome::Swapped { epoch, checksum })
-        } else {
-            let field = |k: &str| match v.get(k) {
-                Some(Content::Str(s)) => s.clone(),
-                _ => String::new(),
-            };
-            Ok(PublishOutcome::Rejected {
-                kind: field("error"),
-                detail: field("detail"),
-            })
-        }
+        let request = Request::Swap {
+            path: path.display().to_string(),
+        };
+        decode_reply(&self.roundtrip(&request.to_line())?, "swap")
     }
 
     /// Sets or clears the daemon's degraded mode.
     pub fn degrade(&mut self, on: bool, reason: &str) -> Result<(), String> {
-        let line = crate::render_cmd(vec![
-            ("cmd", Content::Str("degrade".to_string())),
-            ("on", Content::Bool(on)),
-            ("reason", Content::Str(reason.to_string())),
-        ]);
-        let reply = self.roundtrip(&line)?;
-        let v = serde_json::parse(&reply).map_err(|e| format!("bad degrade reply: {e}"))?;
-        if v.get("ok") == Some(&Content::Bool(true)) {
-            Ok(())
-        } else {
-            Err(format!("degrade rejected: {reply}"))
+        let request = Request::Degrade {
+            on,
+            reason: reason.to_string(),
+        };
+        let reply = self.roundtrip(&request.to_line())?;
+        match decode_reply::<Content>(&reply, "degrade")? {
+            Ok(_) => Ok(()),
+            Err(rejected) => Err(format!("degrade rejected: {rejected}")),
         }
     }
 
     /// Asks the daemon to drain and exit.
     pub fn shutdown(&mut self) -> Result<(), String> {
-        self.roundtrip("{\"cmd\":\"shutdown\"}").map(|_| ())
+        self.roundtrip(&Request::Shutdown.to_line()).map(|_| ())
     }
 }

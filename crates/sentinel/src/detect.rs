@@ -1,7 +1,7 @@
 //! Drift detection over per-window serving statistics.
 //!
 //! The daemon's counters and histograms are **cumulative**; the detector
-//! differences successive [`StatsSnapshot`]s into a [`WindowDelta`] and
+//! differences successive [`Stats`] snapshots into a [`WindowDelta`] and
 //! watches three derived rates:
 //!
 //! * the **positive-decision rate** `decision_positives / rows_scored`,
@@ -21,7 +21,7 @@
 //! one drift episode does not keep re-triggering while a refit is
 //! already under way.
 
-use crate::stats::StatsSnapshot;
+use pnr_serve::protocol::Stats;
 use pnr_telemetry::{Counter, TelemetrySink};
 use std::sync::Arc;
 
@@ -64,9 +64,10 @@ pub struct WindowDelta {
 impl WindowDelta {
     /// Differences `later - earlier`. Counter regressions (a restarted
     /// daemon) saturate to zero rather than wrapping.
-    pub fn between(earlier: &StatsSnapshot, later: &StatsSnapshot) -> WindowDelta {
-        let d = |name: &str| later.counter(name).saturating_sub(earlier.counter(name));
-        let rows = d("rows_scored");
+    pub fn between(earlier: &Stats, later: &Stats) -> WindowDelta {
+        let (e, l) = (&earlier.counters, &later.counters);
+        let d = |c| l.get(c).saturating_sub(e.get(c));
+        let rows = d(Counter::RowsScored);
         let mut mass = 0u64;
         let mut weighted = 0.0f64;
         let n_bins = later.score_hist.len();
@@ -85,8 +86,8 @@ impl WindowDelta {
         }
         WindowDelta {
             rows,
-            positives: d("decision_positives"),
-            quarantined: d("rows_quarantined"),
+            positives: d(Counter::DecisionPositives),
+            quarantined: d(Counter::RowsQuarantined),
             score_mean: if mass > 0 {
                 Some(weighted / mass as f64)
             } else {
@@ -398,24 +399,15 @@ mod tests {
 
     #[test]
     fn deltas_difference_snapshots_and_saturate_on_restart() {
-        use crate::stats::StatsSnapshot;
-        use std::collections::BTreeMap;
-        let snap = |rows: u64, pos: u64, hist: Vec<u64>| StatsSnapshot {
-            epoch: 1,
-            mode: "normal".to_string(),
-            degraded_reason: None,
-            active_checksum: "c".to_string(),
-            lineage: None,
-            counters: BTreeMap::from([
-                ("rows_scored".to_string(), rows),
-                ("decision_positives".to_string(), pos),
-            ]),
+        use pnr_serve::protocol::Counters;
+        let snap = |rows: u64, pos: u64, hist: Vec<u64>| Stats {
+            counters: Counters::from_fn(|c| match c {
+                Counter::RowsScored => rows,
+                Counter::DecisionPositives => pos,
+                _ => 0,
+            }),
             score_hist: hist,
-            p_first_bins: vec![],
-            p_first_none: 0,
-            epochs: vec![],
-            queue_len: 0,
-            pending: 0,
+            ..Stats::default()
         };
         let a = snap(100, 10, vec![50, 50]);
         let b = snap(300, 40, vec![50, 250]);

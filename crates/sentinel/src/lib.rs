@@ -25,29 +25,14 @@
 //!    in `stats` (`"mode":"degraded"`) and in every response envelope
 //!    (`"degraded":true`) until a later swap succeeds.
 //!
-//! [`stats`] is the typed parser for the daemon's stats reply and doubles
-//! as the schema contract test for that wire format; [`client`] is the
+//! The stats reply the sentinel reads is [`pnr_serve::protocol::Stats`],
+//! the same type the daemon writes it from; [`client`] is the
 //! NDJSON-over-TCP control client with seeded-backoff reconnects.
 
 pub mod client;
 pub mod detect;
-pub mod stats;
 pub mod supervisor;
 
 pub use client::{DaemonClient, PublishOutcome};
 pub use detect::{DetectorConfig, DriftDetector, DriftVerdict, WindowDelta};
-pub use stats::{EpochInfo, LineageInfo, StatsSnapshot};
 pub use supervisor::{supervise_refit, ModelPublisher, RefitOutcome, SupervisorConfig};
-
-/// Renders one NDJSON command line from key/value entries. A content
-/// tree always serializes; the fallback keeps this infallible without a
-/// panic path.
-pub(crate) fn render_cmd(entries: Vec<(&str, serde::Content)>) -> String {
-    let map = serde::Content::Map(
-        entries
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    );
-    serde_json::to_string(&map).unwrap_or_else(|_| "{}".to_string())
-}

@@ -194,21 +194,23 @@ pub fn supervise_refit(
             publisher.publish(&path)?
         };
         match published {
-            PublishOutcome::Swapped { epoch, .. } => {
+            Ok(swapped) => {
                 sink.add(Counter::RefitPublishes, 1);
                 return Ok(RefitOutcome::Published {
                     path,
-                    epoch,
+                    epoch: swapped.epoch,
                     parent_checksum,
                     eval,
                     attempts: attempt + 1,
                 });
             }
-            PublishOutcome::Rejected { kind, detail } => {
+            Err(rejected) => {
                 sink.add(Counter::RefitRollbacks, 1);
                 last_error = format!(
-                    "attempt {}: daemon rejected ({kind}): {detail}",
-                    attempt + 1
+                    "attempt {}: daemon rejected ({}): {}",
+                    attempt + 1,
+                    rejected.error,
+                    rejected.detail
                 );
                 eprintln!("refit {last_error}; last-known-good keeps serving");
             }
@@ -228,6 +230,7 @@ pub fn supervise_refit(
 mod tests {
     use super::*;
     use pnr_core::{ModelArtifact, PnruleLearner, PnruleParams};
+    use pnr_serve::protocol::{ErrorReply, SwapReply};
     use pnr_telemetry::RecordingSink;
 
     /// In-memory daemon stand-in with scriptable accept/reject.
@@ -257,38 +260,36 @@ mod tests {
         }
 
         fn publish(&mut self, path: &Path) -> Result<PublishOutcome, String> {
+            let rejected = |error: &str, detail: String| {
+                Ok(Err(ErrorReply {
+                    error: error.to_string(),
+                    detail,
+                }))
+            };
             // mirror the real daemon: verify the envelope and the lineage
             let artifact = match load_with_retry(path, &RetryPolicy::default()) {
                 Ok(a) => a,
-                Err(e) => {
-                    return Ok(PublishOutcome::Rejected {
-                        kind: "swap_failed".to_string(),
-                        detail: e.to_string(),
-                    })
-                }
+                Err(e) => return rejected("swap_failed", e.to_string()),
             };
             if let Some(lin) = &artifact.lineage {
                 if lin.parent_checksum != self.checksum {
-                    return Ok(PublishOutcome::Rejected {
-                        kind: "lineage_mismatch".to_string(),
-                        detail: "wrong parent".to_string(),
-                    });
+                    return rejected("lineage_mismatch", "wrong parent".to_string());
                 }
             }
             if !self.accept {
-                return Ok(PublishOutcome::Rejected {
-                    kind: "swap_failed".to_string(),
-                    detail: "scripted rejection".to_string(),
-                });
+                return rejected("swap_failed", "scripted rejection".to_string());
             }
             self.epoch += 1;
             self.checksum = artifact.checksum().map_err(|e| format!("checksum: {e}"))?;
             self.published.push(path.to_path_buf());
             self.degraded = None;
-            Ok(PublishOutcome::Swapped {
+            Ok(Ok(SwapReply {
                 epoch: self.epoch,
+                target_class: artifact.target_class().to_string(),
+                schema_fingerprint: format!("{:016x}", artifact.schema_fingerprint()),
                 checksum: self.checksum.clone(),
-            })
+                parent_checksum: artifact.lineage.map(|lin| lin.parent_checksum),
+            }))
         }
 
         fn degrade(&mut self, on: bool, reason: &str) -> Result<(), String> {

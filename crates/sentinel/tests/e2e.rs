@@ -16,6 +16,7 @@ use pnr_sentinel::{
     supervise_refit, DaemonClient, DetectorConfig, DriftDetector, DriftVerdict, RefitOutcome,
     SupervisorConfig, WindowDelta,
 };
+use pnr_serve::protocol::Mode;
 use pnr_telemetry::TelemetrySink;
 use serde::Content;
 use std::io::{BufRead, BufReader, Write};
@@ -196,7 +197,7 @@ fn step_drift_is_detected_and_refit_publishes_with_lineage() {
     let s = sink();
     let mut previous = ctl.stats().unwrap();
     assert_eq!(previous.active_checksum, boot_checksum);
-    assert_eq!(previous.mode, "normal");
+    assert_eq!(previous.mode, Mode::Normal);
 
     // stream windows through the daemon until the detector fires
     let mut refit_window = None;
@@ -249,7 +250,7 @@ fn step_drift_is_detected_and_refit_publishes_with_lineage() {
     // recovery is externally observable: new checksum active, lineage
     // recorded, mode normal, and post-swap traffic still flows un-degraded
     let stats = ctl.stats().unwrap();
-    assert_eq!(stats.mode, "normal");
+    assert_eq!(stats.mode, Mode::Normal);
     assert_ne!(stats.active_checksum, boot_checksum);
     let lineage = stats.lineage.expect("swapped epoch carries lineage");
     assert_eq!(lineage.parent_checksum, boot_checksum);
@@ -303,7 +304,7 @@ fn corrupted_refit_keeps_last_known_good_and_degraded_mode_is_visible() {
     // degraded is explicit in stats and in every response envelope,
     // while the last-known-good model keeps serving every record
     let stats = ctl.stats().unwrap();
-    assert_eq!(stats.mode, "degraded");
+    assert_eq!(stats.mode, Mode::Degraded);
     assert_eq!(stats.active_checksum, boot_checksum, "LKG still serving");
     assert!(
         stats
@@ -329,7 +330,7 @@ fn corrupted_refit_keeps_last_known_good_and_degraded_mode_is_visible() {
         "{outcome:?}"
     );
     let stats = ctl.stats().unwrap();
-    assert_eq!(stats.mode, "normal");
+    assert_eq!(stats.mode, Mode::Normal);
     assert_eq!(stats.degraded_reason, None);
     let degraded = traffic.score_all(&pnr_kddsim::generate_train(100, 44));
     assert!(!degraded, "recovery must clear the envelope flag");

@@ -30,8 +30,8 @@
 //! 2 for usage errors.
 
 use pnr_kddsim::{row_fields, FaultInjector, ATTR_NAMES};
-use pnr_serve::protocol::render;
-use pnr_serve::LatencyHistogram;
+use pnr_serve::protocol::{fields, object_line};
+use pnr_serve::{LatencyHistogram, Request};
 use serde::Content;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -262,17 +262,10 @@ fn drive(opts: &RunOptions, mut injector: FaultInjector) -> Result<(), String> {
     let mut reader = BufReader::new(stream);
 
     // handshake: declare the KDD header, lockstep
-    let columns = Content::Seq(
-        ATTR_NAMES
-            .iter()
-            .map(|&c| Content::Str(c.to_string()))
-            .collect(),
-    );
-    let hello = render(Content::Map(vec![
-        ("cmd".to_string(), Content::Str("hello".to_string())),
-        ("columns".to_string(), columns),
-    ]));
-    writeln!(write_half, "{hello}").map_err(|e| format!("hello write failed: {e}"))?;
+    let hello = Request::Hello {
+        columns: ATTR_NAMES.iter().map(|c| c.to_string()).collect(),
+    };
+    writeln!(write_half, "{}", hello.to_line()).map_err(|e| format!("hello write failed: {e}"))?;
     let reply = read_reply(&mut reader, Instant::now() + Duration::from_secs(10))?
         .ok_or("daemon closed the connection during hello")?;
     let parsed = serde_json::parse(&reply).map_err(|e| format!("bad hello reply: {e}"))?;
@@ -323,14 +316,14 @@ fn drive(opts: &RunOptions, mut injector: FaultInjector) -> Result<(), String> {
                 if target > now {
                     std::thread::sleep(target - now);
                 }
-                let rows: Vec<Content> = match stream.as_mut() {
+                let rows: Vec<Vec<String>> = match stream.as_mut() {
                     Some(stream) => {
                         let chunk = stream.next_chunk(batch);
                         (0..chunk.n_rows())
                             .map(|r| {
                                 let mut fields = row_fields(&chunk, r);
                                 injector.inject(&mut fields, &numeric, &categorical);
-                                Content::Seq(fields.into_iter().map(Content::Str).collect())
+                                fields
                             })
                             .collect()
                     }
@@ -338,19 +331,16 @@ fn drive(opts: &RunOptions, mut injector: FaultInjector) -> Result<(), String> {
                         .map(|j| {
                             let mut fields = row_fields(&data, (i * batch + j) % n_rows);
                             injector.inject(&mut fields, &numeric, &categorical);
-                            Content::Seq(fields.into_iter().map(Content::Str).collect())
+                            fields
                         })
                         .collect(),
                 };
-                let mut entries = vec![
-                    ("cmd".to_string(), Content::Str("score".to_string())),
-                    ("id".to_string(), Content::Str(format!("r{i}"))),
-                    ("rows".to_string(), Content::Seq(rows)),
-                ];
-                if let Some(ms) = deadline_ms {
-                    entries.push(("deadline_ms".to_string(), Content::U64(ms)));
+                let line = Request::Score {
+                    id: format!("r{i}"),
+                    rows,
+                    deadline_ms,
                 }
-                let line = render(Content::Map(entries));
+                .to_line();
                 lock(&send_times)[i] = Some(Instant::now());
                 if let Err(e) = writeln!(write_half, "{line}") {
                     return (*injector.census(), Err(format!("write failed: {e}")));
@@ -358,23 +348,22 @@ fn drive(opts: &RunOptions, mut injector: FaultInjector) -> Result<(), String> {
                 sent.fetch_add(1, Ordering::SeqCst);
                 if i == halfway {
                     if let Some(path) = &swap {
-                        let swap_line = render(Content::Map(vec![
-                            ("cmd".to_string(), Content::Str("swap".to_string())),
-                            ("path".to_string(), Content::Str(path.clone())),
-                        ]));
+                        let swap_line = Request::Swap { path: path.clone() }.to_line();
                         if let Err(e) = writeln!(write_half, "{swap_line}") {
                             return (*injector.census(), Err(format!("swap write failed: {e}")));
                         }
                     }
-                    if panic_mid_run && writeln!(write_half, "{{\"cmd\":\"panic\"}}").is_err() {
+                    if panic_mid_run
+                        && writeln!(write_half, "{}", Request::Panic.to_line()).is_err()
+                    {
                         return (*injector.census(), Err("panic write failed".to_string()));
                     }
                 }
             }
-            if writeln!(write_half, "{{\"cmd\":\"stats\"}}").is_err() {
+            if writeln!(write_half, "{}", Request::Stats.to_line()).is_err() {
                 return (*injector.census(), Err("stats write failed".to_string()));
             }
-            if shutdown && writeln!(write_half, "{{\"cmd\":\"shutdown\"}}").is_err() {
+            if shutdown && writeln!(write_half, "{}", Request::Shutdown.to_line()).is_err() {
                 return (*injector.census(), Err("shutdown write failed".to_string()));
             }
             (*injector.census(), Ok(()))
@@ -437,7 +426,10 @@ fn drive(opts: &RunOptions, mut injector: FaultInjector) -> Result<(), String> {
         census.unseen_categories,
         census.non_finite_numerics,
     );
-    println!("{}", hist.ndjson_line("client_request"));
+    let latency = [("record", "latency"), ("kind", "client_request")]
+        .map(|(k, v)| (k.to_string(), Content::Str(v.to_string())));
+    let summary = fields(&hist.summary());
+    println!("{}", object_line(latency.into_iter().chain(summary)));
     if let Some(stats) = &report.stats_line {
         println!("{stats}");
     }

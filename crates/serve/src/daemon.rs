@@ -19,13 +19,15 @@
 //! is a typed `swap_failed`, and the old epoch keeps serving.
 //!
 //! Graceful drain (`shutdown`): the accept loop stops, queued jobs are
-//! finished and answered, workers exit, and the final telemetry report
-//! is flushed to stdout as NDJSON before the process exits 0. For
+//! finished and answered, workers exit, and the final `stats` record is
+//! flushed to stdout as one NDJSON line before the process exits 0. For
 //! ungraceful exits (`kill -9`), the state file (see [`crate::state`])
 //! remembers the last *activated* artifact so a restart resumes it.
 
 use crate::pool::WorkerPool;
-use crate::protocol::{err_line, ok_line, parse_request, Request};
+use crate::protocol::{
+    err_line, ok_line, parse_request, Counters, EpochInfo, Mode, Request, Stats, SwapReply,
+};
 use crate::queue::{BoundedQueue, PushError, PushOutcome, ShedPolicy};
 use crate::sink::ServeSink;
 use crate::state;
@@ -120,11 +122,16 @@ impl DegradedState {
         self.on.load(Ordering::SeqCst)
     }
 
-    fn reason(&self) -> String {
-        self.reason
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
+    /// The reason while degraded, `None` otherwise. The flag is read
+    /// once, so a concurrent `degrade` cannot pair `normal` with a
+    /// reason.
+    fn current(&self) -> Option<String> {
+        self.is_on().then(|| {
+            self.reason
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .clone()
+        })
     }
 }
 
@@ -719,23 +726,14 @@ fn handle_swap(path: &str, tx: &mpsc::Sender<String>, shared: &Arc<Shared>) {
                     }
                     drop(span);
                     eprintln!("swap: epoch {} now serving {path}", fresh.epoch);
-                    let parent = match &fresh.lineage {
-                        Some(lin) => Content::Str(lin.parent_checksum.clone()),
-                        None => Content::Null,
+                    let reply = SwapReply {
+                        epoch: fresh.epoch,
+                        target_class: target,
+                        schema_fingerprint: format!("{fingerprint:016x}"),
+                        checksum,
+                        parent_checksum: fresh.lineage.as_ref().map(|l| l.parent_checksum.clone()),
                     };
-                    send(ok_line(
-                        "swap",
-                        vec![
-                            ("epoch", Content::U64(fresh.epoch)),
-                            ("target_class", Content::Str(target)),
-                            (
-                                "schema_fingerprint",
-                                Content::Str(format!("{fingerprint:016x}")),
-                            ),
-                            ("checksum", Content::Str(checksum)),
-                            ("parent_checksum", parent),
-                        ],
-                    ));
+                    send(reply.to_line());
                 }
                 Err((want, have)) => {
                     sink.add(Counter::SwapFailures, 1);
@@ -765,109 +763,43 @@ fn handle_swap(path: &str, tx: &mpsc::Sender<String>, shared: &Arc<Shared>) {
     }
 }
 
-fn latency_content(h: &crate::sink::LatencyHistogram) -> Content {
-    let p = |q: f64| match h.percentile_ms(q) {
-        Some(ms) => Content::F64(ms),
-        None => Content::Null,
-    };
-    Content::Map(vec![
-        ("count".to_string(), Content::U64(h.count())),
-        ("p50_ms".to_string(), p(0.50)),
-        ("p95_ms".to_string(), p(0.95)),
-        ("p99_ms".to_string(), p(0.99)),
-    ])
-}
-
-fn stats_line(shared: &Arc<Shared>) -> String {
+fn stats_line(shared: &Shared) -> String {
     let sink = &shared.sink;
-    let counters = Content::Map(
-        pnr_telemetry::Counter::ALL
-            .iter()
-            .map(|&c| (c.name().to_string(), Content::U64(sink.value(c))))
-            .collect(),
-    );
-    let epochs = Content::Seq(
-        shared
+    let active = shared.active();
+    let degraded_reason = shared.degraded.current();
+    let stats = Stats {
+        epoch: active.epoch,
+        mode: match degraded_reason {
+            Some(_) => Mode::Degraded,
+            None => Mode::Normal,
+        },
+        degraded_reason,
+        active_checksum: active.checksum.clone(),
+        lineage: active.lineage.clone(),
+        queue_len: shared.queue.len() as u64,
+        queue_capacity: shared.queue.capacity() as u64,
+        shed_policy: shared.queue.policy().name().to_string(),
+        workers: shared.pool.workers() as u64,
+        workers_alive: shared.pool.alive() as u64,
+        worker_respawns: shared.pool.respawns(),
+        pending: shared.pending.load(Ordering::SeqCst),
+        counters: Counters::from_fn(|c| sink.value(c)),
+        epochs: shared
             .history()
             .iter()
-            .map(|e| {
-                Content::Map(vec![
-                    ("epoch".to_string(), Content::U64(e.epoch)),
-                    (
-                        "served".to_string(),
-                        Content::U64(e.served.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "source".to_string(),
-                        Content::Str(e.source.display().to_string()),
-                    ),
-                    ("checksum".to_string(), Content::Str(e.checksum.clone())),
-                ])
+            .map(|e| EpochInfo {
+                epoch: e.epoch,
+                served: e.served.load(Ordering::Relaxed),
+                source: e.source.display().to_string(),
+                checksum: e.checksum.clone(),
             })
             .collect(),
-    );
-    let bins_content = |bins: &[u64]| Content::Seq(bins.iter().map(|&b| Content::U64(b)).collect());
-    let (p_bins, p_none) = sink.p_first_match();
-    let active = shared.active();
-    let lineage = match &active.lineage {
-        Some(lin) => Content::Map(vec![
-            (
-                "parent_checksum".to_string(),
-                Content::Str(lin.parent_checksum.clone()),
-            ),
-            ("window_id".to_string(), Content::U64(lin.window_id)),
-            ("verdict".to_string(), Content::Str(lin.verdict.clone())),
-        ]),
-        None => Content::Null,
+        score_hist: sink.score_hist().to_vec(),
+        p_first_match: sink.p_first_match(),
+        request_latency: sink.request_latency().summary(),
+        swap_latency: sink.swap_latency().summary(),
     };
-    let mode = if shared.degraded.is_on() {
-        "degraded"
-    } else {
-        "normal"
-    };
-    let degraded_reason = if shared.degraded.is_on() {
-        Content::Str(shared.degraded.reason())
-    } else {
-        Content::Null
-    };
-    ok_line(
-        "stats",
-        vec![
-            ("epoch", Content::U64(active.epoch)),
-            ("mode", Content::Str(mode.to_string())),
-            ("degraded_reason", degraded_reason),
-            ("active_checksum", Content::Str(active.checksum.clone())),
-            ("lineage", lineage),
-            ("queue_len", Content::U64(shared.queue.len() as u64)),
-            (
-                "queue_capacity",
-                Content::U64(shared.queue.capacity() as u64),
-            ),
-            (
-                "shed_policy",
-                Content::Str(shared.queue.policy().name().to_string()),
-            ),
-            ("workers", Content::U64(shared.pool.workers() as u64)),
-            ("workers_alive", Content::U64(shared.pool.alive() as u64)),
-            ("worker_respawns", Content::U64(shared.pool.respawns())),
-            (
-                "pending",
-                Content::U64(shared.pending.load(Ordering::SeqCst)),
-            ),
-            ("counters", counters),
-            ("epochs", epochs),
-            ("score_hist", bins_content(&sink.score_hist())),
-            (
-                "p_first_match",
-                Content::Map(vec![
-                    ("bins".to_string(), bins_content(&p_bins)),
-                    ("none".to_string(), Content::U64(p_none)),
-                ]),
-            ),
-            ("request_latency", latency_content(sink.request_latency())),
-            ("swap_latency", latency_content(sink.swap_latency())),
-        ],
-    )
+    stats.to_line()
 }
 
 /// Runs the daemon to completion. Returns the process exit code (0 after
@@ -1002,15 +934,11 @@ pub fn run(model_arg: &Path, config: DaemonConfig) -> Result<i32, String> {
         eprintln!("warn: {leftover} job(s) unanswered at drain deadline");
     }
 
-    // Final telemetry flush: the NDJSON report is the daemon's last words.
+    // Final telemetry flush: the last `stats` record is the daemon's last
+    // words.
     {
-        let stdout = std::io::stdout();
-        let mut out = stdout.lock();
-        for line in sink.ndjson_lines() {
-            if writeln!(out, "{line}").is_err() {
-                break;
-            }
-        }
+        let mut out = std::io::stdout().lock();
+        let _ = writeln!(out, "{}", stats_line(&shared));
         let _ = out.flush();
     }
     eprintln!(

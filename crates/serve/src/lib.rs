@@ -16,14 +16,17 @@
 //!   transient I/O) and publishes it atomically as a new epoch; in-flight
 //!   requests finish on the epoch they were admitted against.
 //! * **Graceful drain & crash recovery** ([`daemon`], [`state`]):
-//!   `shutdown` stops admission, finishes the backlog, flushes telemetry
-//!   as NDJSON and exits 0; a state file remembers the active artifact so
-//!   `kill -9` + restart resumes the last swapped-in model.
+//!   `shutdown` stops admission, finishes the backlog, prints the final
+//!   `stats` record as one NDJSON line and exits 0; a state file remembers
+//!   the active artifact so `kill -9` + restart resumes the last
+//!   swapped-in model.
 //! * **Telemetry-native observability** ([`sink`]): counters and latency
 //!   percentiles come out of the same [`TelemetrySink`]
 //!   (pnr_telemetry::TelemetrySink) interface the learners use.
 //!
-//! The wire protocol is documented in [`protocol`].
+//! The wire protocol is documented in [`protocol`], which also types
+//! every request and the `stats`/`swap` replies once, for the daemon and
+//! every client.
 
 pub mod daemon;
 pub mod pool;

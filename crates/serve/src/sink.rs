@@ -15,6 +15,7 @@
 //! allocation- and lock-free on the record path, which is what a
 //! per-request code path wants.
 
+use crate::protocol::{LatencySummary, PFirstMatch};
 use pnr_telemetry::{Counter, SpanKind, TelemetrySink, N_COUNTERS};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -95,22 +96,15 @@ impl LatencyHistogram {
         self.percentile_ns(p).map(|ns| ns as f64 / 1e6)
     }
 
-    /// One NDJSON latency line (no trailing newline) for reports:
-    /// `{"record":"latency","kind":...,"count":...,"p50_ms":...,...}`.
-    pub fn ndjson_line(&self, kind: &str) -> String {
-        let fmt = |p: f64| {
-            self.percentile_ms(p)
-                .map(|ms| format!("{ms:.3}"))
-                .unwrap_or_else(|| "null".to_string())
-        };
-        format!(
-            "{{\"record\":\"latency\",\"kind\":\"{kind}\",\"count\":{},\
-             \"p50_ms\":{},\"p95_ms\":{},\"p99_ms\":{}}}",
-            self.count(),
-            fmt(0.50),
-            fmt(0.95),
-            fmt(0.99),
-        )
+    /// Sample count and p50/p95/p99 in milliseconds, as `stats` reports
+    /// them.
+    pub fn summary(&self) -> LatencySummary {
+        LatencySummary {
+            count: self.count(),
+            p50_ms: self.percentile_ms(0.50),
+            p95_ms: self.percentile_ms(0.95),
+            p99_ms: self.percentile_ms(0.99),
+        }
     }
 }
 
@@ -172,13 +166,16 @@ impl ServeSink {
         std::array::from_fn(|i| self.score_hist[i].load(Ordering::Relaxed))
     }
 
-    /// Snapshot of the P-rule first-match histogram: `(per-rank bins,
-    /// no-match count)`.
-    pub fn p_first_match(&self) -> ([u64; P_FIRST_BUCKETS], u64) {
-        (
-            std::array::from_fn(|i| self.p_first[i].load(Ordering::Relaxed)),
-            self.p_first_none.load(Ordering::Relaxed),
-        )
+    /// Snapshot of the P-rule first-match histogram.
+    pub fn p_first_match(&self) -> PFirstMatch {
+        PFirstMatch {
+            bins: self
+                .p_first
+                .iter()
+                .map(|b| b.load(Ordering::Relaxed))
+                .collect(),
+            none: self.p_first_none.load(Ordering::Relaxed),
+        }
     }
 
     /// The `serve_request` latency histogram.
@@ -190,51 +187,6 @@ impl ServeSink {
     pub fn swap_latency(&self) -> &LatencyHistogram {
         &self.swap_latency
     }
-
-    /// The full telemetry report as NDJSON lines (no trailing newlines):
-    /// every counter in [`Counter::ALL`] order, one latency line per
-    /// histogram, then the score and P-rule first-match sketches. This is
-    /// what the daemon flushes on graceful drain.
-    pub fn ndjson_lines(&self) -> Vec<String> {
-        let mut lines: Vec<String> = Counter::ALL
-            .iter()
-            .map(|&c| {
-                format!(
-                    "{{\"record\":\"counter\",\"name\":\"{}\",\"value\":{}}}",
-                    c.name(),
-                    self.value(c)
-                )
-            })
-            .collect();
-        lines.push(
-            self.request_latency
-                .ndjson_line(SpanKind::ServeRequest.name()),
-        );
-        lines.push(self.swap_latency.ndjson_line(SpanKind::ServeSwap.name()));
-        lines.push(format!(
-            "{{\"record\":\"score_hist\",\"bins\":{}}}",
-            join_bins(&self.score_hist())
-        ));
-        let (p_bins, p_none) = self.p_first_match();
-        lines.push(format!(
-            "{{\"record\":\"p_first_match\",\"bins\":{},\"none\":{p_none}}}",
-            join_bins(&p_bins)
-        ));
-        lines
-    }
-}
-
-/// Renders a counter slice as a JSON array literal.
-fn join_bins(bins: &[u64]) -> String {
-    let mut out = String::from("[");
-    for (i, b) in bins.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&b.to_string());
-    }
-    out.push(']');
-    out
 }
 
 impl TelemetrySink for ServeSink {
@@ -282,7 +234,7 @@ mod tests {
     fn empty_histogram_has_no_percentiles() {
         let h = LatencyHistogram::new();
         assert_eq!(h.percentile_ns(0.5), None);
-        assert!(h.ndjson_line("x").contains("\"p50_ms\":null"));
+        assert_eq!(h.summary(), LatencySummary::default());
     }
 
     #[test]
@@ -312,24 +264,6 @@ mod tests {
     }
 
     #[test]
-    fn ndjson_report_covers_every_counter_and_both_histograms() {
-        let sink = ServeSink::new();
-        sink.add(Counter::RequestsServed, 3);
-        let lines = sink.ndjson_lines();
-        assert_eq!(lines.len(), N_COUNTERS + 4);
-        assert!(lines
-            .iter()
-            .any(|l| l.contains("\"requests_served\"") && l.contains(":3}")));
-        assert!(lines.iter().any(|l| l.contains("\"serve_request\"")));
-        assert!(lines.iter().any(|l| l.contains("\"serve_swap\"")));
-        assert!(lines.iter().any(|l| l.contains("\"score_hist\"")));
-        assert!(lines.iter().any(|l| l.contains("\"p_first_match\"")));
-        for line in &lines {
-            assert!(serde_json::parse(line).is_ok(), "unparseable: {line}");
-        }
-    }
-
-    #[test]
     fn score_records_land_in_the_right_bins() {
         let sink = ServeSink::new();
         sink.record_score(0.0, false, Some(0));
@@ -342,11 +276,12 @@ mod tests {
         assert_eq!(bins[10], 1, "0.5 lands at the midpoint bin");
         assert_eq!(bins[SCORE_BINS - 1], 1, "1.0 clamps into the last bin");
         assert_eq!(bins.iter().sum::<u64>(), 5);
-        let (p, none) = sink.p_first_match();
-        assert_eq!(p[0], 2);
-        assert_eq!(p[3], 1);
-        assert_eq!(p[P_FIRST_BUCKETS - 1], 1);
-        assert_eq!(none, 1);
+        let p = sink.p_first_match();
+        assert_eq!(p.bins.len(), P_FIRST_BUCKETS);
+        assert_eq!(p.bins[0], 2);
+        assert_eq!(p.bins[3], 1);
+        assert_eq!(p.bins[P_FIRST_BUCKETS - 1], 1);
+        assert_eq!(p.none, 1);
         assert_eq!(sink.value(Counter::DecisionPositives), 2);
     }
 }

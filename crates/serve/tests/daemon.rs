@@ -4,6 +4,8 @@
 //! exit-code convention — all driven over the real TCP protocol against
 //! real `pnr-serve` / `pnr-loadgen` processes.
 
+use pnr_serve::protocol::{Mode, Request, Stats};
+use pnr_telemetry::Counter;
 use serde::Content;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -99,16 +101,28 @@ impl Client {
         writeln!(self.writer, "{line}").unwrap();
     }
 
-    fn recv(&mut self) -> Content {
+    fn recv_line(&mut self) -> String {
         let mut line = String::new();
         self.reader.read_line(&mut line).unwrap();
         assert!(!line.is_empty(), "daemon closed the connection");
-        serde_json::parse(line.trim()).unwrap_or_else(|e| panic!("bad reply {line:?}: {e}"))
+        line.trim().to_string()
+    }
+
+    fn recv(&mut self) -> Content {
+        let line = self.recv_line();
+        serde_json::parse(&line).unwrap_or_else(|e| panic!("bad reply {line:?}: {e}"))
     }
 
     fn request(&mut self, line: &str) -> Content {
         self.send(line);
         self.recv()
+    }
+
+    /// Sends `stats` and decodes the reply.
+    fn stats(&mut self) -> Stats {
+        self.send(&Request::Stats.to_line());
+        let line = self.recv_line();
+        Stats::parse(&line).unwrap_or_else(|e| panic!("{e}: {line}"))
     }
 
     /// Declares the KDD header; returns the hello reply.
@@ -157,11 +171,6 @@ fn jstr<'a>(v: &'a Content, key: &str) -> &'a str {
         Some(Content::Str(s)) => s,
         other => panic!("no string {key}: {other:?}"),
     }
-}
-
-fn counter(stats: &Content, name: &str) -> u64 {
-    let counters = stats.get("counters").expect("counters in stats");
-    ju64(counters, name)
 }
 
 #[test]
@@ -214,27 +223,18 @@ fn hot_swap_under_load_drops_and_misroutes_nothing() {
     );
 
     // per-epoch accounting: every request landed in exactly one epoch
-    let stats = client.request("{\"cmd\":\"stats\"}");
-    assert_eq!(counter(&stats, "requests_served"), REQUESTS as u64);
-    assert_eq!(counter(&stats, "requests_shed"), 0);
-    assert_eq!(counter(&stats, "worker_panics"), 0);
-    assert_eq!(counter(&stats, "model_swaps"), 3);
-    assert_eq!(counter(&stats, "swap_failures"), 0);
-    let epochs = match stats.get("epochs") {
-        Some(Content::Seq(s)) => s,
-        other => panic!("no epochs: {other:?}"),
-    };
-    assert_eq!(epochs.len(), 4, "one entry per published epoch");
-    let total: u64 = epochs.iter().map(|e| ju64(e, "served")).sum();
+    let stats = client.stats();
+    assert_eq!(stats.counters.get(Counter::RequestsServed), REQUESTS as u64);
+    assert_eq!(stats.counters.get(Counter::RequestsShed), 0);
+    assert_eq!(stats.counters.get(Counter::WorkerPanics), 0);
+    assert_eq!(stats.counters.get(Counter::ModelSwaps), 3);
+    assert_eq!(stats.counters.get(Counter::SwapFailures), 0);
+    assert_eq!(stats.epochs.len(), 4, "one entry per published epoch");
+    let total: u64 = stats.epochs.iter().map(|e| e.served).sum();
     assert_eq!(total, REQUESTS as u64, "per-epoch counts sum to the total");
-    for (slot, e) in epochs.iter().enumerate() {
-        assert_eq!(ju64(e, "epoch"), slot as u64 + 1);
-        assert_eq!(
-            ju64(e, "served"),
-            epochs_seen[slot + 1],
-            "epoch {}",
-            slot + 1
-        );
+    for (slot, e) in stats.epochs.iter().enumerate() {
+        assert_eq!(e.epoch, slot as u64 + 1);
+        assert_eq!(e.served, epochs_seen[slot + 1], "epoch {}", slot + 1);
     }
 
     let reply = client.request("{\"cmd\":\"shutdown\"}");
@@ -275,12 +275,12 @@ fn a_worker_panic_is_isolated_and_service_continues() {
         let reply = client.request(&Client::score_line(&data, i, 4));
         assert!(is_ok(&reply), "after panic, request {i}: {reply:?}");
     }
-    let stats = client.request("{\"cmd\":\"stats\"}");
-    assert_eq!(counter(&stats, "worker_panics"), 1);
-    assert_eq!(ju64(&stats, "worker_respawns"), 1);
-    assert_eq!(ju64(&stats, "workers_alive"), 2, "pool capacity restored");
+    let stats = client.stats();
+    assert_eq!(stats.counters.get(Counter::WorkerPanics), 1);
+    assert_eq!(stats.worker_respawns, 1);
+    assert_eq!(stats.workers_alive, 2, "pool capacity restored");
     // the panicked request still counts as answered
-    assert_eq!(counter(&stats, "requests_served"), 11);
+    assert_eq!(stats.counters.get(Counter::RequestsServed), 11);
 
     client.send("{\"cmd\":\"shutdown\"}");
     let (code, _) = daemon.wait();
@@ -328,12 +328,12 @@ fn a_corrupt_swap_is_a_logged_no_op_with_zero_failed_requests() {
         assert_eq!(ju64(&reply, "errors"), 0, "zero failed requests");
     }
 
-    let stats = client.request("{\"cmd\":\"stats\"}");
-    assert_eq!(ju64(&stats, "epoch"), 1, "no epoch was published");
-    assert_eq!(counter(&stats, "swap_failures"), 3);
-    assert_eq!(counter(&stats, "model_swaps"), 0);
-    assert_eq!(counter(&stats, "worker_panics"), 0);
-    assert_eq!(counter(&stats, "requests_shed"), 0);
+    let stats = client.stats();
+    assert_eq!(stats.epoch, 1, "no epoch was published");
+    assert_eq!(stats.counters.get(Counter::SwapFailures), 3);
+    assert_eq!(stats.counters.get(Counter::ModelSwaps), 0);
+    assert_eq!(stats.counters.get(Counter::WorkerPanics), 0);
+    assert_eq!(stats.counters.get(Counter::RequestsShed), 0);
 
     client.send("{\"cmd\":\"shutdown\"}");
     let (code, _) = daemon.wait();
@@ -393,9 +393,9 @@ fn overload_sheds_with_typed_rejections_and_exact_accounting() {
     assert_eq!(rejected, ["r2"], "exactly the overflow request was shed");
 
     // served + shed == submitted
-    let stats = client.request("{\"cmd\":\"stats\"}");
-    assert_eq!(counter(&stats, "requests_served"), 3);
-    assert_eq!(counter(&stats, "requests_shed"), 1);
+    let stats = client.stats();
+    assert_eq!(stats.counters.get(Counter::RequestsServed), 3);
+    assert_eq!(stats.counters.get(Counter::RequestsShed), 1);
 
     client.send("{\"cmd\":\"shutdown\"}");
     let (code, _) = daemon.wait();
@@ -480,9 +480,13 @@ fn deadlines_expire_with_a_typed_response() {
     assert_eq!(jstr(&reply, "id"), "r0");
 
     // deadline_exceeded flows through telemetry
-    let stats = client.request("{\"cmd\":\"stats\"}");
-    assert_eq!(counter(&stats, "deadline_exceeded"), 1);
-    assert_eq!(counter(&stats, "requests_served"), 2, "still answered");
+    let stats = client.stats();
+    assert_eq!(stats.counters.get(Counter::DeadlineExceeded), 1);
+    assert_eq!(
+        stats.counters.get(Counter::RequestsServed),
+        2,
+        "still answered"
+    );
 
     client.send("{\"cmd\":\"shutdown\"}");
     let (code, _) = daemon.wait();
@@ -525,13 +529,9 @@ fn kill9_restart_resumes_the_last_swapped_model() {
     ]);
     let mut client = Client::connect(&daemon.addr);
     client.hello();
-    let stats = client.request("{\"cmd\":\"stats\"}");
-    let epochs = match stats.get("epochs") {
-        Some(Content::Seq(s)) => s,
-        other => panic!("no epochs: {other:?}"),
-    };
+    let stats = client.stats();
     assert_eq!(
-        jstr(&epochs[0], "source"),
+        stats.epochs[0].source,
         a2.to_str().unwrap(),
         "restart resumed the swapped-in artifact, not the stale --model"
     );
@@ -582,15 +582,11 @@ fn graceful_drain_answers_the_backlog_and_flushes_telemetry() {
 
     let (code, rest) = daemon.wait();
     assert_eq!(code, Some(0), "graceful drain exits 0");
-    // the final telemetry report is NDJSON on stdout
-    assert!(
-        rest.contains("{\"record\":\"counter\",\"name\":\"requests_served\",\"value\":4}"),
-        "telemetry flushed on drain: {rest}"
-    );
-    assert!(rest.contains("\"kind\":\"serve_request\""), "{rest}");
-    for line in rest.lines().filter(|l| !l.trim().is_empty()) {
-        assert!(serde_json::parse(line).is_ok(), "unparseable: {line}");
-    }
+    // the drain's last words are the final `stats` record
+    let last = rest.lines().last().unwrap_or_default();
+    let stats = Stats::parse(last).unwrap_or_else(|e| panic!("{e}: {rest}"));
+    assert_eq!(stats.counters.get(Counter::RequestsServed), 4);
+    assert!(stats.request_latency.count > 0, "{last}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -732,12 +728,12 @@ fn serving_binaries_pin_the_exit_code_convention() {
     assert_eq!(out.status.code(), Some(1));
 }
 
-/// Pins the stats NDJSON schema the sentinel builds on: exact top-level
-/// field set, one counter per telemetry name, sketch shapes, and counter
-/// monotonicity across polling windows. A field rename here is a wire
-/// contract break, not a refactor.
+/// The live half of the stats contract the sentinel builds on (the
+/// protocol's golden test pins the encoding): window deltas are exact,
+/// every scored row lands in one score bin, the sketches have their
+/// fixed shapes and counters never decrease between polls.
 #[test]
-fn stats_schema_is_pinned_and_counters_are_monotone() {
+fn stats_window_deltas_are_exact_and_counters_are_monotone() {
     let dir = temp_dir("statschema");
     let model = make_artifact(&dir, "m.artifact", 23);
     let daemon = Daemon::start(&["--model", model.to_str().unwrap()]);
@@ -747,125 +743,73 @@ fn stats_schema_is_pinned_and_counters_are_monotone() {
     client.hello();
     let mut ctl = Client::connect(&daemon.addr);
 
-    let keys = |v: &Content| -> Vec<String> {
-        match v {
-            Content::Map(entries) => entries.iter().map(|(k, _)| k.clone()).collect(),
-            other => panic!("expected a map, got {other:?}"),
-        }
-    };
-
-    let stats = ctl.request("{\"cmd\":\"stats\"}");
-    assert!(is_ok(&stats), "{stats:?}");
-    assert_eq!(
-        keys(&stats),
-        [
-            "ok",
-            "reply",
-            "epoch",
-            "mode",
-            "degraded_reason",
-            "active_checksum",
-            "lineage",
-            "queue_len",
-            "queue_capacity",
-            "shed_policy",
-            "workers",
-            "workers_alive",
-            "worker_respawns",
-            "pending",
-            "counters",
-            "epochs",
-            "score_hist",
-            "p_first_match",
-            "request_latency",
-            "swap_latency",
-        ],
-        "stats top-level schema changed"
-    );
-    assert_eq!(jstr(&stats, "mode"), "normal");
-    assert_eq!(stats.get("degraded_reason"), Some(&Content::Null));
-    assert_eq!(
-        stats.get("lineage"),
-        Some(&Content::Null),
-        "boot has no lineage"
-    );
-    assert!(!jstr(&stats, "active_checksum").is_empty());
-
-    // every telemetry counter is exported under its stable name
-    let exported = keys(stats.get("counters").unwrap());
-    for c in pnr_telemetry::Counter::ALL {
-        assert!(
-            exported.iter().any(|k| k == c.name()),
-            "counter {} missing from stats",
-            c.name()
-        );
-    }
-    assert_eq!(exported.len(), pnr_telemetry::Counter::ALL.len());
-
-    // epochs entries carry the lineage-relevant fields
-    match stats.get("epochs") {
-        Some(Content::Seq(entries)) => {
-            assert!(!entries.is_empty());
-            for e in entries {
-                assert_eq!(keys(e), ["epoch", "served", "source", "checksum"]);
-            }
-        }
-        other => panic!("epochs not a sequence: {other:?}"),
-    }
-
+    let stats = ctl.stats();
+    assert_eq!(stats.mode, Mode::Normal);
+    assert_eq!(stats.degraded_reason, None);
+    assert_eq!(stats.lineage, None, "boot has no lineage");
+    assert!(!stats.active_checksum.is_empty());
+    assert!(!stats.epochs.is_empty());
     // sketch shapes: 20 score bins, 32 p-first buckets plus a none count
-    let bins_len = |v: &Content| match v {
-        Content::Seq(s) => s.len(),
-        other => panic!("expected bins, got {other:?}"),
-    };
-    assert_eq!(bins_len(stats.get("score_hist").unwrap()), 20);
-    let pfm = stats.get("p_first_match").unwrap();
-    assert_eq!(keys(pfm), ["bins", "none"]);
-    assert_eq!(bins_len(pfm.get("bins").unwrap()), 32);
+    assert_eq!(stats.score_hist.len(), 20);
+    assert_eq!(stats.p_first_match.bins.len(), 32);
 
     // window boundaries: the counter delta between two polls is exactly
     // the traffic sent between them, and counters never decrease
-    let before_rows = counter(&stats, "rows_scored");
-    let before_checks = counter(&stats, "requests_served");
     const REQUESTS: usize = 10;
     const BATCH: usize = 20;
     for i in 0..REQUESTS {
         let reply = client.request(&Client::score_line(&data, i, BATCH));
         assert!(is_ok(&reply), "{reply:?}");
     }
-    let after = ctl.request("{\"cmd\":\"stats\"}");
-    let hist_mass: u64 = match after.get("score_hist") {
-        Some(Content::Seq(s)) => s
-            .iter()
-            .map(|b| match b {
-                Content::U64(n) => *n,
-                other => panic!("non-u64 bin: {other:?}"),
-            })
-            .sum(),
-        other => panic!("score_hist missing: {other:?}"),
-    };
+    let after = ctl.stats();
+    let rows_scored = after.counters.get(Counter::RowsScored);
     assert_eq!(
-        counter(&after, "rows_scored") - before_rows,
+        rows_scored - stats.counters.get(Counter::RowsScored),
         (REQUESTS * BATCH) as u64,
         "rows_scored window delta"
     );
     assert_eq!(
-        hist_mass,
-        counter(&after, "rows_scored"),
+        after.score_hist.iter().sum::<u64>(),
+        rows_scored,
         "every scored row lands in exactly one score bin"
     );
-    assert!(counter(&after, "requests_served") > before_checks);
-    for c in pnr_telemetry::Counter::ALL {
+    assert!(
+        after.counters.get(Counter::RequestsServed) > stats.counters.get(Counter::RequestsServed)
+    );
+    for c in Counter::ALL {
         assert!(
-            counter(&after, c.name()) >= counter(&stats, c.name()),
+            after.counters.get(c) >= stats.counters.get(c),
             "counter {} regressed between polls",
             c.name()
         );
     }
 
-    let reply = ctl.request("{\"cmd\":\"shutdown\"}");
+    let reply = ctl.request(&Request::Shutdown.to_line());
     assert!(is_ok(&reply), "{reply:?}");
     let (code, _) = daemon.wait();
     assert_eq!(code, Some(0));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_deeply_nested_line_is_a_bad_request_and_the_daemon_keeps_serving() {
+    let dir = temp_dir("nested");
+    let a1 = make_artifact(&dir, "a1.artifact", 7);
+    let daemon = Daemon::start(&["--model", a1.to_str().unwrap()]);
+    let mut client = Client::connect(&daemon.addr);
+
+    // one 10 KB line of brackets: without the parser's nesting cap its
+    // recursion overflows the connection thread's stack and aborts the
+    // daemon
+    let line = format!("{{\"cmd\":\"score\",\"rows\":{}", "[".repeat(10_000));
+    let reply = client.request(&line);
+    assert!(!is_ok(&reply), "{reply:?}");
+    assert_eq!(jstr(&reply, "error"), "bad_request");
+
+    let stats = client.stats();
+    assert_eq!(stats.counters.get(Counter::RequestsServed), 0);
+    client.send(&Request::Shutdown.to_line());
+    let (code, _) = daemon.wait();
+    assert_eq!(code, Some(0), "the daemon drains normally afterwards");
     std::fs::remove_dir_all(&dir).ok();
 }
