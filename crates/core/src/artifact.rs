@@ -239,13 +239,17 @@ impl ModelArtifact {
         self.schema.fingerprint()
     }
 
-    /// Checks internal consistency: every rule condition must reference
-    /// an in-range attribute of the right type (with an in-dictionary
-    /// code for categorical equalities) and carry only finite numeric
-    /// thresholds, the score matrix must be sized for the rule lists,
-    /// and the target class must exist.
+    /// Checks internal consistency: the learner parameters must be in
+    /// range, every rule condition must reference an in-range attribute
+    /// of the right type (with an in-dictionary code for categorical
+    /// equalities) and carry only finite numeric thresholds, the score
+    /// matrix must be sized for the rule lists, and the target class must
+    /// exist.
     fn validate(&self) -> Result<(), ArtifactError> {
         let malformed = |detail: String| ArtifactError::Malformed { detail };
+        if let Some(problem) = self.params.validation_error() {
+            return Err(malformed(format!("params: {problem}")));
+        }
         let target = usize::try_from(self.model.target)
             .map_err(|_| malformed("target class code does not fit usize".to_string()))?;
         if target >= self.schema.n_classes() {
@@ -326,6 +330,15 @@ impl ModelArtifact {
                 sm.n_n(),
                 self.model.p_rules.len(),
                 self.model.n_rules.len()
+            )));
+        }
+        let cells = sm.n_p() * (sm.n_n() + 1);
+        if sm.n_cells() != cells {
+            return Err(malformed(format!(
+                "score matrix holds {} cells but a {}x{} matrix has {cells}",
+                sm.n_cells(),
+                sm.n_p(),
+                sm.n_n() + 1
             )));
         }
         Ok(())

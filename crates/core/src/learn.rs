@@ -1,12 +1,13 @@
 //! The end-to-end PNrule learner.
 
-use crate::fit_checkpoint::FitCheckpointStore;
 use crate::model::PnruleModel;
-use crate::nphase::StopReason;
+use crate::nphase::{learn_n_rules_with_sink, StopReason};
 use crate::params::PnruleParams;
-use pnr_data::Dataset;
-use pnr_rules::CovStats;
-use pnr_telemetry::TelemetrySink;
+use crate::pphase::learn_p_rules_with_sink;
+use crate::scoring::ScoreMatrix;
+use pnr_data::{Dataset, RowSet};
+use pnr_rules::{CovStats, RuleSet, TaskView};
+use pnr_telemetry::{Span, SpanKind, TelemetrySink};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -92,12 +93,6 @@ impl PnruleLearner {
         &self.params
     }
 
-    /// The attached telemetry sink (crate-internal: the fit pipeline
-    /// lives in [`crate::fit_checkpoint`]).
-    pub(crate) fn sink_ref(&self) -> &Arc<dyn TelemetrySink> {
-        &self.sink
-    }
-
     /// Fits a binary model distinguishing `target` from the rest of `data`.
     /// Record weights are honoured throughout, so stratified training is
     /// just a reweighted dataset.
@@ -108,8 +103,8 @@ impl PnruleLearner {
         self.fit_flags(data, target, &is_pos)
     }
 
-    /// Fits with explicit target flags (used by the multi-class reduction
-    /// and by tests that need a synthetic labelling).
+    /// Fits with explicit target flags (for callers that need a synthetic
+    /// labelling).
     pub fn fit_flags(&self, data: &Dataset, target: u32, is_pos: &[bool]) -> PnruleModel {
         self.fit_flags_with_report(data, target, is_pos).0
     }
@@ -122,16 +117,113 @@ impl PnruleLearner {
         self.fit_flags_with_report(data, target, &is_pos)
     }
 
-    /// The full pipeline with diagnostics. Runs through the shared fit
-    /// driver in [`crate::fit_checkpoint`] with a disabled checkpoint
-    /// store, so the plain and checkpointed paths are the same code.
+    /// The full pipeline with diagnostics: P-phase, pooling, N-phase and
+    /// the ScoreMatrix, in that order.
     pub fn fit_flags_with_report(
         &self,
         data: &Dataset,
         target: u32,
         is_pos: &[bool],
     ) -> (PnruleModel, FitReport) {
-        crate::fit_checkpoint::run_fit(self, data, target, is_pos, &FitCheckpointStore::disabled())
+        assert_eq!(is_pos.len(), data.n_rows());
+        let params = &self.params;
+        let sink = &self.sink;
+        let _fit_span = Span::enter(sink.as_ref(), SpanKind::Fit, "fit");
+
+        let weights = data.weights();
+        let view = TaskView::full(data, is_pos, weights);
+        let orig_pos_total = view.pos_weight();
+
+        // One budget tracker spans the whole fit: P-phase rules and
+        // candidates spend from the same pool the N-phase draws on.
+        let budget = params.budget.start().map(Arc::new);
+
+        // --- P-phase: presence rules, high support first. ---
+        let p_result = learn_p_rules_with_sink(&view, params, budget.as_ref(), sink);
+        let p_rules = RuleSet::from_rules(p_result.rules.iter().map(|p| p.rule.clone()).collect());
+
+        // --- Pool every record the P-union covers. ---
+        let pooled_rows: RowSet = (0..pnr_data::index::to_u32(data.n_rows(), "row count"))
+            .filter(|&r| p_rules.any_match(data, r as usize))
+            .collect();
+        let covered_pos = pnr_data::ordered_sum(
+            pooled_rows
+                .iter()
+                .filter(|&r| is_pos[r as usize])
+                .map(|r| weights[r as usize]),
+        );
+        let pool_size = pooled_rows.len();
+        let pool_total: f64 = pooled_rows.total_weight(weights);
+
+        // --- N-phase: absence rules on the pooled false positives. ---
+        let (n_rules, n_rule_stats, retained_recall, n_stop_reason, n_mdl_truncated, n_dl_trace) =
+            if params.enable_n_phase && !p_rules.is_empty() {
+                let flipped: Vec<bool> = is_pos.iter().map(|&p| !p).collect();
+                let pooled = TaskView::over(data, pooled_rows, &flipped, weights);
+                let n_result = learn_n_rules_with_sink(
+                    &pooled,
+                    orig_pos_total,
+                    covered_pos,
+                    params,
+                    budget.as_ref(),
+                    sink,
+                );
+                let stats = n_result.rules.iter().map(|n| n.stats).collect();
+                (
+                    RuleSet::from_rules(n_result.rules.into_iter().map(|n| n.rule).collect()),
+                    stats,
+                    n_result.retained_recall,
+                    n_result.stop_reason,
+                    n_result.mdl_truncated,
+                    n_result.dl_trace,
+                )
+            } else {
+                let achieved = if orig_pos_total > 0.0 {
+                    covered_pos / orig_pos_total
+                } else {
+                    0.0
+                };
+                (
+                    RuleSet::new(),
+                    Vec::new(),
+                    achieved,
+                    StopReason::Exhausted,
+                    0,
+                    Vec::new(),
+                )
+            };
+
+        // --- Scoring: judge every P×N combination on the training data. ---
+        let score_matrix = ScoreMatrix::build_with_sink(
+            data,
+            is_pos,
+            &p_rules,
+            &n_rules,
+            params.scoring_z_threshold,
+            sink,
+        );
+
+        let report = FitReport {
+            p_covered_recall: p_result.covered_recall,
+            p_rule_stats: p_result.rules.iter().map(|p| p.stats).collect(),
+            pool_size,
+            pool_fp_weight: pool_total - covered_pos,
+            n_rule_stats,
+            retained_recall,
+            p_stop_reason: p_result.stop_reason,
+            n_stop_reason,
+            n_mdl_truncated,
+            n_dl_trace,
+            candidates_charged: budget.as_ref().map(|t| t.candidates_charged()),
+        };
+        let model = PnruleModel {
+            target,
+            threshold: params.decision_threshold,
+            p_rules,
+            n_rules,
+            score_matrix,
+        };
+        (model, report)
     }
 }
 
@@ -353,6 +445,57 @@ mod tests {
         assert_eq!(free.n_rules.len(), generous.n_rules.len());
         for row in 0..data.n_rows() {
             assert_eq!(free.predict(&data, row), generous.predict(&data, row));
+        }
+    }
+
+    #[test]
+    fn candidate_budget_stop_is_identical_across_workers_and_shards() {
+        use pnr_rules::FitBudget;
+        use pnr_telemetry::{Counter, RecordingSink};
+        // Unbudgeted, probe charges 378,288 candidates for its one P-rule
+        // and r2l 2,295,413 for five P-rules and an N-rule; each limit
+        // stops its fit partway through the P-phase. Wherever the budget
+        // latches, every worker count and shard plan must latch on the
+        // same candidate and keep the same rules.
+        let data = pnr_kddsim::generate_train(40_000, 7);
+        for (class, limit) in [("probe", 189_000), ("r2l", 1_150_000)] {
+            let target = data.class_code(class).unwrap();
+            let mut fits = Vec::new();
+            for search_workers in [Some(1), Some(2)] {
+                for row_shards in [Some(1), Some(2)] {
+                    let params = PnruleParams {
+                        budget: FitBudget {
+                            max_candidates: Some(limit),
+                            ..FitBudget::default()
+                        },
+                        search_workers,
+                        row_shards,
+                        ..Default::default()
+                    };
+                    let recording = Arc::new(RecordingSink::new());
+                    let sink: Arc<dyn TelemetrySink> = recording.clone();
+                    let (model, report) = PnruleLearner::new(params)
+                        .with_sink(sink)
+                        .fit_with_report(&data, target);
+                    assert!(
+                        report.budget_exhausted(),
+                        "{class}: the limit must stop the fit"
+                    );
+                    if search_workers == Some(2) {
+                        assert!(
+                            recording.value(Counter::ParallelSearchCalls) > 0,
+                            "{class}: two workers must run the threaded search"
+                        );
+                    }
+                    fits.push((
+                        serde_json::to_string(&model).unwrap(),
+                        serde_json::to_string(&report).unwrap(),
+                    ));
+                }
+            }
+            for fit in &fits[1..] {
+                assert_eq!(fit, &fits[0], "{class}");
+            }
         }
     }
 

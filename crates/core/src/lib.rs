@@ -47,7 +47,6 @@
 pub mod artifact;
 pub mod compiled;
 pub mod exit;
-pub mod fit_checkpoint;
 pub mod grow;
 pub mod learn;
 pub mod model;
@@ -66,21 +65,14 @@ pub use artifact::{
     ArtifactLineage, ModelArtifact, RetryPolicy, FORMAT_VERSION,
 };
 pub use compiled::{CompiledModel, CompiledScorer};
-pub use fit_checkpoint::{FitCheckpoint, FitCheckpointStore, FitKey};
 pub use grow::{grow_rule, GrowOptions, GrownRule, RecallGuard};
 pub use learn::{FitReport, PnruleLearner};
 pub use model::{PnruleModel, RuleTrace};
 pub use multiclass::MultiClassPnrule;
-pub use nphase::{
-    learn_n_rules, learn_n_rules_resumable, learn_n_rules_with_budget, learn_n_rules_with_sink,
-    NPhaseResult, NRule, StopReason,
-};
+pub use nphase::{learn_n_rules_with_sink, NPhaseResult, NRule, StopReason};
 pub use params::PnruleParams;
 pub use pnr_rules::{BudgetTracker, FitBudget};
-pub use pphase::{
-    learn_p_rules, learn_p_rules_resumable, learn_p_rules_with_budget, learn_p_rules_with_sink,
-    PPhaseResult, PRule,
-};
+pub use pphase::{learn_p_rules_with_sink, PPhaseResult, PRule};
 pub use retry::{Backoff, RetryError};
 pub use scoring::ScoreMatrix;
 pub use serving::{

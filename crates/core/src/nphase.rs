@@ -28,7 +28,7 @@ use std::sync::Arc;
 /// One accepted N-rule with its discovery-time statistics over the N-view
 /// (`stats.pos` = false-positive weight removed, `stats.neg()` =
 /// original-target weight sacrificed).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NRule {
     /// The rule.
     pub rule: Rule,
@@ -84,7 +84,8 @@ pub struct NPhaseResult {
     pub dl_trace: Vec<f64>,
 }
 
-/// Runs the N-phase.
+/// Runs the N-phase, charging against `budget` (`None` = unlimited) and
+/// reporting phase/rule spans, search counters and MDL prunes to `sink`.
 ///
 /// * `pooled` — a view over the union of P-rule coverage whose `is_pos`
 ///   marks **false positives** (records the P-union covers that are *not*
@@ -93,46 +94,11 @@ pub struct NPhaseResult {
 ///   training set (the denominator of the recall guard);
 /// * `covered_pos` — original-target weight inside the pool (the recall the
 ///   P-phase achieved, in weight terms).
-pub fn learn_n_rules(
-    pooled: &TaskView<'_>,
-    orig_pos_total: f64,
-    covered_pos: f64,
-    params: &PnruleParams,
-) -> NPhaseResult {
-    let tracker = params.budget.start().map(Arc::new);
-    learn_n_rules_with_budget(
-        pooled,
-        orig_pos_total,
-        covered_pos,
-        params,
-        tracker.as_ref(),
-    )
-}
-
-/// [`learn_n_rules`] charging against an externally owned budget tracker
-/// (`None` = unlimited), so a full fit can share one budget across both
-/// phases. When the budget runs out mid-phase the rules accepted so far
-/// are returned with [`StopReason::BudgetExhausted`].
-pub fn learn_n_rules_with_budget(
-    pooled: &TaskView<'_>,
-    orig_pos_total: f64,
-    covered_pos: f64,
-    params: &PnruleParams,
-    budget: Option<&Arc<BudgetTracker>>,
-) -> NPhaseResult {
-    learn_n_rules_with_sink(
-        pooled,
-        orig_pos_total,
-        covered_pos,
-        params,
-        budget,
-        &pnr_telemetry::noop(),
-    )
-}
-
-/// [`learn_n_rules_with_budget`] reporting phase/rule spans, search
-/// counters and MDL prunes to `sink`. Telemetry is write-only: the learned
-/// rules are identical whatever sink is attached.
+///
+/// The full learner shares one budget tracker across both phases. When
+/// the budget runs out mid-phase the rules accepted so far are returned
+/// with [`StopReason::BudgetExhausted`]. Telemetry is write-only: the
+/// learned rules are identical whatever sink is attached.
 pub fn learn_n_rules_with_sink(
     pooled: &TaskView<'_>,
     orig_pos_total: f64,
@@ -140,42 +106,6 @@ pub fn learn_n_rules_with_sink(
     params: &PnruleParams,
     budget: Option<&Arc<BudgetTracker>>,
     sink: &Arc<dyn TelemetrySink>,
-) -> NPhaseResult {
-    learn_n_rules_resumable(
-        pooled,
-        orig_pos_total,
-        covered_pos,
-        params,
-        budget,
-        sink,
-        Vec::new(),
-        &mut |_| {},
-    )
-}
-
-/// The full N-phase loop with checkpoint/resume hooks: `seed` rules are
-/// **replayed** — their DL bookkeeping, recall sacrifice and coverage
-/// removal folded in the original `+=` order without re-searching, plus one
-/// budget rule charge each — before the covering loop continues live, and
-/// `on_rule` is invoked with the accepted-so-far rule list after every
-/// *new* (non-seed) acceptance.
-///
-/// Seed rules are the **pre-MDL-truncation** accepted list (checkpoints
-/// are written inside the loop, before truncation runs); replay rebuilds
-/// the DL trace bit-exactly, so the final truncation of a resumed phase
-/// matches the uninterrupted run. Callers resuming under a
-/// [`BudgetTracker`] must pre-charge the checkpointed candidate count
-/// themselves (see [`crate::fit_checkpoint`]).
-#[allow(clippy::too_many_arguments)]
-pub fn learn_n_rules_resumable(
-    pooled: &TaskView<'_>,
-    orig_pos_total: f64,
-    covered_pos: f64,
-    params: &PnruleParams,
-    budget: Option<&Arc<BudgetTracker>>,
-    sink: &Arc<dyn TelemetrySink>,
-    seed: Vec<NRule>,
-    on_rule: &mut dyn FnMut(&[NRule]),
 ) -> NPhaseResult {
     let _phase_span = Span::enter(sink.as_ref(), SpanKind::NPhase, "n_phase");
     params.validate();
@@ -219,39 +149,7 @@ pub fn learn_n_rules_resumable(
         StopReason::Exhausted
     };
 
-    // --- Replay checkpointed rules (no search, no callback): identical
-    // float operations in identical order rebuild the DL trace and recall
-    // state bit-exactly. ---
-    let mut replay_stopped = false;
-    for seeded in seed {
-        lens.push(seeded.rule.len());
-        covered += seeded.stats.total; // lint:allow(unordered-float-sum) — sequential rule-order accumulation (replay)
-        covered_orig += seeded.stats.neg(); // lint:allow(unordered-float-sum) — sequential rule-order accumulation (replay)
-        removed_fp += seeded.stats.pos; // lint:allow(unordered-float-sum) — sequential rule-order accumulation (replay)
-        dl = total_dl(
-            n_possible,
-            &lens,
-            covered,
-            approx::clamp_mass(n_view_total - covered),
-            approx::clamp_mass(covered_orig),
-            approx::clamp_mass(fp_total - removed_fp),
-        );
-        result.dl_trace.push(dl);
-        min_dl = min_dl.min(dl);
-        retained_pos -= seeded.stats.neg();
-        let covered_rows = remaining.rows_matching_rule(&seeded.rule);
-        result.rules.push(seeded);
-        remaining = remaining.without(&covered_rows);
-        if budget.is_some_and(|b| !b.charge_rule()) {
-            // The original run stopped right here too: the replayed rule
-            // was its last.
-            result.stop_reason = StopReason::BudgetExhausted;
-            replay_stopped = true;
-            break;
-        }
-    }
-
-    while !replay_stopped && remaining.pos_weight() > 0.0 {
+    while remaining.pos_weight() > 0.0 {
         if result.rules.len() >= params.max_n_rules {
             result.stop_reason = StopReason::RuleCap;
             break;
@@ -378,7 +276,6 @@ pub fn learn_n_rules_resumable(
             stats: grown.stats,
         });
         remaining = remaining.without(&covered_rows);
-        on_rule(&result.rules);
         if budget.is_some_and(|b| !b.charge_rule()) {
             // The crossing rule is valid and kept; stop growing more.
             result.stop_reason = StopReason::BudgetExhausted;
@@ -431,19 +328,21 @@ pub fn learn_n_rules_resumable(
     result
 }
 
-/// Computes the pooled N-view ingredients from P-rule coverage.
-///
-/// Given the full-data view of the original task and the union of P-rule
-/// coverage, returns the flipped positive flags for the N-task (true =
-/// false positive of the pool).
-pub fn flip_targets(is_pos: &[bool]) -> Vec<bool> {
-    is_pos.iter().map(|&p| !p).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pnr_data::{AttrType, Dataset, DatasetBuilder, RowSet, Value};
+
+    /// The phase with no budget and no telemetry.
+    fn learn(
+        pooled: &TaskView<'_>,
+        orig_pos_total: f64,
+        covered_pos: f64,
+        params: &PnruleParams,
+    ) -> NPhaseResult {
+        let sink = pnr_telemetry::noop();
+        learn_n_rules_with_sink(pooled, orig_pos_total, covered_pos, params, None, &sink)
+    }
 
     /// A pooled set where false positives carry a clean signature (y ≤ 1)
     /// and true positives live elsewhere.
@@ -467,7 +366,7 @@ mod tests {
         let (d, is_fp) = pooled_data();
         let v = TaskView::full(&d, &is_fp, d.weights());
         let orig_pos_total = v.total_weight() - v.pos_weight(); // 160 targets
-        let res = learn_n_rules(&v, orig_pos_total, orig_pos_total, &PnruleParams::default());
+        let res = learn(&v, orig_pos_total, orig_pos_total, &PnruleParams::default());
         assert!(!res.rules.is_empty(), "should find the FP signature");
         // the signature is pure: recall must be fully retained
         assert!(
@@ -484,7 +383,7 @@ mod tests {
         let (d, _) = pooled_data();
         let none = vec![false; d.n_rows()];
         let v = TaskView::full(&d, &none, d.weights());
-        let res = learn_n_rules(&v, 200.0, 200.0, &PnruleParams::default());
+        let res = learn(&v, 200.0, 200.0, &PnruleParams::default());
         assert!(res.rules.is_empty());
         assert_eq!(res.retained_recall, 1.0);
     }
@@ -493,7 +392,7 @@ mod tests {
     fn empty_pool_returns_empty_result() {
         let (d, is_fp) = pooled_data();
         let v = TaskView::over(&d, RowSet::empty(), &is_fp, d.weights());
-        let res = learn_n_rules(&v, 100.0, 0.0, &PnruleParams::default());
+        let res = learn(&v, 100.0, 0.0, &PnruleParams::default());
         assert!(res.rules.is_empty());
         assert_eq!(res.retained_recall, 0.0);
     }
@@ -520,7 +419,7 @@ mod tests {
             rn: 0.99,
             ..Default::default()
         };
-        let res = learn_n_rules(&v, orig, orig, &strict);
+        let res = learn(&v, orig, orig, &strict);
         assert!(
             res.retained_recall >= 0.99 - 1e-9,
             "retained recall {} under floor",
@@ -551,8 +450,8 @@ mod tests {
             rn: 0.999,
             ..Default::default()
         };
-        let res_lax = learn_n_rules(&v, orig, orig, &lax);
-        let res_strict = learn_n_rules(&v, orig, orig, &strict);
+        let res_lax = learn(&v, orig, orig, &lax);
+        let res_strict = learn(&v, orig, orig, &strict);
         let removed = |r: &NPhaseResult| r.rules.iter().map(|n| n.stats.pos).sum::<f64>();
         assert!(
             removed(&res_lax) >= removed(&res_strict),
@@ -596,7 +495,7 @@ mod tests {
             mdl_slack_bits: 0.0,
             ..Default::default()
         };
-        let res = learn_n_rules(&v, orig, orig, &params);
+        let res = learn(&v, orig, orig, &params);
         assert_eq!(
             res.stop_reason,
             StopReason::RuleCap,
@@ -615,10 +514,5 @@ mod tests {
             res.rules.iter().map(|r| r.stats.pos).sum::<f64>() >= 40.0,
             "the broad block rule survives"
         );
-    }
-
-    #[test]
-    fn flip_targets_inverts_flags() {
-        assert_eq!(flip_targets(&[true, false, true]), vec![false, true, false]);
     }
 }

@@ -129,61 +129,61 @@ impl PnruleParams {
         }
     }
 
-    /// Panics with a descriptive message if any parameter is out of range.
+    /// Describes the first out-of-range parameter, or `None` when every
+    /// parameter is in range.
+    pub fn validation_error(&self) -> Option<String> {
+        let unit = 0.0..=1.0;
+        if !unit.contains(&self.rp) {
+            return Some(format!("rp must be in [0,1], got {}", self.rp));
+        }
+        if !unit.contains(&self.rn) {
+            return Some(format!("rn must be in [0,1], got {}", self.rn));
+        }
+        if !unit.contains(&self.min_support_frac) {
+            return Some("min_support_frac must be in [0,1]".to_owned());
+        }
+        if !unit.contains(&self.min_accuracy) {
+            return Some("min_accuracy must be in [0,1]".to_owned());
+        }
+        if !(0.0..1.0).contains(&self.decision_threshold) {
+            return Some("decision_threshold must be in [0,1)".to_owned());
+        }
+        if !(0.0..).contains(&self.mdl_slack_bits) {
+            return Some("mdl_slack_bits must be non-negative".to_owned());
+        }
+        if !(0.0..).contains(&self.min_improvement) {
+            return Some("min_improvement must be non-negative".to_owned());
+        }
+        if !(0.0..).contains(&self.scoring_z_threshold) {
+            return Some("scoring_z_threshold must be non-negative".to_owned());
+        }
+        if self.max_p_rule_len == Some(0) {
+            return Some("max_p_rule_len of 0 would forbid any rule".to_owned());
+        }
+        if self.max_n_rule_len == Some(0) {
+            return Some("max_n_rule_len of 0 would forbid any rule".to_owned());
+        }
+        if self.search_workers == Some(0) {
+            return Some(
+                "search_workers of 0 would leave no worker to scan; use Some(1) \
+                 for the sequential path or None for the heuristic"
+                    .to_owned(),
+            );
+        }
+        if self.row_shards == Some(0) {
+            return Some(
+                "row_shards of 0 would leave no shard to accumulate; use Some(1) \
+                 for the unsharded plan or None for the default"
+                    .to_owned(),
+            );
+        }
+        self.budget.validation_error()
+    }
+
+    /// Panics with a descriptive message if any parameter is out of range
+    /// (see [`Self::validation_error`]).
     pub fn validate(&self) {
-        assert!(
-            (0.0..=1.0).contains(&self.rp),
-            "rp must be in [0,1], got {}",
-            self.rp
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.rn),
-            "rn must be in [0,1], got {}",
-            self.rn
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.min_support_frac),
-            "min_support_frac must be in [0,1]"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.min_accuracy),
-            "min_accuracy must be in [0,1]"
-        );
-        assert!(
-            (0.0..1.0).contains(&self.decision_threshold),
-            "decision_threshold must be in [0,1)"
-        );
-        assert!(
-            self.mdl_slack_bits >= 0.0,
-            "mdl_slack_bits must be non-negative"
-        );
-        assert!(
-            self.min_improvement >= 0.0,
-            "min_improvement must be non-negative"
-        );
-        assert!(
-            self.scoring_z_threshold >= 0.0,
-            "scoring_z_threshold must be non-negative"
-        );
-        assert!(
-            self.max_p_rule_len != Some(0),
-            "max_p_rule_len of 0 would forbid any rule"
-        );
-        assert!(
-            self.max_n_rule_len != Some(0),
-            "max_n_rule_len of 0 would forbid any rule"
-        );
-        assert!(
-            self.search_workers != Some(0),
-            "search_workers of 0 would leave no worker to scan; use Some(1) \
-             for the sequential path or None for the heuristic"
-        );
-        assert!(
-            self.row_shards != Some(0),
-            "row_shards of 0 would leave no shard to accumulate; use Some(1) \
-             for the unsharded plan or None for the default"
-        );
-        if let Some(problem) = self.budget.validation_error() {
+        if let Some(problem) = self.validation_error() {
             panic!("{problem}");
         }
     }

@@ -13,11 +13,10 @@ use crate::nphase::StopReason;
 use crate::params::PnruleParams;
 use pnr_rules::{BudgetTracker, CovStats, Rule, TaskView};
 use pnr_telemetry::{Span, SpanKind, TelemetrySink};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// One accepted P-rule with its discovery-time statistics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PRule {
     /// The rule.
     pub rule: Rule,
@@ -36,62 +35,19 @@ pub struct PPhaseResult {
     pub stop_reason: StopReason,
 }
 
-/// Runs the P-phase over `view` (normally the full training set).
+/// Runs the P-phase over `view` (normally the full training set),
+/// charging against `budget` (`None` = unlimited) and reporting
+/// phase/rule spans and search counters to `sink`.
 ///
-/// Starts a fresh tracker for the params' own [`budget`]
-/// (`PnruleParams::budget`); the full learner shares one tracker across
-/// both phases via [`learn_p_rules_with_budget`].
-///
-/// [`budget`]: crate::params::PnruleParams::budget
-pub fn learn_p_rules(view: &TaskView<'_>, params: &PnruleParams) -> PPhaseResult {
-    let tracker = params.budget.start().map(Arc::new);
-    learn_p_rules_with_budget(view, params, tracker.as_ref())
-}
-
-/// [`learn_p_rules`] charging against an externally owned budget tracker
-/// (`None` = unlimited). When the budget runs out mid-phase the rules
-/// accepted so far are returned with
-/// [`StopReason::BudgetExhausted`].
-pub fn learn_p_rules_with_budget(
-    view: &TaskView<'_>,
-    params: &PnruleParams,
-    budget: Option<&Arc<BudgetTracker>>,
-) -> PPhaseResult {
-    learn_p_rules_with_sink(view, params, budget, &pnr_telemetry::noop())
-}
-
-/// [`learn_p_rules_with_budget`] reporting phase/rule spans and search
-/// counters to `sink`. Telemetry is write-only: the learned rules are
-/// identical whatever sink is attached.
+/// The full learner shares one budget tracker across both phases. When
+/// the budget runs out mid-phase the rules accepted so far are returned
+/// with [`StopReason::BudgetExhausted`]. Telemetry is write-only: the
+/// learned rules are identical whatever sink is attached.
 pub fn learn_p_rules_with_sink(
     view: &TaskView<'_>,
     params: &PnruleParams,
     budget: Option<&Arc<BudgetTracker>>,
     sink: &Arc<dyn TelemetrySink>,
-) -> PPhaseResult {
-    learn_p_rules_resumable(view, params, budget, sink, Vec::new(), &mut |_| {})
-}
-
-/// The full P-phase loop with checkpoint/resume hooks: `seed` rules are
-/// **replayed** — accepted without re-searching, with the same coverage
-/// removal, recall accumulation and budget rule charges the original run
-/// performed — before the covering loop continues live, and `on_rule` is
-/// invoked with the accepted-so-far rule list after every *new* (non-seed)
-/// acceptance.
-///
-/// Replay is bit-exact: seed statistics are trusted (they were computed on
-/// this same view) and folded in the original `+=` order, so a resumed
-/// phase reaches the interruption point in the exact float state of the
-/// uninterrupted run. Callers resuming under a [`BudgetTracker`] must
-/// pre-charge the checkpointed candidate count themselves — replay only
-/// charges rules (see [`crate::fit_checkpoint`]).
-pub fn learn_p_rules_resumable(
-    view: &TaskView<'_>,
-    params: &PnruleParams,
-    budget: Option<&Arc<BudgetTracker>>,
-    sink: &Arc<dyn TelemetrySink>,
-    seed: Vec<PRule>,
-    on_rule: &mut dyn FnMut(&[PRule]),
 ) -> PPhaseResult {
     let _phase_span = Span::enter(sink.as_ref(), SpanKind::PPhase, "p_phase");
     params.validate();
@@ -104,27 +60,6 @@ pub fn learn_p_rules_resumable(
     let mut result = PPhaseResult::default();
     let mut remaining = view.clone();
     let mut covered_pos = 0.0;
-
-    // --- Replay checkpointed rules (no search, no callback). ---
-    let mut replay_stopped = false;
-    for seeded in seed {
-        let covered_rows = remaining.rows_matching_rule(&seeded.rule);
-        covered_pos += seeded.stats.pos; // lint:allow(unordered-float-sum) — sequential rule-order accumulation (replay)
-        result.rules.push(seeded);
-        remaining = remaining.without(&covered_rows);
-        if budget.is_some_and(|b| !b.charge_rule()) {
-            // The original run stopped right here too: the replayed rule
-            // was its last.
-            result.stop_reason = StopReason::BudgetExhausted;
-            replay_stopped = true;
-            break;
-        }
-    }
-
-    if replay_stopped {
-        result.covered_recall = covered_pos / target_total;
-        return result;
-    }
 
     loop {
         if result.rules.len() >= params.max_p_rules {
@@ -196,7 +131,6 @@ pub fn learn_p_rules_resumable(
             stats: grown.stats,
         });
         remaining = remaining.without(&covered_rows);
-        on_rule(&result.rules);
         if budget.is_some_and(|b| !b.charge_rule()) {
             // The rule that crossed the limit is valid and kept; the
             // phase just must not start another.
@@ -213,6 +147,11 @@ pub fn learn_p_rules_resumable(
 mod tests {
     use super::*;
     use pnr_data::{AttrType, Dataset, DatasetBuilder, Value};
+
+    /// The phase with no budget and no telemetry.
+    fn learn(view: &TaskView<'_>, params: &PnruleParams) -> PPhaseResult {
+        learn_p_rules_with_sink(view, params, None, &pnr_telemetry::noop())
+    }
 
     /// Two disjoint target signatures on one attribute, plus noise rows.
     fn two_peak_data() -> (Dataset, Vec<bool>) {
@@ -239,7 +178,7 @@ mod tests {
             min_support_frac: 0.0,
             ..Default::default()
         };
-        let res = learn_p_rules(&v, &params);
+        let res = learn(&v, &params);
         assert!(res.covered_recall >= 0.95, "recall {}", res.covered_recall);
         assert!(res.rules.len() >= 2, "two peaks need at least two rules");
     }
@@ -256,7 +195,7 @@ mod tests {
         let d = b.finish();
         let is_pos = vec![false; d.n_rows()];
         let v = TaskView::full(&d, &is_pos, d.weights());
-        let res = learn_p_rules(&v, &PnruleParams::default());
+        let res = learn(&v, &PnruleParams::default());
         assert!(res.rules.is_empty());
         assert_eq!(res.covered_recall, 0.0);
     }
@@ -270,7 +209,7 @@ mod tests {
             min_support_frac: 0.0,
             ..Default::default()
         };
-        let res = learn_p_rules(&v, &params);
+        let res = learn(&v, &params);
         assert_eq!(res.rules.len(), 1);
     }
 
@@ -283,7 +222,7 @@ mod tests {
             min_support_frac: 0.0,
             ..Default::default()
         };
-        let res = learn_p_rules(&v, &params);
+        let res = learn(&v, &params);
         assert!(!res.rules.is_empty());
         for p in &res.rules {
             assert_eq!(p.rule.len(), 1);
@@ -298,14 +237,14 @@ mod tests {
         // the pure 20-row peaks are admissible.
         let (d, is_pos) = two_peak_data();
         let v = TaskView::full(&d, &is_pos, d.weights());
-        let loose = learn_p_rules(
+        let loose = learn(
             &v,
             &PnruleParams {
                 min_support_frac: 0.05,
                 ..Default::default()
             },
         );
-        let tight = learn_p_rules(
+        let tight = learn(
             &v,
             &PnruleParams {
                 min_support_frac: 0.6,
@@ -329,7 +268,7 @@ mod tests {
     fn rules_are_ranked_by_discovery_order() {
         let (d, is_pos) = two_peak_data();
         let v = TaskView::full(&d, &is_pos, d.weights());
-        let res = learn_p_rules(
+        let res = learn(
             &v,
             &PnruleParams {
                 min_support_frac: 0.0,

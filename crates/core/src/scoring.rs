@@ -147,6 +147,12 @@ impl ScoreMatrix {
         self.n_n
     }
 
+    /// Number of stored cells; `n_p × (n_n + 1)` for a matrix built here,
+    /// but a deserialized one holds whatever its file did.
+    pub(crate) fn n_cells(&self) -> usize {
+        self.scores.len()
+    }
+
     /// Score of the combination: first-matching P-rule `p`, first-matching
     /// N-rule `n` (`None` = no N-rule applied → default column).
     pub fn score(&self, p: usize, n: Option<usize>) -> f64 {

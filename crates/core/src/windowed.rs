@@ -2,8 +2,7 @@
 //!
 //! Given a labelled window of recent traffic and the currently-serving
 //! (last-known-good) artifact, [`refit_window`] fits a candidate model on
-//! the window through the checkpointed [`run_fit`](crate::fit_checkpoint)
-//! pipeline — under whatever [`FitBudget`](pnr_rules::FitBudget) the
+//! the window — under whatever [`FitBudget`](pnr_rules::FitBudget) the
 //! caller put in its params — then **validates** it: target-class recall
 //! on a held-back slice of the window must not regress more than
 //! `recall_tolerance` below the baseline artifact's recall on the same
@@ -17,7 +16,6 @@
 //! refit is reproducible from the window alone — no RNG, no wall clock.
 
 use crate::artifact::{ArtifactError, ModelArtifact};
-use crate::fit_checkpoint::FitCheckpointStore;
 use crate::learn::PnruleLearner;
 use crate::params::PnruleParams;
 use crate::serving::ServingModel;
@@ -248,7 +246,6 @@ pub fn refit_window(
     target_class: &str,
     baseline: &ServingModel,
     opts: &RefitOptions,
-    store: &FitCheckpointStore,
     sink: &Arc<dyn TelemetrySink>,
 ) -> Result<(ModelArtifact, RefitEval), RefitError> {
     if opts.holdout_stride < 2 {
@@ -277,11 +274,15 @@ pub fn refit_window(
         .params
         .clone()
         .unwrap_or_else(|| baseline.artifact().params.clone());
-    let learner = PnruleLearner::new(params.clone()).with_sink(Arc::clone(sink));
     let fitted = {
         let _span = Span::enter(sink.as_ref(), SpanKind::RefitFit, target_class);
+        // The learner is built inside the catch too: out-of-range params
+        // panic in `PnruleLearner::new`, and that must stay a typed
+        // `FitPanicked`, not take the caller down.
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            learner.fit_checkpointed(&train, target, store)
+            PnruleLearner::new(params.clone())
+                .with_sink(Arc::clone(sink))
+                .fit_with_report(&train, target)
         }))
     };
     let (model, report) = match fitted {
@@ -352,8 +353,7 @@ mod tests {
     fn baseline_artifact(data: &Dataset) -> ModelArtifact {
         let target = data.class_code("rare").unwrap();
         let learner = PnruleLearner::new(PnruleParams::default());
-        let (model, report) =
-            learner.fit_checkpointed(data, target, &FitCheckpointStore::disabled());
+        let (model, report) = learner.fit_with_report(data, target);
         ModelArtifact::new(
             model,
             PnruleParams::default(),
@@ -386,7 +386,6 @@ mod tests {
             "rare",
             &baseline,
             &RefitOptions::default(),
-            &FitCheckpointStore::disabled(),
             &pnr_telemetry::noop(),
         )
         .unwrap();
@@ -405,15 +404,8 @@ mod tests {
             min_target_rows: 1000,
             ..RefitOptions::default()
         };
-        let err = refit_window(
-            &data,
-            "rare",
-            &baseline,
-            &opts,
-            &FitCheckpointStore::disabled(),
-            &pnr_telemetry::noop(),
-        )
-        .unwrap_err();
+        let err =
+            refit_window(&data, "rare", &baseline, &opts, &pnr_telemetry::noop()).unwrap_err();
         assert!(matches!(err, RefitError::TooFewTargetRows { .. }), "{err}");
     }
 
@@ -426,11 +418,26 @@ mod tests {
             "no-such-class",
             &baseline,
             &RefitOptions::default(),
-            &FitCheckpointStore::disabled(),
             &pnr_telemetry::noop(),
         )
         .unwrap_err();
         assert!(matches!(err, RefitError::TargetMissing { .. }), "{err}");
+    }
+
+    #[test]
+    fn out_of_range_params_are_a_typed_failure() {
+        let data = window(600);
+        let baseline = ServingModel::new(baseline_artifact(&data));
+        let opts = RefitOptions {
+            params: Some(PnruleParams {
+                rp: 1.5,
+                ..PnruleParams::default()
+            }),
+            ..RefitOptions::default()
+        };
+        let err =
+            refit_window(&data, "rare", &baseline, &opts, &pnr_telemetry::noop()).unwrap_err();
+        assert!(matches!(err, RefitError::FitPanicked { .. }), "{err}");
     }
 
     #[test]
@@ -445,7 +452,6 @@ mod tests {
                 holdout_stride: 1,
                 ..RefitOptions::default()
             },
-            &FitCheckpointStore::disabled(),
             &pnr_telemetry::noop(),
         )
         .unwrap_err();

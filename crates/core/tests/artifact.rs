@@ -5,13 +5,22 @@
 //! surfaces as `ChecksumMismatch` (never a panic, never a silently
 //! different model), truncations and malformed files produce typed
 //! errors, and a future format version is only reported as such through
-//! an intact checksum.
+//! an intact checksum. FNV-1a is a checksum, not a MAC, so the suite also
+//! re-checksums mutated bodies: a file that verifies must still either
+//! fail with a typed error or load into a model that scores every row.
 
-use pnr_core::{ArtifactError, ModelArtifact, PnruleLearner, PnruleParams, FORMAT_VERSION};
+use pnr_core::{
+    ArtifactError, CompiledModel, ModelArtifact, PnruleLearner, PnruleParams, ServingModel,
+    FORMAT_VERSION,
+};
 use pnr_data::{AttrType, Dataset, DatasetBuilder, Value};
 use pnr_rules::BinaryClassifier;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
+use std::sync::OnceLock;
 
 /// An intrusion-detection-like mixed-type dataset: a numeric band plus a
 /// categorical service column, with the rare class hiding in one corner.
@@ -48,6 +57,36 @@ fn trained_artifact() -> (ModelArtifact, Dataset) {
     let artifact = ModelArtifact::new(model, params, report, train.schema().clone())
         .expect("trained model must validate against its own schema");
     (artifact, held_out)
+}
+
+/// Wraps a payload (magic line plus JSON body) in a correct envelope.
+fn with_checksum(payload: &str) -> String {
+    let digest = pnr_data::fingerprint::fnv1a_64(payload.as_bytes());
+    format!("{digest:016x}\n{payload}")
+}
+
+/// The JSON body of `artifact`'s file as an untyped tree.
+fn body_of(artifact: &ModelArtifact) -> serde_json::Value {
+    let text = artifact.to_file_string().unwrap();
+    let json = text.splitn(3, '\n').nth(2).unwrap();
+    serde_json::from_str(json).unwrap()
+}
+
+/// A checksummed artifact file around a (possibly tampered) body tree.
+fn file_of(body: &serde_json::Value) -> String {
+    let json = serde_json::to_string(body).unwrap();
+    with_checksum(&format!("pnrule-artifact v{FORMAT_VERSION}\n{json}"))
+}
+
+/// The value under `key` of a JSON object.
+fn field<'a>(value: &'a mut serde_json::Value, key: &str) -> &'a mut serde_json::Value {
+    match value {
+        serde_json::Value::Map(entries) => match entries.iter_mut().find(|(k, _)| k == key) {
+            Some((_, v)) => v,
+            None => panic!("no key `{key}`"),
+        },
+        other => panic!("`{key}` looked up in a non-object {other:?}"),
+    }
 }
 
 #[test]
@@ -146,9 +185,7 @@ fn empty_file_is_malformed() {
 fn future_version_is_only_reported_through_an_intact_checksum() {
     // Build a payload claiming format v999 and wrap it in a *correct*
     // checksum: the version error must surface, not a checksum error.
-    let payload = format!("pnrule-artifact v999\n{}", "{}");
-    let digest = pnr_data::fingerprint::fnv1a_64(payload.as_bytes());
-    let text = format!("{digest:016x}\n{payload}");
+    let text = with_checksum("pnrule-artifact v999\n{}");
     match ModelArtifact::from_file_str(&text) {
         Err(ArtifactError::UnsupportedVersion { found: 999 }) => {}
         other => panic!("expected UnsupportedVersion {{ found: 999 }}, got {other:?}"),
@@ -163,10 +200,7 @@ fn future_version_is_only_reported_through_an_intact_checksum() {
 
 #[test]
 fn bad_magic_with_correct_checksum_is_malformed() {
-    let payload = "not-an-artifact v1\n{}";
-    let digest = pnr_data::fingerprint::fnv1a_64(payload.as_bytes());
-    let text = format!("{digest:016x}\n{payload}");
-    match ModelArtifact::from_file_str(&text) {
+    match ModelArtifact::from_file_str(&with_checksum("not-an-artifact v1\n{}")) {
         Err(ArtifactError::Malformed { .. }) => {}
         other => panic!("expected Malformed, got {other:?}"),
     }
@@ -182,10 +216,44 @@ fn inconsistent_schema_fingerprint_is_malformed() {
     let fp = format!("\"schema_fingerprint\":{}", artifact.schema_fingerprint());
     assert!(payload.contains(&fp), "fixture assumes compact JSON field");
     let tampered = payload.replace(&fp, "\"schema_fingerprint\":1");
-    let digest = pnr_data::fingerprint::fnv1a_64(tampered.as_bytes());
-    match ModelArtifact::from_file_str(&format!("{digest:016x}\n{tampered}")) {
+    match ModelArtifact::from_file_str(&with_checksum(&tampered)) {
         Err(ArtifactError::Malformed { detail }) => {
             assert!(detail.contains("fingerprint"), "{detail}");
+        }
+        other => panic!("expected Malformed, got {other:?}"),
+    }
+}
+
+#[test]
+fn short_score_matrix_is_malformed_at_load() {
+    // Such a file used to load and then panic on the first row routed to
+    // a missing cell.
+    let (artifact, _) = trained_artifact();
+    let sm = &artifact.model.score_matrix;
+    let cells = sm.n_p() * (sm.n_n() + 1);
+    assert!(cells > 0, "fixture must have a non-empty matrix");
+    let mut body = body_of(&artifact);
+    *field(field(field(&mut body, "model"), "score_matrix"), "scores") =
+        serde_json::Value::Seq(Vec::new());
+    match ModelArtifact::from_file_str(&file_of(&body)) {
+        Err(ArtifactError::Malformed { detail }) => assert!(
+            detail.contains("holds 0 cells") && detail.contains(&format!("has {cells}")),
+            "{detail}"
+        ),
+        other => panic!("expected Malformed, got {other:?}"),
+    }
+}
+
+#[test]
+fn out_of_range_params_are_malformed_at_load() {
+    // Such a file used to load and then panic in `PnruleLearner::new` on
+    // the first refit.
+    let (artifact, _) = trained_artifact();
+    let mut body = body_of(&artifact);
+    *field(field(&mut body, "params"), "rp") = serde_json::Value::F64(1.5);
+    match ModelArtifact::from_file_str(&file_of(&body)) {
+        Err(ArtifactError::Malformed { detail }) => {
+            assert!(detail.contains("rp must be in [0,1], got 1.5"), "{detail}");
         }
         other => panic!("expected Malformed, got {other:?}"),
     }
@@ -465,5 +533,192 @@ proptest! {
                 artifact.model.score(&held_out, row).to_bits()
             );
         }
+    }
+}
+
+/// What the mutant property scores: a fixture body whose model has both
+/// rule lists, plus a fixed dataset to score as `Dataset` rows and as raw
+/// CSV fields.
+struct MutantBench {
+    body: serde_json::Value,
+    data: Dataset,
+    header: Vec<String>,
+    rows: Vec<Vec<String>>,
+}
+
+/// A band on `x` whose coverage also takes in `service = dos` rows, so
+/// the fit needs both a P-rule and an N-rule.
+fn presence_and_absence(n: usize, phase: usize) -> Dataset {
+    let mut b = DatasetBuilder::new();
+    b.add_attribute("x", AttrType::Numeric);
+    b.add_attribute("service", AttrType::Categorical);
+    b.add_class("r2l");
+    b.add_class("rest");
+    for i in 0..n {
+        let x = ((i + phase * 7) % 50) as f64;
+        let k = match (i / 50) % 5 {
+            0 => "dos",
+            1 => "web",
+            _ => "ok",
+        };
+        let target = (20.0..24.0).contains(&x) && k != "dos";
+        b.push_row(
+            &[Value::num(x), Value::cat(k)],
+            if target { "r2l" } else { "rest" },
+            1.0,
+        )
+        .unwrap();
+    }
+    b.finish()
+}
+
+fn mutant_bench() -> &'static MutantBench {
+    static BENCH: OnceLock<MutantBench> = OnceLock::new();
+    BENCH.get_or_init(|| {
+        let train = presence_and_absence(1000, 0);
+        let target = train.class_code("r2l").unwrap();
+        let params = PnruleParams::default();
+        let (model, report) = PnruleLearner::new(params.clone()).fit_with_report(&train, target);
+        assert!(!model.p_rules.is_empty() && !model.n_rules.is_empty());
+        let artifact = ModelArtifact::new(model, params, report, train.schema().clone()).unwrap();
+        let data = presence_and_absence(250, 1);
+        let header = vec!["x".to_string(), "service".to_string()];
+        let rows = (0..data.n_rows())
+            .map(|r| vec![data.num(0, r).to_string(), data.cat_name(1, r).to_string()])
+            .collect();
+        MutantBench {
+            body: body_of(&artifact),
+            data,
+            header,
+            rows,
+        }
+    })
+}
+
+#[derive(Clone, Copy, PartialEq)]
+enum Site {
+    Array,
+    Object,
+    Number,
+}
+
+/// Every mutable node under `value`, as a path of child indices.
+fn sites(value: &serde_json::Value, path: &mut Vec<usize>, out: &mut Vec<(Vec<usize>, Site)>) {
+    use serde_json::Value as J;
+    let children: Vec<&J> = match value {
+        J::Seq(items) => items.iter().collect(),
+        J::Map(entries) => entries.iter().map(|(_, v)| v).collect(),
+        J::U64(_) | J::I64(_) | J::F64(_) => {
+            out.push((path.clone(), Site::Number));
+            return;
+        }
+        _ => return,
+    };
+    if !children.is_empty() {
+        let site = if matches!(value, J::Seq(_)) {
+            Site::Array
+        } else {
+            Site::Object
+        };
+        out.push((path.clone(), site));
+    }
+    for (i, child) in children.into_iter().enumerate() {
+        path.push(i);
+        sites(child, path, out);
+        path.pop();
+    }
+}
+
+/// Applies one seeded mutation to the body: drops an array element,
+/// deletes an object key, or sets a number to an edge value. Returns
+/// what it did.
+fn mutate(body: &mut serde_json::Value, rng: &mut StdRng) -> String {
+    use serde_json::Value as J;
+    let mut all = Vec::new();
+    sites(body, &mut Vec::new(), &mut all);
+    let kinds: Vec<Site> = [Site::Array, Site::Object, Site::Number]
+        .into_iter()
+        .filter(|k| all.iter().any(|(_, s)| s == k))
+        .collect();
+    let kind = kinds[rng.gen_range(0..kinds.len())];
+    let of_kind: Vec<&Vec<usize>> = all
+        .iter()
+        .filter(|(_, s)| *s == kind)
+        .map(|(p, _)| p)
+        .collect();
+    let path = of_kind[rng.gen_range(0..of_kind.len())];
+    let mut at = String::from("body");
+    let mut node = body;
+    for &i in path {
+        node = match node {
+            J::Seq(items) => {
+                at.push_str(&format!("[{i}]"));
+                &mut items[i]
+            }
+            J::Map(entries) => {
+                at.push_str(&format!(".{}", entries[i].0));
+                &mut entries[i].1
+            }
+            _ => unreachable!("paths only descend through containers"),
+        };
+    }
+    match node {
+        J::Seq(items) => {
+            let i = rng.gen_range(0..items.len());
+            items.remove(i);
+            format!("dropped {at}[{i}]")
+        }
+        J::Map(entries) => {
+            let i = rng.gen_range(0..entries.len());
+            let (key, _) = entries.remove(i);
+            format!("deleted {at}.{key}")
+        }
+        number => {
+            let edge = [
+                J::U64(0),
+                J::I64(-1),
+                J::F64(1.5),
+                J::F64(1e308),
+                J::U64(1 << 32),
+            ][rng.gen_range(0..5usize)]
+            .clone();
+            let what = format!("set {at} to {edge:?}");
+            *number = edge;
+            what
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A re-checksummed mutant either fails to load with a typed error or
+    /// loads into an artifact every consumer can use without panicking:
+    /// the learner accepts its params, and the interpreter, the compiled
+    /// scorer and the serving path all score every row of a fixed dataset.
+    #[test]
+    fn rechecksummed_mutants_fail_typed_or_score_every_row(seed in any::<u64>()) {
+        let bench = mutant_bench();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut body = bench.body.clone();
+        let what = mutate(&mut body, &mut rng);
+        let Ok(artifact) = ModelArtifact::from_file_bytes(file_of(&body).as_bytes()) else {
+            return Ok(());
+        };
+        let used = catch_unwind(AssertUnwindSafe(|| {
+            PnruleLearner::new(artifact.params.clone());
+            let compiled = CompiledModel::compile(&artifact.model);
+            for row in 0..bench.data.n_rows() {
+                artifact.model.score_with_trace(&bench.data, row);
+                compiled.score_with_trace(&bench.data, row);
+            }
+            let serving = ServingModel::new(artifact);
+            if let Ok(map) = serving.reconcile_header(&bench.header) {
+                for fields in &bench.rows {
+                    let _ = serving.score_fields(fields, &map);
+                }
+            }
+        }));
+        prop_assert!(used.is_ok(), "a mutant that loads panicked its consumer: {}", what);
     }
 }

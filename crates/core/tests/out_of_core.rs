@@ -92,49 +92,3 @@ fn streamed_csv_fit_matches_in_memory_fit() {
     }
     std::fs::remove_file(path).ok();
 }
-
-#[test]
-fn streamed_csv_fit_survives_kill_and_resumes_identically() {
-    // The full out-of-core story in one test: stream-generate, stream-load,
-    // then kill the fit after its first checkpoint and resume to the same
-    // bytes the uninterrupted fit produces.
-    use pnr_core::FitCheckpointStore;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-
-    let (path, opts) = stream_to_csv("resume");
-    let (data, _) = read_csv_with_report(&path, &opts).expect("file load");
-    let params = PnruleParams::default();
-    let target = data.class_code("probe").expect("probe class");
-    let learner = PnruleLearner::new(params.clone());
-
-    let (want_model, want_report) = learner.fit_with_report(&data, target);
-    let want = ModelArtifact::new(
-        want_model,
-        params.clone(),
-        want_report,
-        data.schema().clone(),
-    )
-    .unwrap()
-    .to_file_string()
-    .unwrap();
-
-    let dir = std::env::temp_dir().join(format!("pnr_ooc_ckpt_{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let killer = FitCheckpointStore::new(&dir, true).with_kill_after(1);
-    let crashed = catch_unwind(AssertUnwindSafe(|| {
-        learner.fit_checkpointed(&data, target, &killer)
-    }))
-    .is_err();
-    assert!(crashed, "the crash drill must trip after the first write");
-
-    let resumed = FitCheckpointStore::new(&dir, true);
-    let (model, report) = learner.fit_checkpointed(&data, target, &resumed);
-    let got = ModelArtifact::new(model, params.clone(), report, data.schema().clone())
-        .unwrap()
-        .to_file_string()
-        .unwrap();
-    assert_eq!(got, want, "resumed out-of-core fit diverged");
-
-    std::fs::remove_dir_all(dir).ok();
-    std::fs::remove_file(path).ok();
-}

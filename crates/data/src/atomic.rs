@@ -1,7 +1,7 @@
 //! The workspace's one atomic file writer.
 //!
-//! Model artifacts, fit and experiment checkpoints, per-cell telemetry
-//! and the daemon's state file are all written through [`write_atomic`],
+//! Model artifacts, experiment checkpoints, per-cell telemetry and the
+//! daemon's state file are all written through [`write_atomic`],
 //! so they share one temp-file name and one durability contract.
 
 use std::ffi::OsString;
@@ -19,9 +19,9 @@ use std::path::{Path, PathBuf};
 /// the previous file intact. It is *not* durable against an OS crash or
 /// power loss — nothing is fsynced, so after one the rename may be lost
 /// or, on some filesystems, the new file may be empty. Every file
-/// written here can be regenerated (a checkpoint is re-run, an artifact
-/// re-fit), and skipping the fsync keeps per-rule checkpointing and
-/// artifact saves cheap.
+/// written here can be regenerated (a checkpointed cell is re-run, an
+/// artifact re-fit), and skipping the fsync keeps per-cell checkpointing
+/// and artifact saves cheap.
 ///
 /// On error the temp file is removed when possible.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {

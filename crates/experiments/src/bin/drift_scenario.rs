@@ -16,8 +16,7 @@
 //! recall recovery, as one JSON document.
 
 use pnr_core::{
-    refit_window, FitCheckpointStore, ModelArtifact, PnruleLearner, PnruleParams, RefitOptions,
-    ServingModel,
+    refit_window, ModelArtifact, PnruleLearner, PnruleParams, RefitOptions, ServingModel,
 };
 use pnr_data::Dataset;
 use pnr_sentinel::{DetectorConfig, DriftDetector, DriftVerdict, WindowDelta};
@@ -173,8 +172,6 @@ fn main() {
     let shift_window = o.shift / o.window_rows.max(1);
     let mut stream = pnr_kddsim::DriftStream::new(o.seed ^ 0xd21f, schedule);
     let mut detector = DriftDetector::new(DetectorConfig::default());
-    let ckpt_dir = std::env::temp_dir().join(format!("pnr_drift_scenario_{}", std::process::id()));
-    let store = FitCheckpointStore::new(ckpt_dir.clone(), false);
     let refit_opts = RefitOptions::default();
 
     let mut window_lines = Vec::new();
@@ -197,7 +194,7 @@ fn main() {
             if detection_lag.is_none() && w >= shift_window {
                 detection_lag = Some(w - shift_window);
             }
-            match refit_window(&chunk, &o.target, &adaptive, &refit_opts, &store, &sink) {
+            match refit_window(&chunk, &o.target, &adaptive, &refit_opts, &sink) {
                 Ok((candidate, eval)) => {
                     refit_lines.push(format!(
                         "{{\"window\":{w},\"adopted\":true,\
@@ -224,7 +221,6 @@ fn main() {
             delta.positive_rate(),
         ));
     }
-    let _ = std::fs::remove_dir_all(&ckpt_dir);
 
     // recovery: mean recall over the post-detection tail of the run
     let tail = o.windows.saturating_sub(3).max(shift_window.min(o.windows));

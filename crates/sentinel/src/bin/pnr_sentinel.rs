@@ -15,7 +15,7 @@
 //! deterministic [`DriftStream`](pnr_kddsim::DriftStream) the load
 //! generator replays (`--seed`/`--schedule` must match), advanced to the
 //! daemon's current row position, and hands it to the refit supervisor:
-//! budgeted checkpointed fit, held-back validation, lineage stamp,
+//! budgeted fit, held-back validation, lineage stamp,
 //! hot-swap publish with bounded seeded-jitter retry, degraded-mode
 //! fallback after `--max-attempts` failures.
 //!

@@ -13,8 +13,8 @@
 //!    tests with deterministic thresholds. The result is a typed
 //!    [`DriftVerdict`]: `None`, `Warn`, or `Refit`.
 //! 2. **Refit** ([`supervisor`]): on `Refit`, a windowed refit runs
-//!    through [`pnr_core::refit_window`] — checkpointed fit under a
-//!    budget, held-back validation slice, recall-regression gate — with
+//!    through [`pnr_core::refit_window`] — a fit under a budget,
+//!    held-back validation slice, recall-regression gate — with
 //!    bounded, jitter-seeded retry. Only a candidate that validated is
 //!    published, via the daemon's lineage-checked hot-swap; its artifact
 //!    envelope records the parent checksum, window id and verdict. A

@@ -2,8 +2,8 @@
 //! explicit degraded daemon, never a silently worse one.
 //!
 //! Per attempt the supervisor (re)loads the **last-known-good** artifact,
-//! runs [`pnr_core::refit_window`] on the labeled drift window (budgeted,
-//! checkpointed fit; held-back validation slice; recall-regression gate),
+//! runs [`pnr_core::refit_window`] on the labeled drift window (budgeted
+//! fit; held-back validation slice; recall-regression gate),
 //! stamps the surviving candidate's lineage — parent checksum as the
 //! *daemon* reports it, window id, verdict — saves it, and publishes via
 //! the daemon's lineage-checked hot-swap. Every failure class (fit
@@ -21,8 +21,7 @@ use crate::client::{DaemonClient, PublishOutcome};
 use crate::detect::DriftVerdict;
 use pnr_core::retry::Backoff;
 use pnr_core::{
-    load_with_retry, ArtifactLineage, FitCheckpointStore, RefitEval, RefitOptions, RetryPolicy,
-    ServingModel,
+    load_with_retry, ArtifactLineage, RefitEval, RefitOptions, RetryPolicy, ServingModel,
 };
 use pnr_data::Dataset;
 use pnr_telemetry::{Counter, Span, SpanKind, TelemetrySink};
@@ -64,7 +63,7 @@ pub struct SupervisorConfig {
     pub backoff: Backoff,
     /// Windowed-refit options (holdout stride, recall tolerance, params).
     pub refit: RefitOptions,
-    /// Where candidate artifacts and fit checkpoints are written.
+    /// Where candidate artifacts are written.
     pub out_dir: PathBuf,
     /// Test hook: deliberately corrupt every saved candidate before
     /// publication. The daemon must reject it and keep last-known-good —
@@ -142,7 +141,6 @@ pub fn supervise_refit(
 ) -> Result<RefitOutcome, String> {
     std::fs::create_dir_all(&config.out_dir)
         .map_err(|e| format!("cannot create {}: {e}", config.out_dir.display()))?;
-    let store = FitCheckpointStore::new(config.out_dir.join("checkpoints"), true);
     let attempts = config.max_attempts.max(1);
     let mut last_error = String::new();
     for attempt in 0..attempts {
@@ -155,22 +153,16 @@ pub fn supervise_refit(
         let baseline_artifact = load_with_retry(baseline_path, &RetryPolicy::default())
             .map_err(|e| format!("cannot load baseline {}: {e}", baseline_path.display()))?;
         let baseline = ServingModel::new(baseline_artifact).with_sink(sink.clone());
-        let (candidate, eval) = match pnr_core::refit_window(
-            window,
-            target_class,
-            &baseline,
-            &config.refit,
-            &store,
-            sink,
-        ) {
-            Ok(pair) => pair,
-            Err(e) => {
-                sink.add(Counter::RefitRollbacks, 1);
-                last_error = format!("attempt {}: {e}", attempt + 1);
-                eprintln!("refit {last_error}; keeping last-known-good");
-                continue;
-            }
-        };
+        let (candidate, eval) =
+            match pnr_core::refit_window(window, target_class, &baseline, &config.refit, sink) {
+                Ok(pair) => pair,
+                Err(e) => {
+                    sink.add(Counter::RefitRollbacks, 1);
+                    last_error = format!("attempt {}: {e}", attempt + 1);
+                    eprintln!("refit {last_error}; keeping last-known-good");
+                    continue;
+                }
+            };
         let parent_checksum = publisher.active_checksum()?;
         let candidate = candidate.with_lineage(ArtifactLineage {
             parent_checksum: parent_checksum.clone(),
