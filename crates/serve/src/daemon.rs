@@ -424,9 +424,9 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
         match reader.read_line(&mut buf) {
             Ok(0) => break,
             Ok(_) => {
-                let line = buf.trim().to_string();
+                let line = buf.trim();
                 if !line.is_empty() {
-                    handle_line(&line, &mut conn, &tx, &shared);
+                    handle_line(line, &mut conn, &tx, &shared);
                 }
                 buf.clear();
             }
@@ -620,7 +620,16 @@ fn submit(
     };
     shared.pending.fetch_add(1, Ordering::SeqCst);
     match shared.queue.push(job) {
-        Ok(PushOutcome::Enqueued) => {}
+        // A queued job holds its rows as owned strings, about 6x their
+        // bytes on the wire. While the backlog exceeds the workers, give
+        // them the CPU before reading the next line, so in-flight
+        // requests wait in the socket buffer rather than in the queue.
+        // Yielding never blocks, so admission and shedding are unchanged.
+        Ok(PushOutcome::Enqueued) => {
+            if shared.queue.len() > shared.pool.workers() {
+                std::thread::yield_now();
+            }
+        }
         Ok(PushOutcome::DroppedOldest(evicted)) => {
             sink.add(Counter::RequestsShed, 1);
             let ScoreJob { id, respond, .. } = evicted;

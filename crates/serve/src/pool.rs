@@ -117,6 +117,7 @@ impl WorkerPool {
         let work = Arc::new(work);
         let on_panic = Arc::new(on_panic);
         for slot in 0..workers {
+            pool.alive.fetch_add(1, Ordering::SeqCst);
             spawn_worker(
                 slot,
                 queue.clone(),
@@ -145,6 +146,11 @@ impl WorkerPool {
     }
 }
 
+/// Starts the thread for `slot`, which the caller has already counted in
+/// `alive`: the pool before the thread exists, or a panicking worker
+/// handing over its own slot. So the gauge is exact from the moment the
+/// pool is spawned and never dips during a respawn. A failed spawn gives
+/// the slot back.
 fn spawn_worker<T, W, P>(
     slot: usize,
     queue: Arc<BoundedQueue<T>>,
@@ -158,20 +164,21 @@ fn spawn_worker<T, W, P>(
     P: Fn(T, String) + Send + Sync + 'static,
 {
     let name = format!("pnr-serve-worker-{slot}");
+    let counted = alive.clone();
     let spawned = std::thread::Builder::new().name(name).spawn(move || {
-        alive.fetch_add(1, Ordering::SeqCst);
         loop {
             match queue.pop_timeout(IDLE_POLL) {
                 PopResult::TimedOut => continue,
                 PopResult::Closed => break,
                 PopResult::Item(job) => {
                     if let Err(msg) = panic_capture::run_caught(|| work(&job)) {
-                        // Answer the submitter, then hand this slot to a
-                        // fresh thread: the panicking stack dies here and
-                        // pool capacity stays constant.
-                        on_panic(job, msg);
+                        // Count the respawn before answering, so a client
+                        // that reads the panic reply and then asks for
+                        // `stats` sees it. Then hand this slot, still
+                        // counted, to a fresh thread: the panicking stack
+                        // dies here and pool capacity stays constant.
                         respawns.fetch_add(1, Ordering::SeqCst);
-                        alive.fetch_sub(1, Ordering::SeqCst);
+                        on_panic(job, msg);
                         spawn_worker(slot, queue, work, on_panic, alive, respawns);
                         return;
                     }
@@ -184,6 +191,7 @@ fn spawn_worker<T, W, P>(
         // Thread spawn failed (resource exhaustion). The slot is lost but
         // the daemon keeps serving on the remaining workers; the alive
         // gauge makes the degradation visible in `stats`.
+        counted.fetch_sub(1, Ordering::SeqCst);
         eprintln!("warn: could not spawn worker thread for slot {slot}");
     }
 }
@@ -269,6 +277,28 @@ mod tests {
         assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap().unwrap(), 8);
         assert_eq!(pool.respawns(), 1);
         queue.close();
+    }
+
+    #[test]
+    fn capacity_and_respawns_are_exact_when_the_panic_reply_arrives() {
+        // bookkeeping that lags the reply shows in some rounds only
+        for round in 0..200 {
+            let (queue, pool) = pool_with(2, 16);
+            let (tx, rx) = mpsc::channel();
+            queue
+                .push(TestJob {
+                    value: round,
+                    explode: true,
+                    reply: tx,
+                })
+                .unwrap();
+            rx.recv_timeout(Duration::from_secs(5))
+                .unwrap()
+                .unwrap_err();
+            assert_eq!(pool.alive(), 2, "round {round}: capacity never dips");
+            assert_eq!(pool.respawns(), 1, "round {round}: respawn counted");
+            queue.close();
+        }
     }
 
     #[test]

@@ -118,18 +118,18 @@ impl Request {
 /// Parses one request line. `Err` carries a human-readable reason the
 /// daemon wraps in a `bad_request` response.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let value = serde_json::parse(line).map_err(|e| format!("unparseable JSON: {e}"))?;
-    let cmd = match value.get("cmd") {
-        Some(Content::Str(s)) => s.clone(),
+    let mut value = serde_json::parse(line).map_err(|e| format!("unparseable JSON: {e}"))?;
+    let cmd = match take(&mut value, "cmd") {
+        Some(Content::Str(s)) => s,
         _ => return Err("missing string field `cmd`".to_string()),
     };
     match cmd.as_str() {
         "hello" => {
-            let columns = value
-                .get("columns")
-                .and_then(Content::as_seq)
-                .ok_or("`hello` needs a `columns` array")?
-                .iter()
+            let Some(Content::Seq(columns)) = take(&mut value, "columns") else {
+                return Err("`hello` needs a `columns` array".to_string());
+            };
+            let columns = columns
+                .into_iter()
                 .map(scalar_to_string)
                 .collect::<Result<Vec<String>, String>>()?;
             if columns.is_empty() {
@@ -138,18 +138,15 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             Ok(Request::Hello { columns })
         }
         "score" => {
-            let id = value.get("id").map(scalar_to_string).transpose()?;
-            let rows = value
-                .get("rows")
-                .and_then(Content::as_seq)
-                .ok_or("`score` needs a `rows` array")?
-                .iter()
-                .map(|row| {
-                    row.as_seq()
-                        .ok_or_else(|| "each row must be an array of fields".to_string())?
-                        .iter()
-                        .map(scalar_to_string)
-                        .collect::<Result<Vec<String>, String>>()
+            let id = take(&mut value, "id").map(scalar_to_string).transpose()?;
+            let Some(Content::Seq(rows)) = take(&mut value, "rows") else {
+                return Err("`score` needs a `rows` array".to_string());
+            };
+            let rows = rows
+                .into_iter()
+                .map(|row| match row {
+                    Content::Seq(fields) => fields.into_iter().map(scalar_to_string).collect(),
+                    _ => Err("each row must be an array of fields".to_string()),
                 })
                 .collect::<Result<Vec<Vec<String>>, String>>()?;
             let deadline_ms = match value.get("deadline_ms") {
@@ -162,10 +159,8 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 deadline_ms,
             })
         }
-        "swap" => match value.get("path") {
-            Some(Content::Str(path)) if !path.is_empty() => {
-                Ok(Request::Swap { path: path.clone() })
-            }
+        "swap" => match take(&mut value, "path") {
+            Some(Content::Str(path)) if !path.is_empty() => Ok(Request::Swap { path }),
             _ => Err("`swap` needs a non-empty string `path`".to_string()),
         },
         "stats" => Ok(Request::Stats),
@@ -174,9 +169,9 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 Some(Content::Bool(b)) => *b,
                 _ => return Err("`degrade` needs a boolean `on`".to_string()),
             };
-            let reason = match value.get("reason") {
+            let reason = match take(&mut value, "reason") {
                 None | Some(Content::Null) => String::new(),
-                Some(Content::Str(s)) => s.clone(),
+                Some(Content::Str(s)) => s,
                 _ => return Err("`reason` must be a string".to_string()),
             };
             Ok(Request::Degrade { on, reason })
@@ -194,10 +189,23 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     }
 }
 
+/// Moves the value of the first `key` out of a parsed object, leaving
+/// `null`, so decoded text moves into the [`Request`] instead of being
+/// copied.
+fn take(value: &mut Content, key: &str) -> Option<Content> {
+    match value {
+        Content::Map(entries) => entries
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| std::mem::replace(v, Content::Null)),
+        _ => None,
+    }
+}
+
 /// Renders a JSON scalar as a CSV-style field string.
-fn scalar_to_string(v: &Content) -> Result<String, String> {
+fn scalar_to_string(v: Content) -> Result<String, String> {
     match v {
-        Content::Str(s) => Ok(s.clone()),
+        Content::Str(s) => Ok(s),
         Content::U64(n) => Ok(n.to_string()),
         Content::I64(n) => Ok(n.to_string()),
         Content::F64(x) => Ok(x.to_string()),
@@ -596,6 +604,24 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn score_fields_decode_surrogate_pair_escapes() {
+        // how Python's `json.dumps` sends U+1F600 by default
+        let line = r#"{"cmd":"score","id":"py","rows":[["tcp","\ud83d\ude00x",null]]}"#;
+        assert_eq!(
+            parse_request(line).unwrap(),
+            Request::Score {
+                id: "py".to_string(),
+                rows: vec![vec![
+                    "tcp".to_string(),
+                    "\u{1F600}x".to_string(),
+                    String::new()
+                ]],
+                deadline_ms: None,
+            }
+        );
     }
 
     #[test]
