@@ -438,17 +438,20 @@ fn drive(opts: &RunOptions, mut injector: FaultInjector) -> Result<(), String> {
 }
 
 /// Reads one complete response line, tolerating read timeouts (partial
-/// data persists in the `BufReader`). `Ok(None)` on EOF.
+/// data persists in `buf`, as bytes, so a timeout may split a multi-byte
+/// character). `Ok(None)` on EOF; a line that is not UTF-8 is an error.
 fn read_reply(
     reader: &mut BufReader<TcpStream>,
     deadline: Instant,
 ) -> Result<Option<String>, String> {
-    let mut buf = String::new();
+    let mut buf = Vec::new();
     loop {
-        match reader.read_line(&mut buf) {
+        match reader.read_until(b'\n', &mut buf) {
             Ok(0) => return Ok(None),
             Ok(_) => {
-                let line = buf.trim().to_string();
+                let text = std::str::from_utf8(&buf)
+                    .map_err(|e| format!("reply line is not UTF-8: {e}"))?;
+                let line = text.trim().to_string();
                 if line.is_empty() {
                     buf.clear();
                     continue;

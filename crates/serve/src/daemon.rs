@@ -1,12 +1,14 @@
 //! The scoring daemon: accept loop, admission control, hot-swap and
 //! graceful drain.
 //!
-//! Life of a request: a connection thread reads one NDJSON line, builds
+//! Life of a request: a connection thread reads one NDJSON line as bytes,
+//! checks it is UTF-8, decodes it in one pass ([`parse_request`]), builds
 //! a [`ScoreJob`] against the *currently active* model epoch (capturing
 //! the epoch's `Arc` and the connection's column map for that epoch, so
 //! a concurrent swap can never mismatch a map with a model), and pushes
 //! it into the bounded queue. A pool worker pops it, scores it under the
-//! panic boundary, and answers through the connection's writer channel.
+//! panic boundary, writing each row's result into a [`ScoreReply`] as it
+//! goes, and answers through the connection's writer channel.
 //! Every submitted job is answered exactly once — served, shed, deadline
 //! -expired or panicked — which is what the fault suite's
 //! `served + shed == submitted` assertions rest on.
@@ -26,14 +28,15 @@
 
 use crate::pool::WorkerPool;
 use crate::protocol::{
-    err_line, ok_line, parse_request, Counters, EpochInfo, Mode, Request, Stats, SwapReply,
+    err_line, ok_line, parse_request, Counters, EpochInfo, Mode, Request, ScoreReply, Stats,
+    SwapReply,
 };
 use crate::queue::{BoundedQueue, PushError, PushOutcome, ShedPolicy};
 use crate::sink::ServeSink;
 use crate::state;
 use pnr_core::{
-    load_with_retry, ColumnMap, MissingColumnPolicy, ModelArtifact, RecordError, RetryPolicy,
-    ServingModel, UnknownPolicy,
+    load_with_retry, ColumnMap, MissingColumnPolicy, ModelArtifact, RetryPolicy, ServingModel,
+    UnknownPolicy,
 };
 use pnr_telemetry::{Counter, Span, SpanKind, TelemetrySink};
 use serde::Content;
@@ -305,22 +308,14 @@ fn execute_score(job: &ScoreJob, sink: &ServeSink, pending: &AtomicU64, degraded
     // the span covers the whole batch; a mid-batch deadline return still
     // closes it, so even timed-out requests contribute a latency sample
     let _span = Span::enter(sink, SpanKind::ServeRequest, "");
-    let mut results = Vec::with_capacity(job.rows.len());
-    let (mut scored, mut errors) = (0u64, 0u64);
+    let mut reply = ScoreReply::with_capacity(job.rows.len());
     for (i, row) in job.rows.iter().enumerate() {
         if i > 0 && i % DEADLINE_CHECK_EVERY == 0 && deadline_expired(job, i, sink, pending) {
             return;
         }
-        results.push(row_result(
-            &job.model.serving,
-            row,
-            map,
-            sink,
-            &mut scored,
-            &mut errors,
-        ));
+        row_result(&job.model.serving, row, map, sink, &mut reply);
     }
-    finish_score(job, sink, pending, degraded, results, scored, errors);
+    finish_score(job, sink, pending, degraded, reply);
 }
 
 fn finish_score(
@@ -328,63 +323,30 @@ fn finish_score(
     sink: &ServeSink,
     pending: &AtomicU64,
     degraded: &DegradedState,
-    results: Vec<Content>,
-    scored: u64,
-    errors: u64,
+    reply: ScoreReply,
 ) {
     sink.add(Counter::RequestsServed, 1);
     job.model.served.fetch_add(1, Ordering::Relaxed);
     answer(
         &job.respond,
         pending,
-        ok_line(
-            "score",
-            vec![
-                ("id", Content::Str(job.id.clone())),
-                ("epoch", Content::U64(job.model.epoch)),
-                ("degraded", Content::Bool(degraded.is_on())),
-                ("scored", Content::U64(scored)),
-                ("errors", Content::U64(errors)),
-                ("results", Content::Seq(results)),
-            ],
-        ),
+        reply.finish(&job.id, job.model.epoch, degraded.is_on()),
     );
 }
 
+/// Scores one row and appends its result to `reply`.
 fn row_result(
     serving: &ServingModel,
     row: &[String],
     map: &ColumnMap,
     sink: &ServeSink,
-    scored: &mut u64,
-    errors: &mut u64,
-) -> Content {
-    match serving.score_fields(row, map) {
-        Ok(rec) => {
-            *scored += 1;
-            sink.record_score(rec.score, rec.decision, rec.trace.p_rule);
-            Content::Map(vec![
-                ("score".to_string(), Content::F64(rec.score)),
-                ("decision".to_string(), Content::Bool(rec.decision)),
-                ("abstained".to_string(), Content::Bool(rec.abstained)),
-                (
-                    "unknown_values".to_string(),
-                    Content::U64(rec.unknown_values as u64),
-                ),
-            ])
-        }
-        Err(e) => {
-            *errors += 1;
-            let kind = match &e {
-                RecordError::Structural { .. } => "structural",
-                RecordError::UnknownRejected { .. } => "unknown-rejected",
-            };
-            Content::Map(vec![
-                ("error".to_string(), Content::Str(e.to_string())),
-                ("kind".to_string(), Content::Str(kind.to_string())),
-            ])
-        }
+    reply: &mut ScoreReply,
+) {
+    let result = serving.score_fields(row, map);
+    if let Ok(rec) = &result {
+        sink.record_score(rec.score, rec.decision, rec.trace.p_rule);
     }
+    reply.push(&result);
 }
 
 /// Per-connection state: the declared header and its reconciliation
@@ -419,14 +381,25 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
         map: None,
         map_epoch: 0,
     };
-    let mut buf = String::new();
+    // Lines are read as bytes and decoded once complete: a read timeout
+    // can split a multi-byte character, and `read_line` would drop the
+    // part it had read.
+    let mut buf = Vec::new();
     loop {
-        match reader.read_line(&mut buf) {
+        match reader.read_until(b'\n', &mut buf) {
             Ok(0) => break,
             Ok(_) => {
-                let line = buf.trim();
-                if !line.is_empty() {
-                    handle_line(line, &mut conn, &tx, &shared);
+                match std::str::from_utf8(&buf) {
+                    Ok(text) => {
+                        let line = text.trim();
+                        if !line.is_empty() {
+                            handle_line(line, &mut conn, &tx, &shared);
+                        }
+                    }
+                    Err(e) => {
+                        let detail = format!("request line is not UTF-8: {e}");
+                        let _ = tx.send(err_line("bad_request", &detail, Vec::new()));
+                    }
                 }
                 buf.clear();
             }

@@ -30,13 +30,23 @@
 //! ([`Stats::to_line`]/[`Stats::parse`], [`SwapReply::to_line`]/
 //! [`decode_reply`]) and the `error`/`detail` of an [`ErrorReply`]. The
 //! daemon, `pnr-loadgen` and `pnr-sentinel` all go through these types,
-//! so a new field is added in one place. `score` replies keep a
-//! hand-built encoder because it runs on the worker hot path.
+//! so a new field is added in one place.
+//!
+//! The two halves of a `score` round trip build no `Content` tree.
+//! [`parse_request`] walks the line once with [`serde_json::Reader`],
+//! which shares [`serde_json::parse`]'s lexer, so both accept exactly
+//! the same lines. `rows` and `columns` decode straight into their field
+//! strings; a field that is not a string, and every other value, is read
+//! whole as a `Content`, which is a leaf in a well-formed request.
+//! [`ScoreReply`] writes a `score` reply row by row as the worker scores
+//! it, byte for byte the line `ok_line("score", …)` would render, with
+//! `serde_json`'s string escaping and float formatting.
 
-use pnr_core::ArtifactLineage;
+use pnr_core::{ArtifactLineage, RecordError, ScoredRecord};
 use pnr_telemetry::{Counter, N_COUNTERS};
 use serde::{Content, DeError, Deserialize, Serialize};
-use std::fmt;
+use serde_json::Reader;
+use std::fmt::{self, Write};
 
 /// A parsed client request.
 #[derive(Debug, Clone, PartialEq)]
@@ -115,91 +125,186 @@ impl Request {
     }
 }
 
-/// Parses one request line. `Err` carries a human-readable reason the
-/// daemon wraps in a `bad_request` response.
+/// Parses one request line in one pass, building no `Content` tree.
+/// `Err` carries a human-readable reason the daemon wraps in a
+/// `bad_request` response.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let mut value = serde_json::parse(line).map_err(|e| format!("unparseable JSON: {e}"))?;
-    let cmd = match take(&mut value, "cmd") {
-        Some(Content::Str(s)) => s,
-        _ => return Err("missing string field `cmd`".to_string()),
-    };
-    match cmd.as_str() {
-        "hello" => {
-            let Some(Content::Seq(columns)) = take(&mut value, "columns") else {
-                return Err("`hello` needs a `columns` array".to_string());
-            };
-            let columns = columns
-                .into_iter()
-                .map(scalar_to_string)
-                .collect::<Result<Vec<String>, String>>()?;
-            if columns.is_empty() {
-                return Err("`columns` must not be empty".to_string());
+    RequestFields::read(line)
+        .map_err(|e| format!("unparseable JSON: {e}"))?
+        .into_request()
+}
+
+const NO_COLUMNS: &str = "`hello` needs a `columns` array";
+const NO_ROWS: &str = "`score` needs a `rows` array";
+
+/// What one pass over a request line found: the first value under each
+/// key some command reads. `columns` and `rows` are decoded as they are
+/// read, or to the reason they cannot be, which matters only if the
+/// line's `cmd` reads them; the other values are kept as the `Content`
+/// [`serde_json::parse`] builds for them.
+#[derive(Default)]
+struct RequestFields {
+    cmd: Option<Content>,
+    id: Option<Content>,
+    deadline_ms: Option<Content>,
+    path: Option<Content>,
+    on: Option<Content>,
+    reason: Option<Content>,
+    ms: Option<Content>,
+    columns: Option<Result<Vec<String>, String>>,
+    rows: Option<Result<Vec<Vec<String>>, String>>,
+}
+
+impl RequestFields {
+    /// Reads the whole line, so a syntax error anywhere in it fails the
+    /// request, as [`serde_json::parse`] would.
+    fn read(line: &str) -> serde_json::Result<RequestFields> {
+        let mut r = Reader::new(line);
+        let mut f = RequestFields::default();
+        if r.object()? {
+            while let Some(key) = r.next_key()? {
+                match key.as_str() {
+                    "columns" if f.columns.is_none() => {
+                        f.columns = Some(field_array(&mut r, 0, NO_COLUMNS)?);
+                    }
+                    "rows" if f.rows.is_none() => f.rows = Some(rows(&mut r)?),
+                    key => {
+                        let value = r.value()?;
+                        if let Some(slot) = f.slot(key) {
+                            slot.get_or_insert(value);
+                        }
+                    }
+                }
             }
-            Ok(Request::Hello { columns })
+        } else {
+            r.value()?;
         }
-        "score" => {
-            let id = take(&mut value, "id").map(scalar_to_string).transpose()?;
-            let Some(Content::Seq(rows)) = take(&mut value, "rows") else {
-                return Err("`score` needs a `rows` array".to_string());
-            };
-            let rows = rows
-                .into_iter()
-                .map(|row| match row {
-                    Content::Seq(fields) => fields.into_iter().map(scalar_to_string).collect(),
-                    _ => Err("each row must be an array of fields".to_string()),
+        r.finish()?;
+        Ok(f)
+    }
+
+    fn slot(&mut self, key: &str) -> Option<&mut Option<Content>> {
+        Some(match key {
+            "cmd" => &mut self.cmd,
+            "id" => &mut self.id,
+            "deadline_ms" => &mut self.deadline_ms,
+            "path" => &mut self.path,
+            "on" => &mut self.on,
+            "reason" => &mut self.reason,
+            "ms" => &mut self.ms,
+            _ => return None,
+        })
+    }
+
+    fn into_request(self) -> Result<Request, String> {
+        let Some(Content::Str(cmd)) = self.cmd else {
+            return Err("missing string field `cmd`".to_string());
+        };
+        match cmd.as_str() {
+            "hello" => {
+                let columns = self
+                    .columns
+                    .unwrap_or_else(|| Err(NO_COLUMNS.to_string()))?;
+                if columns.is_empty() {
+                    return Err("`columns` must not be empty".to_string());
+                }
+                Ok(Request::Hello { columns })
+            }
+            "score" => {
+                let id = self.id.map(scalar_to_string).transpose()?;
+                let rows = self.rows.unwrap_or_else(|| Err(NO_ROWS.to_string()))?;
+                let deadline_ms = match self.deadline_ms {
+                    None | Some(Content::Null) => None,
+                    Some(v) => {
+                        Some(as_u64(&v).ok_or("`deadline_ms` must be a non-negative integer")?)
+                    }
+                };
+                Ok(Request::Score {
+                    id: id.unwrap_or_default(),
+                    rows,
+                    deadline_ms,
                 })
-                .collect::<Result<Vec<Vec<String>>, String>>()?;
-            let deadline_ms = match value.get("deadline_ms") {
-                None | Some(Content::Null) => None,
-                Some(v) => Some(as_u64(v).ok_or("`deadline_ms` must be a non-negative integer")?),
-            };
-            Ok(Request::Score {
-                id: id.unwrap_or_default(),
-                rows,
-                deadline_ms,
-            })
+            }
+            "swap" => match self.path {
+                Some(Content::Str(path)) if !path.is_empty() => Ok(Request::Swap { path }),
+                _ => Err("`swap` needs a non-empty string `path`".to_string()),
+            },
+            "stats" => Ok(Request::Stats),
+            "degrade" => {
+                let Some(Content::Bool(on)) = self.on else {
+                    return Err("`degrade` needs a boolean `on`".to_string());
+                };
+                let reason = match self.reason {
+                    None | Some(Content::Null) => String::new(),
+                    Some(Content::Str(s)) => s,
+                    _ => return Err("`reason` must be a string".to_string()),
+                };
+                Ok(Request::Degrade { on, reason })
+            }
+            "shutdown" => Ok(Request::Shutdown),
+            "panic" => Ok(Request::Panic),
+            "stall" => {
+                let ms = self
+                    .ms
+                    .as_ref()
+                    .and_then(as_u64)
+                    .ok_or("`stall` needs a non-negative integer `ms`")?;
+                Ok(Request::Stall { ms })
+            }
+            other => Err(format!("unknown cmd {other:?}")),
         }
-        "swap" => match take(&mut value, "path") {
-            Some(Content::Str(path)) if !path.is_empty() => Ok(Request::Swap { path }),
-            _ => Err("`swap` needs a non-empty string `path`".to_string()),
-        },
-        "stats" => Ok(Request::Stats),
-        "degrade" => {
-            let on = match value.get("on") {
-                Some(Content::Bool(b)) => *b,
-                _ => return Err("`degrade` needs a boolean `on`".to_string()),
-            };
-            let reason = match take(&mut value, "reason") {
-                None | Some(Content::Null) => String::new(),
-                Some(Content::Str(s)) => s,
-                _ => return Err("`reason` must be a string".to_string()),
-            };
-            Ok(Request::Degrade { on, reason })
-        }
-        "shutdown" => Ok(Request::Shutdown),
-        "panic" => Ok(Request::Panic),
-        "stall" => {
-            let ms = value
-                .get("ms")
-                .and_then(as_u64)
-                .ok_or("`stall` needs a non-negative integer `ms`")?;
-            Ok(Request::Stall { ms })
-        }
-        other => Err(format!("unknown cmd {other:?}")),
     }
 }
 
-/// Moves the value of the first `key` out of a parsed object, leaving
-/// `null`, so decoded text moves into the [`Request`] instead of being
-/// copied.
-fn take(value: &mut Content, key: &str) -> Option<Content> {
-    match value {
-        Content::Map(entries) => entries
-            .iter_mut()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| std::mem::replace(v, Content::Null)),
-        _ => None,
+/// Reads an array of fields, each rendered by [`scalar_to_string`], with
+/// room for `width` of them; any other value is read past and is
+/// `not_array`.
+fn field_array(
+    r: &mut Reader,
+    width: usize,
+    not_array: &str,
+) -> serde_json::Result<Result<Vec<String>, String>> {
+    if !r.array()? {
+        r.value()?;
+        return Ok(Err(not_array.to_string()));
     }
+    let (mut fields, mut wrong) = (Vec::with_capacity(width), None);
+    while r.next_element()? {
+        // a field is nearly always a string, which `Reader::string` reads
+        // without `Reader::value`'s dispatch and `Content`
+        let field = match r.string()? {
+            Some(s) => Ok(s),
+            None => scalar_to_string(r.value()?),
+        };
+        match field {
+            Ok(field) => fields.push(field),
+            Err(e) => {
+                wrong.get_or_insert(e);
+            }
+        }
+    }
+    Ok(wrong.map_or(Ok(fields), Err))
+}
+
+/// Reads the `rows` of a `score`; the first malformed row or field is
+/// the error.
+fn rows(r: &mut Reader) -> serde_json::Result<Result<Vec<Vec<String>>, String>> {
+    if !r.array()? {
+        r.value()?;
+        return Ok(Err(NO_ROWS.to_string()));
+    }
+    let (mut rows, mut wrong) = (Vec::<Vec<String>>::new(), None);
+    while r.next_element()? {
+        // a batch's rows are usually as wide as each other
+        let width = rows.last().map_or(0, Vec::len);
+        match field_array(r, width, "each row must be an array of fields")? {
+            Ok(row) => rows.push(row),
+            Err(e) => {
+                wrong.get_or_insert(e);
+            }
+        }
+    }
+    Ok(wrong.map_or(Ok(rows), Err))
 }
 
 /// Renders a JSON scalar as a CSV-style field string.
@@ -220,6 +325,85 @@ fn as_u64(v: &Content) -> Option<u64> {
         Content::U64(n) => Some(n),
         Content::I64(n) => u64::try_from(n).ok(),
         _ => None,
+    }
+}
+
+/// About the bytes one row's result takes in a `score` reply (a scored
+/// row's is 80–100): the reply's starting capacity per row.
+const RESULT_BYTES: usize = 96;
+
+/// The most bytes a `score` reply's envelope takes besides its `id` and
+/// results.
+const ENVELOPE_BYTES: usize = 160;
+
+/// A `score` reply, written as the worker scores each row.
+/// [`ScoreReply::push`] appends one row's result and
+/// [`ScoreReply::finish`] writes the envelope around them. The line is
+/// byte for byte what `ok_line("score", …)` renders for the same values,
+/// without a `Content` per row; string escaping and float formatting are
+/// `serde_json`'s.
+#[derive(Debug, Default)]
+pub struct ScoreReply {
+    /// The `results` array written so far, without its brackets.
+    results: String,
+    scored: u64,
+    errors: u64,
+}
+
+impl ScoreReply {
+    /// An empty reply with room for about `rows` results.
+    pub fn with_capacity(rows: usize) -> ScoreReply {
+        ScoreReply {
+            results: String::with_capacity(rows * RESULT_BYTES),
+            ..ScoreReply::default()
+        }
+    }
+
+    /// Appends one row's result: its score, or why it was quarantined.
+    pub fn push(&mut self, result: &Result<ScoredRecord, RecordError>) {
+        let out = &mut self.results;
+        if !out.is_empty() {
+            out.push(',');
+        }
+        // writing to a `String` cannot fail
+        match result {
+            Ok(rec) => {
+                self.scored += 1;
+                out.push_str("{\"score\":");
+                serde_json::write_f64(rec.score, out);
+                let _ = write!(
+                    out,
+                    ",\"decision\":{},\"abstained\":{},\"unknown_values\":{}}}",
+                    rec.decision, rec.abstained, rec.unknown_values
+                );
+            }
+            Err(e) => {
+                self.errors += 1;
+                out.push_str("{\"error\":");
+                serde_json::write_escaped(&e.to_string(), out);
+                let kind = match e {
+                    RecordError::Structural { .. } => "structural",
+                    RecordError::UnknownRejected { .. } => "unknown-rejected",
+                };
+                let _ = write!(out, ",\"kind\":\"{kind}\"}}");
+            }
+        }
+    }
+
+    /// The reply line, `{"ok":true,"reply":"score","id":…,"epoch":…,
+    /// "degraded":…,"scored":…,"errors":…,"results":[…]}`.
+    pub fn finish(self, id: &str, epoch: u64, degraded: bool) -> String {
+        let mut line = String::with_capacity(ENVELOPE_BYTES + id.len() + self.results.len());
+        line.push_str("{\"ok\":true,\"reply\":\"score\",\"id\":");
+        serde_json::write_escaped(id, &mut line);
+        let _ = write!(
+            line,
+            ",\"epoch\":{epoch},\"degraded\":{degraded},\"scored\":{},\"errors\":{},\"results\":[",
+            self.scored, self.errors
+        );
+        line.push_str(&self.results);
+        line.push_str("]}");
+        line
     }
 }
 
@@ -525,8 +709,428 @@ pub struct LatencySummary {
 }
 
 #[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod common;
+
+#[cfg(test)]
 mod tests {
+    use super::common::{mutate, request, text};
     use super::*;
+    use pnr_core::RuleTrace;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The decoder before the one-pass reader: the whole line becomes a
+    /// `Content` tree, then each command takes its keys out of it. The
+    /// reference `parse_request` must agree with on every line.
+    fn tree_parse_request(line: &str) -> Result<Request, String> {
+        let mut value = serde_json::parse(line).map_err(|e| format!("unparseable JSON: {e}"))?;
+        let cmd = match take(&mut value, "cmd") {
+            Some(Content::Str(s)) => s,
+            _ => return Err("missing string field `cmd`".to_string()),
+        };
+        match cmd.as_str() {
+            "hello" => {
+                let Some(Content::Seq(columns)) = take(&mut value, "columns") else {
+                    return Err("`hello` needs a `columns` array".to_string());
+                };
+                let columns = columns
+                    .into_iter()
+                    .map(scalar_to_string)
+                    .collect::<Result<Vec<String>, String>>()?;
+                if columns.is_empty() {
+                    return Err("`columns` must not be empty".to_string());
+                }
+                Ok(Request::Hello { columns })
+            }
+            "score" => {
+                let id = take(&mut value, "id").map(scalar_to_string).transpose()?;
+                let Some(Content::Seq(rows)) = take(&mut value, "rows") else {
+                    return Err("`score` needs a `rows` array".to_string());
+                };
+                let rows = rows
+                    .into_iter()
+                    .map(|row| match row {
+                        Content::Seq(fields) => fields.into_iter().map(scalar_to_string).collect(),
+                        _ => Err("each row must be an array of fields".to_string()),
+                    })
+                    .collect::<Result<Vec<Vec<String>>, String>>()?;
+                let deadline_ms = match value.get("deadline_ms") {
+                    None | Some(Content::Null) => None,
+                    Some(v) => {
+                        Some(as_u64(v).ok_or("`deadline_ms` must be a non-negative integer")?)
+                    }
+                };
+                Ok(Request::Score {
+                    id: id.unwrap_or_default(),
+                    rows,
+                    deadline_ms,
+                })
+            }
+            "swap" => match take(&mut value, "path") {
+                Some(Content::Str(path)) if !path.is_empty() => Ok(Request::Swap { path }),
+                _ => Err("`swap` needs a non-empty string `path`".to_string()),
+            },
+            "stats" => Ok(Request::Stats),
+            "degrade" => {
+                let on = match value.get("on") {
+                    Some(Content::Bool(b)) => *b,
+                    _ => return Err("`degrade` needs a boolean `on`".to_string()),
+                };
+                let reason = match take(&mut value, "reason") {
+                    None | Some(Content::Null) => String::new(),
+                    Some(Content::Str(s)) => s,
+                    _ => return Err("`reason` must be a string".to_string()),
+                };
+                Ok(Request::Degrade { on, reason })
+            }
+            "shutdown" => Ok(Request::Shutdown),
+            "panic" => Ok(Request::Panic),
+            "stall" => {
+                let ms = value
+                    .get("ms")
+                    .and_then(as_u64)
+                    .ok_or("`stall` needs a non-negative integer `ms`")?;
+                Ok(Request::Stall { ms })
+            }
+            other => Err(format!("unknown cmd {other:?}")),
+        }
+    }
+
+    /// Moves the value of the first `key` out of a parsed object, leaving
+    /// `null`.
+    fn take(value: &mut Content, key: &str) -> Option<Content> {
+        match value {
+            Content::Map(entries) => entries
+                .iter_mut()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| std::mem::replace(v, Content::Null)),
+            _ => None,
+        }
+    }
+
+    /// Every key some command reads.
+    const KEYS: [&str; 9] = [
+        "cmd",
+        "columns",
+        "id",
+        "rows",
+        "deadline_ms",
+        "path",
+        "on",
+        "reason",
+        "ms",
+    ];
+
+    fn pick<'a>(rng: &mut StdRng, items: &[&'a str]) -> &'a str {
+        items[rng.gen_range(0..items.len())]
+    }
+
+    fn ws(rng: &mut StdRng) -> &'static str {
+        pick(rng, &["", "", " ", "\t", "\r\n", "  "])
+    }
+
+    /// `s` as a JSON string literal, each character written raw or
+    /// escaped at random: `\uXXXX` in either case (a surrogate pair
+    /// beyond U+FFFF) or its short escape. One literal in 64 also holds a
+    /// broken escape, such as a lone surrogate.
+    fn literal(rng: &mut StdRng, s: &str) -> String {
+        const BROKEN: [&str; 7] = [
+            "\\ud83d",
+            "\\ude00",
+            "\\ud83d\\u0041",
+            "\\ude00\\ud83d",
+            "\\x",
+            "\\u12G4",
+            "\\u+041",
+        ];
+        let n = s.chars().count();
+        let broken_at = (rng.gen_range(0..64) == 0).then(|| rng.gen_range(0..=n));
+        let mut out = String::from("\"");
+        for (i, c) in s.chars().chain(std::iter::once('"')).enumerate() {
+            if broken_at == Some(i) {
+                out.push_str(pick(rng, &BROKEN));
+            }
+            if i == n {
+                break;
+            }
+            let short = match c {
+                '"' => Some("\\\""),
+                '\\' => Some("\\\\"),
+                '/' => Some("\\/"),
+                '\n' => Some("\\n"),
+                '\r' => Some("\\r"),
+                '\t' => Some("\\t"),
+                '\u{8}' => Some("\\b"),
+                '\u{c}' => Some("\\f"),
+                _ => None,
+            };
+            match (rng.gen_range(0..3u32), short) {
+                (0, _) => {
+                    for unit in c.encode_utf16(&mut [0; 2]) {
+                        out.push_str(&match rng.gen() {
+                            true => format!("\\u{unit:04x}"),
+                            false => format!("\\u{unit:04X}"),
+                        });
+                    }
+                }
+                (1, Some(escape)) => out.push_str(escape),
+                (_, Some(escape)) if matches!(c, '"' | '\\') => out.push_str(escape),
+                _ => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// A scalar other than a string: integers, negative and exponent
+    /// floats (some past `f64`'s range), booleans and `null`.
+    fn other_scalar(rng: &mut StdRng) -> String {
+        match rng.gen_range(0..6u32) {
+            0 => rng.gen::<u64>().to_string(),
+            1 => format!("-{}", rng.gen::<u16>()),
+            2 => format!("-{}.{}", rng.gen::<u8>(), rng.gen::<u16>()),
+            3 => format!(
+                "{}{}.{}{}{}{}",
+                pick(rng, &["", "-"]),
+                rng.gen::<u8>(),
+                rng.gen::<u8>(),
+                pick(rng, &["e", "E"]),
+                pick(rng, &["", "+", "-"]),
+                rng.gen_range(0..400u32)
+            ),
+            4 => pick(rng, &["true", "false"]).to_string(),
+            _ => "null".to_string(),
+        }
+    }
+
+    /// `v`, a value from a canonical request line, as JSON text again:
+    /// random whitespace and escapes, one value in 16 replaced by a value
+    /// of any shape and one scalar in six by another scalar.
+    fn render(rng: &mut StdRng, v: &Content) -> String {
+        if rng.gen_range(0..16) == 0 {
+            return any_value(rng, 2);
+        }
+        match v {
+            Content::Seq(items) => {
+                let items: Vec<String> = items.iter().map(|item| render(rng, item)).collect();
+                let sep = format!("{},{}", ws(rng), ws(rng));
+                format!("[{}{}{}]", ws(rng), items.join(&sep), ws(rng))
+            }
+            _ if rng.gen_range(0..6) == 0 => other_scalar(rng),
+            Content::Str(s) => literal(rng, s),
+            other => serde_json::to_string(other).unwrap(),
+        }
+    }
+
+    /// A value of any shape, nested at most `depth` levels, or now and
+    /// then an array nested around the 128-level cap.
+    fn any_value(rng: &mut StdRng, depth: u32) -> String {
+        match rng.gen_range(0..if depth == 0 { 2 } else { 5 }) {
+            0 => other_scalar(rng),
+            1 => {
+                let s = text(rng);
+                literal(rng, &s)
+            }
+            2 if rng.gen_range(0..16) == 0 => {
+                let n = rng.gen_range(120..136);
+                format!("{}{}", "[".repeat(n), "]".repeat(n))
+            }
+            2 | 3 => {
+                let items: Vec<String> = (0..rng.gen_range(0..4))
+                    .map(|_| any_value(rng, depth - 1))
+                    .collect();
+                format!("[{}{}]", ws(rng), items.join(","))
+            }
+            _ => {
+                let entries: Vec<String> = (0..rng.gen_range(0..4))
+                    .map(|_| {
+                        let key = pick(rng, &KEYS);
+                        let key = literal(rng, key);
+                        format!("{key}{}:{}", ws(rng), any_value(rng, depth - 1))
+                    })
+                    .collect();
+                format!("{{{}}}", entries.join(","))
+            }
+        }
+    }
+
+    /// A line carrying a random request: its keys shuffled among keys
+    /// of other commands and duplicates (values of any shape) and unknown
+    /// keys (nested values), with random whitespace, fields of every
+    /// scalar type and random escapes; one line in four is then damaged.
+    fn request_line(rng: &mut StdRng) -> String {
+        let canonical = serde_json::parse(&request(rng).to_line()).unwrap();
+        let mut entries: Vec<(String, String)> = canonical
+            .as_map()
+            .unwrap()
+            .iter()
+            .map(|(k, v)| (k.clone(), render(rng, v)))
+            .collect();
+        for _ in 0..rng.gen_range(0..3) {
+            // a key some command reads, or one this line already has
+            let key = match rng.gen() {
+                true => pick(rng, &KEYS).to_string(),
+                false => entries[rng.gen_range(0..entries.len())].0.clone(),
+            };
+            entries.push((key, any_value(rng, 3)));
+        }
+        for _ in 0..rng.gen_range(0..3) {
+            let key = pick(rng, &["x", "Cmd", "rows ", ""]).to_string();
+            entries.push((key, any_value(rng, 3)));
+        }
+        for i in (1..entries.len()).rev() {
+            entries.swap(i, rng.gen_range(0..=i));
+        }
+        let entries: Vec<String> = entries
+            .iter()
+            .map(|(k, v)| format!("{}{}:{}{v}", literal(rng, k), ws(rng), ws(rng)))
+            .collect();
+        let sep = format!("{},{}", ws(rng), ws(rng));
+        let line = format!(
+            "{}{{{}{}{}}}{}",
+            ws(rng),
+            ws(rng),
+            entries.join(&sep),
+            ws(rng),
+            ws(rng)
+        );
+        match rng.gen_range(0..4) {
+            0 => {
+                let donor = request(rng).to_line();
+                mutate(rng, &line, &donor)
+            }
+            _ => line,
+        }
+    }
+
+    /// A score the encoder must render as `ok_line` does, or why a row
+    /// was quarantined.
+    fn record(rng: &mut StdRng) -> Result<ScoredRecord, RecordError> {
+        const SCORES: [f64; 6] = [0.0, 1.0, 1e-7, 5e-324, f64::MIN_POSITIVE / 3.0, f64::NAN];
+        match rng.gen_range(0..4u32) {
+            0 => Err(RecordError::Structural { detail: text(rng) }),
+            1 => Err(RecordError::UnknownRejected {
+                unknown_values: rng.gen_range(0..1000),
+            }),
+            _ => Ok(ScoredRecord {
+                score: match rng.gen() {
+                    true => SCORES[rng.gen_range(0..SCORES.len())],
+                    false => rng.gen(),
+                },
+                decision: rng.gen(),
+                trace: RuleTrace {
+                    p_rule: None,
+                    n_rule: None,
+                },
+                abstained: rng.gen(),
+                unknown_values: rng.gen_range(0..20),
+            }),
+        }
+    }
+
+    /// The `score` reply `ok_line` renders from a tree, as the worker
+    /// built it before [`ScoreReply`].
+    fn tree_score_line(
+        id: &str,
+        epoch: u64,
+        degraded: bool,
+        records: &[Result<ScoredRecord, RecordError>],
+    ) -> String {
+        let results = records
+            .iter()
+            .map(|r| match r {
+                Ok(rec) => Content::Map(vec![
+                    ("score".to_string(), Content::F64(rec.score)),
+                    ("decision".to_string(), Content::Bool(rec.decision)),
+                    ("abstained".to_string(), Content::Bool(rec.abstained)),
+                    (
+                        "unknown_values".to_string(),
+                        Content::U64(rec.unknown_values as u64),
+                    ),
+                ]),
+                Err(e) => {
+                    let kind = match e {
+                        RecordError::Structural { .. } => "structural",
+                        RecordError::UnknownRejected { .. } => "unknown-rejected",
+                    };
+                    Content::Map(vec![
+                        ("error".to_string(), Content::Str(e.to_string())),
+                        ("kind".to_string(), Content::Str(kind.to_string())),
+                    ])
+                }
+            })
+            .collect();
+        let scored = records.iter().filter(|r| r.is_ok()).count() as u64;
+        ok_line(
+            "score",
+            vec![
+                ("id", Content::Str(id.to_string())),
+                ("epoch", Content::U64(epoch)),
+                ("degraded", Content::Bool(degraded)),
+                ("scored", Content::U64(scored)),
+                ("errors", Content::U64(records.len() as u64 - scored)),
+                ("results", Content::Seq(results)),
+            ],
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn one_pass_decoder_agrees_with_the_tree_decoder(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let line = request_line(&mut rng);
+            prop_assert_eq!(parse_request(&line), tree_parse_request(&line), "line {:?}", line);
+        }
+
+        #[test]
+        fn score_reply_encoder_agrees_with_ok_line(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let records: Vec<_> = (0..rng.gen_range(0..6)).map(|_| record(&mut rng)).collect();
+            let (id, epoch, degraded) = (text(&mut rng), rng.gen(), rng.gen());
+            let mut reply = ScoreReply::with_capacity(records.len());
+            for r in &records {
+                reply.push(r);
+            }
+            prop_assert_eq!(
+                reply.finish(&id, epoch, degraded),
+                tree_score_line(&id, epoch, degraded, &records)
+            );
+        }
+    }
+
+    /// A `score` reply captured from the daemon before [`ScoreReply`]: one
+    /// scored row and one quarantined row whose detail echoes a field
+    /// holding `"` and `é`.
+    const DAEMON_SCORE: &str = concat!(
+        "{\"ok\":true,\"reply\":\"score\",\"id\":\"g\\\"1é\",\"epoch\":1,\"degraded\":false,",
+        "\"scored\":1,\"errors\":1,\"results\":[{\"score\":0.9993654822335025,",
+        "\"decision\":true,\"abstained\":false,\"unknown_values\":0},",
+        "{\"error\":\"Structural: field `a\\\"é` of numeric attribute `duration` is not a ",
+        "number\",\"kind\":\"structural\"}]}"
+    );
+
+    #[test]
+    fn score_reply_reproduces_a_captured_daemon_reply() {
+        let mut reply = ScoreReply::with_capacity(2);
+        reply.push(&Ok(ScoredRecord {
+            score: 0.9993654822335025,
+            decision: true,
+            trace: RuleTrace {
+                p_rule: Some(0),
+                n_rule: None,
+            },
+            abstained: false,
+            unknown_values: 0,
+        }));
+        reply.push(&Err(RecordError::Structural {
+            detail: "field `a\"é` of numeric attribute `duration` is not a number".to_string(),
+        }));
+        assert_eq!(reply.finish("g\"1é", 1, false), DAEMON_SCORE);
+    }
 
     #[test]
     fn parses_hello_score_and_control_commands() {

@@ -813,3 +813,52 @@ fn a_deeply_nested_line_is_a_bad_request_and_the_daemon_keeps_serving() {
     assert_eq!(code, Some(0), "the daemon drains normally afterwards");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_line_split_inside_a_character_is_answered() {
+    let dir = temp_dir("split_char");
+    let a1 = make_artifact(&dir, "a1.artifact", 7);
+    let daemon = Daemon::start(&["--model", a1.to_str().unwrap()]);
+    let mut client = Client::connect(&daemon.addr);
+
+    // the daemon's reads time out every 100 ms, so the pause ends one
+    // read between the two bytes of `é`
+    let line = "{\"cmd\":\"degrade\",\"on\":true,\"reason\":\"café drift\"}\n".as_bytes();
+    let split = line.iter().position(|&b| b == 0xC3).unwrap() + 1;
+    client.writer.write_all(&line[..split]).unwrap();
+    std::thread::sleep(Duration::from_millis(350));
+    client.writer.write_all(&line[split..]).unwrap();
+    let reply = client.recv();
+    assert!(is_ok(&reply), "{reply:?}");
+    let stats = client.stats();
+    assert_eq!(stats.mode, Mode::Degraded);
+    assert_eq!(stats.degraded_reason.as_deref(), Some("café drift"));
+
+    client.send(&Request::Shutdown.to_line());
+    let (code, _) = daemon.wait();
+    assert_eq!(code, Some(0));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_line_that_is_not_utf8_is_a_bad_request_and_the_connection_stays_open() {
+    let dir = temp_dir("not_utf8");
+    let a1 = make_artifact(&dir, "a1.artifact", 7);
+    let daemon = Daemon::start(&["--model", a1.to_str().unwrap()]);
+    let mut client = Client::connect(&daemon.addr);
+
+    client
+        .writer
+        .write_all(b"{\"cmd\":\"stats\xff\"}\n")
+        .unwrap();
+    let reply = client.recv();
+    assert!(!is_ok(&reply), "{reply:?}");
+    assert_eq!(jstr(&reply, "error"), "bad_request");
+    // the next request on the same connection is answered
+    assert_eq!(client.stats().counters.get(Counter::RequestsServed), 0);
+
+    client.send(&Request::Shutdown.to_line());
+    let (code, _) = daemon.wait();
+    assert_eq!(code, Some(0));
+    std::fs::remove_dir_all(&dir).ok();
+}
