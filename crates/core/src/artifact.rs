@@ -26,6 +26,7 @@
 use crate::learn::FitReport;
 use crate::model::PnruleModel;
 use crate::params::PnruleParams;
+use crate::retry::Backoff;
 use pnr_data::fingerprint::fnv1a_64;
 use pnr_data::{AttrType, Schema};
 use pnr_rules::Condition;
@@ -421,27 +422,13 @@ impl ModelArtifact {
         if text.is_empty() {
             return Err(malformed("artifact file is empty"));
         }
-        // 1. Integrity envelope: first line must be 16 hex digits whose
-        //    value matches the digest of everything after the newline. A
-        //    damaged checksum line is itself a checksum mismatch — the
-        //    envelope cannot be verified.
-        let (checksum_line, payload) = match text.split_once('\n') {
-            Some(parts) => parts,
-            None => return Err(ArtifactError::ChecksumMismatch),
-        };
-        let strict_hex = checksum_line.len() == 16
-            && checksum_line
-                .bytes()
-                .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b));
-        let stored = match u64::from_str_radix(checksum_line, 16) {
-            // require exactly the 16 lowercase digits we write, so a case
-            // flip inside the checksum line cannot load silently
-            Ok(v) if strict_hex => v,
+        // 1. Integrity envelope (`envelope_verifies`). A damaged checksum
+        //    line is itself a checksum mismatch: the envelope cannot be
+        //    verified.
+        let payload = match text.split_once('\n') {
+            Some((_, payload)) if Self::envelope_verifies(text.as_bytes()) => payload,
             _ => return Err(ArtifactError::ChecksumMismatch),
         };
-        if fnv1a_64(payload.as_bytes()) != stored {
-            return Err(ArtifactError::ChecksumMismatch);
-        }
         // 2. Magic and version: only reachable with a verified payload.
         let (header, json) = payload
             .split_once('\n')
@@ -493,47 +480,9 @@ impl ModelArtifact {
     }
 }
 
-/// Bounded exponential backoff over transient failures (see
-/// [`load_with_retry`]). Delays are `base_delay * 2^i`, capped at
-/// `max_delay`; the total attempt count is `attempts`. This is a thin
-/// un-jittered view over [`crate::retry::Backoff`], kept for the
-/// artifact API's stability; new callers wanting jitter should build a
-/// `Backoff` directly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts (including the first); at least 1 is always made.
-    pub attempts: u32,
-    /// Delay before the first retry.
-    pub base_delay: std::time::Duration,
-    /// Upper bound on any single delay.
-    pub max_delay: std::time::Duration,
-}
-
-impl Default for RetryPolicy {
-    /// 4 attempts, 10 ms → 20 ms → 40 ms backoff (max 200 ms): long
-    /// enough to ride out an editor/publisher replacing the file, short
-    /// enough that a hot-swap control command stays interactive.
-    fn default() -> Self {
-        RetryPolicy {
-            attempts: 4,
-            base_delay: std::time::Duration::from_millis(10),
-            max_delay: std::time::Duration::from_millis(200),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The equivalent (un-jittered) [`crate::retry::Backoff`] schedule.
-    pub fn backoff(&self) -> crate::retry::Backoff {
-        crate::retry::Backoff::new(self.attempts, self.base_delay, self.max_delay)
-    }
-
-    /// The delay before retry number `i` (0-based), with saturating
-    /// exponential growth capped at `max_delay`.
-    pub fn delay(&self, i: u32) -> std::time::Duration {
-        self.backoff().delay(i)
-    }
-}
+/// The artifact API's old name for [`Backoff`]; the benchmark package
+/// (`pnrbench/`) still names it.
+pub type RetryPolicy = Backoff;
 
 /// Whether an I/O failure is worth retrying: the classes of error that a
 /// moment of contention can produce and a moment of patience can cure.
@@ -546,17 +495,17 @@ pub fn is_transient_io(e: &io::Error) -> bool {
     )
 }
 
-/// Runs `op` under `policy`: transient failures (per `transient`) are
-/// retried with exponential backoff through [`crate::retry::run`]; the
-/// first non-transient failure is returned as-is; exhausting every
-/// attempt on transient failures yields
-/// [`ArtifactError::RetriesExhausted`] wrapping the last error.
+/// Runs `op` under `backoff`: transient failures (per `transient`) are
+/// retried through [`crate::retry::run`]; the first non-transient
+/// failure is returned as-is; exhausting every attempt on transient
+/// failures yields [`ArtifactError::RetriesExhausted`] wrapping the last
+/// error.
 pub fn retry_transient<T>(
-    policy: &RetryPolicy,
+    backoff: &Backoff,
     transient: impl FnMut(&ArtifactError) -> bool,
     mut op: impl FnMut() -> Result<T, ArtifactError>,
 ) -> Result<T, ArtifactError> {
-    crate::retry::run(&policy.backoff(), transient, |_attempt| op()).map_err(|e| match e {
+    crate::retry::run(backoff, transient, |_attempt| op()).map_err(|e| match e {
         crate::retry::RetryError::Fatal(e) => e,
         crate::retry::RetryError::Exhausted { attempts, last } => ArtifactError::RetriesExhausted {
             attempts,
@@ -567,33 +516,16 @@ pub fn retry_transient<T>(
 
 /// [`ModelArtifact::load`] with bounded retries over *transient* I/O
 /// errors ([`is_transient_io`]): interrupted reads, timeouts and
-/// would-block conditions back off exponentially per `policy`; a
+/// would-block conditions back off per `backoff`; a
 /// deterministic failure (missing file, corruption, version skew) is
 /// reported immediately. This is the load every long-running caller —
 /// the serving daemon's hot-swap path and the `predict` binary — goes
 /// through, so a busy filesystem cannot fail a swap that one more read
 /// would have served.
-pub fn load_with_retry(path: &Path, policy: &RetryPolicy) -> Result<ModelArtifact, ArtifactError> {
+pub fn load_with_retry(path: &Path, backoff: &Backoff) -> Result<ModelArtifact, ArtifactError> {
     retry_transient(
-        policy,
+        backoff,
         |e| matches!(e, ArtifactError::Io(io) if is_transient_io(io)),
         || ModelArtifact::load(path),
     )
-}
-
-/// Reads just the envelope checksum (the first line, 16 lowercase hex
-/// digits) of an artifact file, verifying it against the payload first —
-/// so the returned digest is a trustworthy identity, not whatever bytes
-/// happened to head a corrupt file. This is how swap lineage is checked
-/// without deserializing the whole parent artifact.
-pub fn file_checksum(path: &Path) -> Result<String, ArtifactError> {
-    let bytes = fs::read(path)?;
-    if !ModelArtifact::envelope_verifies(&bytes) {
-        return Err(ArtifactError::ChecksumMismatch);
-    }
-    // envelope_verifies guarantees a 16-byte ASCII-hex first line
-    match bytes.split(|&b| b == b'\n').next() {
-        Some(line) => Ok(String::from_utf8_lossy(line).into_owned()),
-        None => Err(ArtifactError::ChecksumMismatch),
-    }
 }

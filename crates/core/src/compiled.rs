@@ -7,8 +7,9 @@
 //! hit, route it through the compiled N-program and read the score out of
 //! the matrix. Decisions — score, trace and thresholded prediction — are
 //! bit-identical to [`PnruleModel::score_with_trace`]: the compiled rule
-//! engines return the interpreter's exact first-match ranks, and the
-//! matrix lookup and threshold comparison are the same code path.
+//! engines return the interpreter's exact first-match ranks, both route
+//! them to a cell through the one `ScoreMatrix::route`, and the
+//! threshold comparison is the same.
 //!
 //! For batch scoring, [`CompiledModel::scorer`] binds both programs to a
 //! dataset's columns once ([`CompiledMatcher`]) so the per-row loop is
@@ -50,19 +51,9 @@ impl CompiledModel {
     /// Score and explanation of `row`, bit-identical to
     /// [`PnruleModel::score_with_trace`].
     pub fn score_with_trace(&self, data: &Dataset, row: usize) -> (f64, RuleTrace) {
-        match self.p.first_match(data, row) {
-            None => NO_P_MATCH,
-            Some(pi) => {
-                let nj = self.n.first_match(data, row);
-                (
-                    self.score_matrix.score(pi, nj),
-                    RuleTrace {
-                        p_rule: Some(pi),
-                        n_rule: nj,
-                    },
-                )
-            }
-        }
+        self.score_matrix.route(self.p.first_match(data, row), || {
+            self.n.first_match(data, row)
+        })
     }
 
     /// Score and explanation against fallible value lookups (the serving
@@ -74,19 +65,10 @@ impl CompiledModel {
         N: Fn(usize) -> Option<f64>,
         C: Fn(usize) -> Option<u32>,
     {
-        match self.p.first_match_lookup(&num, &cat) {
-            None => NO_P_MATCH,
-            Some(pi) => {
-                let nj = self.n.first_match_lookup(&num, &cat);
-                (
-                    self.score_matrix.score(pi, nj),
-                    RuleTrace {
-                        p_rule: Some(pi),
-                        n_rule: nj,
-                    },
-                )
-            }
-        }
+        self.score_matrix
+            .route(self.p.first_match_lookup(&num, &cat), || {
+                self.n.first_match_lookup(&num, &cat)
+            })
     }
 
     /// The thresholded decision for `row`.
@@ -111,15 +93,6 @@ impl CompiledModel {
     }
 }
 
-/// The no-P-rule outcome: score 0 and an empty trace.
-const NO_P_MATCH: (f64, RuleTrace) = (
-    0.0,
-    RuleTrace {
-        p_rule: None,
-        n_rule: None,
-    },
-);
-
 /// A [`CompiledModel`] bound to one dataset's columns for batch scoring.
 #[derive(Debug, Clone)]
 pub struct CompiledScorer<'a> {
@@ -140,19 +113,9 @@ impl CompiledScorer<'_> {
     /// [`PnruleModel::score_with_trace`].
     #[inline]
     pub fn score_with_trace(&self, row: usize) -> (f64, RuleTrace) {
-        match self.p.first_match(row) {
-            None => NO_P_MATCH,
-            Some(pi) => {
-                let nj = self.n.first_match(self.data, row);
-                (
-                    self.score_matrix.score(pi, nj),
-                    RuleTrace {
-                        p_rule: Some(pi),
-                        n_rule: nj,
-                    },
-                )
-            }
-        }
+        self.score_matrix.route(self.p.first_match(row), || {
+            self.n.first_match(self.data, row)
+        })
     }
 
     /// The model score of `row`.

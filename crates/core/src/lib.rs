@@ -52,6 +52,7 @@ pub mod learn;
 pub mod model;
 pub mod multiclass;
 pub mod nphase;
+pub mod panic_capture;
 pub mod params;
 pub mod pphase;
 pub mod retry;
@@ -61,8 +62,8 @@ pub mod tune;
 pub mod windowed;
 
 pub use artifact::{
-    file_checksum, is_transient_io, load_with_retry, retry_transient, ArtifactError,
-    ArtifactLineage, ModelArtifact, RetryPolicy, FORMAT_VERSION,
+    is_transient_io, load_with_retry, retry_transient, ArtifactError, ArtifactLineage,
+    ModelArtifact, RetryPolicy, FORMAT_VERSION,
 };
 pub use compiled::{CompiledModel, CompiledScorer};
 pub use grow::{grow_rule, GrowOptions, GrownRule, RecallGuard};

@@ -28,7 +28,8 @@ pub struct PnruleModel {
 }
 
 /// Which rules fired for a record — the model's explanation of a decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The default is the trace of a record no P-rule matched.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RuleTrace {
     /// Index of the first matching P-rule (`None` = no P-rule applied).
     pub p_rule: Option<usize>,
@@ -44,25 +45,10 @@ impl PnruleModel {
     /// [`score`](BinaryClassifier::score) and [`Self::trace`] separately —
     /// those would each walk the P- and N-rule lists again.
     pub fn score_with_trace(&self, data: &Dataset, row: usize) -> (f64, RuleTrace) {
-        match self.p_rules.first_match(data, row) {
-            None => (
-                0.0,
-                RuleTrace {
-                    p_rule: None,
-                    n_rule: None,
-                },
-            ),
-            Some(pi) => {
-                let nj = self.n_rules.first_match(data, row);
-                (
-                    self.score_matrix.score(pi, nj),
-                    RuleTrace {
-                        p_rule: Some(pi),
-                        n_rule: nj,
-                    },
-                )
-            }
-        }
+        self.score_matrix
+            .route(self.p_rules.first_match(data, row), || {
+                self.n_rules.first_match(data, row)
+            })
     }
 
     /// The rules that fire for `row`.

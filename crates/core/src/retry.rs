@@ -1,6 +1,7 @@
 //! Reusable bounded retry with deterministic, seeded backoff jitter.
 //!
-//! This is the one retry loop the workspace shares: artifact loading
+//! This is the one retry loop and the one schedule type ([`Backoff`]) the
+//! workspace shares: artifact loading
 //! ([`crate::artifact::load_with_retry`]), the sentinel's daemon
 //! reconnects, and refit artifact publication all run through
 //! [`run`]. Delays grow exponentially (`base_delay * 2^i`, capped at
@@ -21,9 +22,8 @@ fn lcg_step(state: u64) -> u64 {
 }
 
 /// Bounded exponential backoff schedule. `jitter_seed == 0` means no
-/// jitter (the artifact loader's historical behaviour); a non-zero seed
-/// adds a deterministic extra delay in `[0, delay/2]` derived from
-/// `(seed, attempt)` only.
+/// jitter; a non-zero seed adds a deterministic extra delay in
+/// `[0, delay/2]` derived from `(seed, attempt)` only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Backoff {
     /// Total attempts (including the first); at least 1 is always made.
@@ -34,6 +34,16 @@ pub struct Backoff {
     pub max_delay: Duration,
     /// Seed for the LCG jitter; 0 disables jitter.
     pub jitter_seed: u64,
+}
+
+impl Default for Backoff {
+    /// 4 attempts, 10 ms → 20 ms → 40 ms backoff (max 200 ms), no jitter:
+    /// long enough to ride out an editor or publisher replacing a file,
+    /// short enough that a hot-swap control command stays interactive.
+    /// Every artifact load with retry uses it.
+    fn default() -> Self {
+        Backoff::new(4, Duration::from_millis(10), Duration::from_millis(200))
+    }
 }
 
 impl Backoff {

@@ -15,6 +15,7 @@
 //! belongs to the target class, given that a particular P-rule, N-rule
 //! combination applied to it".
 
+use crate::model::RuleTrace;
 use pnr_data::weights::approx;
 use pnr_data::Dataset;
 use pnr_rules::RuleSet;
@@ -81,18 +82,21 @@ impl ScoreMatrix {
             let Some(pi) = p_rules.first_match(data, row) else {
                 continue;
             };
-            let nj = n_rules.first_match(data, row).unwrap_or(n_n);
+            let cell = Self::cell(n_n, pi, n_rules.first_match(data, row));
             let w = data.weight(row);
-            cell_tot[pi * width + nj] += w;
+            cell_tot[cell] += w;
             if row_is_pos {
-                cell_pos[pi * width + nj] += w;
+                cell_pos[cell] += w;
             }
         }
 
         let mut scores = vec![0.5f64; n_p * width];
-        for pi in 0..n_p {
-            let row_pos = pnr_data::ordered_sum((0..width).map(|j| cell_pos[pi * width + j]));
-            let row_tot = pnr_data::ordered_sum((0..width).map(|j| cell_tot[pi * width + j]));
+        let rows = cell_pos
+            .chunks_exact(width)
+            .zip(cell_tot.chunks_exact(width));
+        for ((pos_row, tot_row), score_row) in rows.zip(scores.chunks_exact_mut(width)) {
+            let row_pos = pnr_data::ordered_sum(pos_row.iter().copied());
+            let row_tot = pnr_data::ordered_sum(tot_row.iter().copied());
             let row_acc = if row_tot > 0.0 {
                 row_pos / row_tot
             } else {
@@ -100,8 +104,7 @@ impl ScoreMatrix {
             };
             let row_score = (row_pos + 1.0) / (row_tot + 2.0);
             for j in 0..width {
-                let tot = cell_tot[pi * width + j];
-                let pos = cell_pos[pi * width + j];
+                let (pos, tot) = (pos_row[j], tot_row[j]);
                 let raw = (pos + 1.0) / (tot + 2.0);
                 let use_raw = if j == n_n {
                     // The default column is the P-rule's own evidence when
@@ -125,7 +128,7 @@ impl ScoreMatrix {
                         ((pos / tot - row_acc) / sigma).abs() >= z_threshold
                     }
                 };
-                scores[pi * width + j] = if use_raw { raw } else { row_score };
+                score_row[j] = if use_raw { raw } else { row_score };
             }
         }
         // Every cell is a Laplace-smoothed fraction or the 0.5 prior; a
@@ -153,18 +156,43 @@ impl ScoreMatrix {
         self.scores.len()
     }
 
+    /// The index in row-major `scores` of the cell a record lands in when
+    /// P-rule `p` is its first match and N-rule `n` its first N-match
+    /// (`None` = no N-rule applied → the default column `n_n`).
+    fn cell(n_n: usize, p: usize, n: Option<usize>) -> usize {
+        p * (n_n + 1) + n.unwrap_or(n_n)
+    }
+
     /// Score of the combination: first-matching P-rule `p`, first-matching
     /// N-rule `n` (`None` = no N-rule applied → default column).
     pub fn score(&self, p: usize, n: Option<usize>) -> f64 {
         assert!(p < self.n_p, "P-rule index out of range");
-        let j = match n {
-            Some(j) => {
-                assert!(j < self.n_n, "N-rule index out of range");
-                j
-            }
-            None => self.n_n,
+        if let Some(j) = n {
+            assert!(j < self.n_n, "N-rule index out of range");
+        }
+        self.scores[Self::cell(self.n_n, p, n)]
+    }
+
+    /// Score and explanation of a record from its first P-rule match `p`:
+    /// no P-rule match scores 0 with an empty trace; otherwise `n_match`
+    /// finds the first N-rule match (it runs only then) and the cell of
+    /// the pair is the score. Every scorer, interpreted or compiled,
+    /// routes through here.
+    #[inline]
+    pub(crate) fn route(
+        &self,
+        p: Option<usize>,
+        n_match: impl FnOnce() -> Option<usize>,
+    ) -> (f64, RuleTrace) {
+        let Some(pi) = p else {
+            return (0.0, RuleTrace::default());
         };
-        self.scores[p * (self.n_n + 1) + j]
+        let nj = n_match();
+        let trace = RuleTrace {
+            p_rule: Some(pi),
+            n_rule: nj,
+        };
+        (self.score(pi, nj), trace)
     }
 }
 

@@ -417,10 +417,7 @@ impl ServingModel {
                     return Ok(ScoredRecord {
                         score: 0.0,
                         decision: false,
-                        trace: RuleTrace {
-                            p_rule: None,
-                            n_rule: None,
-                        },
+                        trace: RuleTrace::default(),
                         abstained: true,
                         unknown_values,
                     });

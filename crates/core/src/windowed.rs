@@ -17,6 +17,7 @@
 
 use crate::artifact::{ArtifactError, ModelArtifact};
 use crate::learn::PnruleLearner;
+use crate::panic_capture::run_caught;
 use crate::params::PnruleParams;
 use crate::serving::ServingModel;
 use pnr_data::{AttrType, Dataset, DatasetBuilder, Value};
@@ -92,7 +93,8 @@ pub enum RefitError {
     },
     /// The fit panicked; the panic was contained here.
     FitPanicked {
-        /// The panic payload, stringified.
+        /// The panic message and where it was raised:
+        /// `<payload> at <file>:<line>` (see [`run_caught`]).
         detail: String,
     },
     /// The candidate regressed target-class recall on the held-back
@@ -276,26 +278,16 @@ pub fn refit_window(
         .unwrap_or_else(|| baseline.artifact().params.clone());
     let fitted = {
         let _span = Span::enter(sink.as_ref(), SpanKind::RefitFit, target_class);
-        // The learner is built inside the catch too: out-of-range params
-        // panic in `PnruleLearner::new`, and that must stay a typed
+        // The learner is built inside the boundary too: out-of-range
+        // params panic in `PnruleLearner::new`, and that must stay a typed
         // `FitPanicked`, not take the caller down.
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        run_caught(|| {
             PnruleLearner::new(params.clone())
                 .with_sink(Arc::clone(sink))
                 .fit_with_report(&train, target)
-        }))
+        })
     };
-    let (model, report) = match fitted {
-        Ok(v) => v,
-        Err(payload) => {
-            let detail = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            return Err(RefitError::FitPanicked { detail });
-        }
-    };
+    let (model, report) = fitted.map_err(|detail| RefitError::FitPanicked { detail })?;
     let candidate = ModelArtifact::new(model, params, report, window.schema().clone())?;
 
     let eval = {
@@ -424,8 +416,9 @@ mod tests {
         assert!(matches!(err, RefitError::TargetMissing { .. }), "{err}");
     }
 
-    #[test]
-    fn out_of_range_params_are_a_typed_failure() {
+    /// Refits with `rp` out of range, which `PnruleParams::validate`
+    /// rejects with a panic inside the fit's boundary.
+    fn refit_with_out_of_range_params() -> RefitError {
         let data = window(600);
         let baseline = ServingModel::new(baseline_artifact(&data));
         let opts = RefitOptions {
@@ -435,9 +428,24 @@ mod tests {
             }),
             ..RefitOptions::default()
         };
-        let err =
-            refit_window(&data, "rare", &baseline, &opts, &pnr_telemetry::noop()).unwrap_err();
+        refit_window(&data, "rare", &baseline, &opts, &pnr_telemetry::noop()).unwrap_err()
+    }
+
+    #[test]
+    fn out_of_range_params_are_a_typed_failure() {
+        let err = refit_with_out_of_range_params();
         assert!(matches!(err, RefitError::FitPanicked { .. }), "{err}");
+    }
+
+    #[test]
+    fn a_fit_panic_names_where_it_was_raised() {
+        let RefitError::FitPanicked { detail } = refit_with_out_of_range_params() else {
+            panic!("expected FitPanicked");
+        };
+        let (_, location) = detail.rsplit_once(" at ").expect(&detail);
+        let (file, line) = location.rsplit_once(':').expect(&detail);
+        assert!(file.ends_with("params.rs"), "{detail}");
+        assert!(line.parse::<u32>().is_ok(), "{detail}");
     }
 
     #[test]

@@ -389,7 +389,7 @@ fn load_with_retry_succeeds_and_scores_identically() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("m.artifact");
     artifact.save(&path).unwrap();
-    let back = pnr_core::load_with_retry(&path, &pnr_core::RetryPolicy::default()).unwrap();
+    let back = pnr_core::load_with_retry(&path, &pnr_core::Backoff::default()).unwrap();
     assert_eq!(back.schema_fingerprint(), artifact.schema_fingerprint());
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -401,7 +401,7 @@ fn load_with_retry_reports_deterministic_failures_immediately() {
     let start = std::time::Instant::now();
     let err = pnr_core::load_with_retry(
         Path::new("/nonexistent/never/m.artifact"),
-        &pnr_core::RetryPolicy::default(),
+        &pnr_core::Backoff::default(),
     )
     .unwrap_err();
     assert!(matches!(err, ArtifactError::Io(_)), "{err}");
@@ -413,11 +413,11 @@ fn load_with_retry_reports_deterministic_failures_immediately() {
 
 #[test]
 fn retry_transient_backs_off_then_gives_up_typed() {
-    let policy = pnr_core::RetryPolicy {
-        attempts: 3,
-        base_delay: std::time::Duration::from_millis(1),
-        max_delay: std::time::Duration::from_millis(2),
-    };
+    let policy = pnr_core::Backoff::new(
+        3,
+        std::time::Duration::from_millis(1),
+        std::time::Duration::from_millis(2),
+    );
     // Always-transient failures: all attempts consumed, typed give-up.
     let mut calls = 0u32;
     let err = pnr_core::retry_transient(
@@ -463,11 +463,20 @@ fn retry_transient_backs_off_then_gives_up_typed() {
 
 #[test]
 fn retry_policy_delays_grow_and_cap() {
-    let policy = pnr_core::RetryPolicy {
-        attempts: 10,
-        base_delay: std::time::Duration::from_millis(10),
-        max_delay: std::time::Duration::from_millis(35),
-    };
+    // the old `RetryPolicy::default()` schedule, un-jittered
+    assert_eq!(
+        pnr_core::RetryPolicy::default(),
+        pnr_core::Backoff::new(
+            4,
+            std::time::Duration::from_millis(10),
+            std::time::Duration::from_millis(200),
+        )
+    );
+    let policy = pnr_core::Backoff::new(
+        10,
+        std::time::Duration::from_millis(10),
+        std::time::Duration::from_millis(35),
+    );
     assert_eq!(policy.delay(0), std::time::Duration::from_millis(10));
     assert_eq!(policy.delay(1), std::time::Duration::from_millis(20));
     assert_eq!(policy.delay(2), std::time::Duration::from_millis(35));

@@ -203,9 +203,13 @@ fn main() {
                     ));
                     adaptive = ServingModel::new(candidate);
                 }
-                Err(e) => refit_lines.push(format!(
-                    "{{\"window\":{w},\"adopted\":false,\"reason\":\"{e}\"}}"
-                )),
+                Err(e) => {
+                    let mut reason = String::new();
+                    serde_json::write_escaped(&e.to_string(), &mut reason);
+                    refit_lines.push(format!(
+                        "{{\"window\":{w},\"adopted\":false,\"reason\":{reason}}}"
+                    ));
+                }
             }
         }
         static_recalls.push(st.recall());

@@ -110,13 +110,11 @@ fn parse_args() -> Options {
 
 fn main() {
     let opts = parse_args();
-    let artifact = match pnr_core::load_with_retry(
-        Path::new(&opts.model),
-        &pnr_core::RetryPolicy::default(),
-    ) {
-        Ok(a) => a,
-        Err(e) => fail(e),
-    };
+    let artifact =
+        match pnr_core::load_with_retry(Path::new(&opts.model), &pnr_core::Backoff::default()) {
+            Ok(a) => a,
+            Err(e) => fail(e),
+        };
     eprintln!(
         "loaded artifact: format v{}, target class `{}`, {} P-rules, {} N-rules, \
          schema fingerprint {:016x}",
@@ -207,10 +205,11 @@ fn main() {
                     RecordError::Structural { .. } => "structural",
                     RecordError::UnknownRejected { .. } => "unknown-rejected",
                 };
+                let mut error = String::new();
+                serde_json::write_escaped(&e.to_string(), &mut error);
                 writeln!(
                     sink,
-                    "{{\"row\":{i},\"error\":{:?},\"kind\":\"{kind}\"}}",
-                    e.to_string()
+                    "{{\"row\":{i},\"error\":{error},\"kind\":\"{kind}\"}}"
                 )
             }
         };

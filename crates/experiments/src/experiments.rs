@@ -9,10 +9,9 @@
 
 use crate::checkpoint::{CellKey, Checkpoint};
 use crate::cli::CliOptions;
-use crate::methods::{
-    pnrule_variant_grid, run_method_with_sink, run_pnrule_best_model_with_sink, Method,
-};
+use crate::methods::{pnrule_variant_grid, run_method, run_pnrule_best, Method};
 use crate::report::{ExperimentResult, ResultRow};
+use pnr_core::panic_capture::run_caught;
 use pnr_core::PnruleParams;
 use pnr_data::{subsample_class, Dataset};
 use pnr_metrics::PrfReport;
@@ -25,71 +24,6 @@ use pnr_telemetry::{RecordingSink, TelemetrySink};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::{Arc, Mutex, PoisonError};
-
-/// Captures panic messages from worker jobs without letting the global
-/// panic hook spam stderr for isolated (expected-to-be-caught) panics.
-mod panic_capture {
-    use std::cell::{Cell, RefCell};
-    use std::panic::{AssertUnwindSafe, PanicHookInfo};
-    use std::sync::OnceLock;
-
-    thread_local! {
-        /// True while the current thread runs a job under [`run_caught`].
-        static ACTIVE: Cell<bool> = const { Cell::new(false) };
-        /// The formatted message of the most recent captured panic.
-        static CAPTURED: RefCell<Option<String>> = const { RefCell::new(None) };
-    }
-
-    /// The hook that was installed before ours; panics on threads that are
-    /// not running an isolated job are forwarded to it unchanged.
-    type PanicHook = Box<dyn for<'a> Fn(&PanicHookInfo<'a>) + Send + Sync>;
-    static PREV_HOOK: OnceLock<PanicHook> = OnceLock::new();
-
-    fn install_hook() {
-        static ONCE: std::sync::Once = std::sync::Once::new();
-        ONCE.call_once(|| {
-            let _ = PREV_HOOK.set(std::panic::take_hook());
-            std::panic::set_hook(Box::new(|info| {
-                if ACTIVE.with(Cell::get) {
-                    let msg = payload_str(info.payload());
-                    let full = match info.location() {
-                        Some(loc) => format!("{msg} at {}:{}", loc.file(), loc.line()),
-                        None => msg,
-                    };
-                    CAPTURED.with(|c| *c.borrow_mut() = Some(full));
-                } else if let Some(prev) = PREV_HOOK.get() {
-                    prev(info);
-                }
-            }));
-        });
-    }
-
-    fn payload_str(payload: &dyn std::any::Any) -> String {
-        if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "non-string panic payload".to_string()
-        }
-    }
-
-    /// Runs `f`, converting a panic into `Err(message)`. The message comes
-    /// from the panic hook (which sees the original payload and location)
-    /// rather than from stderr scraping; nothing is printed for the
-    /// captured panic.
-    pub fn run_caught<T>(f: impl FnOnce() -> T) -> Result<T, String> {
-        install_hook();
-        ACTIVE.with(|a| a.set(true));
-        let result = std::panic::catch_unwind(AssertUnwindSafe(f));
-        ACTIVE.with(|a| a.set(false));
-        result.map_err(|payload| {
-            CAPTURED
-                .with(|c| c.borrow_mut().take())
-                .unwrap_or_else(|| payload_str(payload.as_ref()))
-        })
-    }
-}
 
 /// A boxed unit of work returning `T`.
 pub type Job<'a, T> = Box<dyn FnOnce() -> T + Send + 'a>;
@@ -130,9 +64,9 @@ impl<T> JobOutcome<T> {
 
 /// Runs the labelled closures on `threads` workers, returning outcomes in
 /// input order. Each closure is independent (one method on one dataset)
-/// and runs under `catch_unwind`: a panicking job yields
-/// [`JobOutcome::Failed`] with the panic message while every other job
-/// still runs to completion.
+/// and runs under the panic boundary [`run_caught`]: a panicking job
+/// yields [`JobOutcome::Failed`] with the panic message and location
+/// while every other job still runs to completion.
 pub fn run_jobs<T: Send>(jobs: Vec<(String, Job<'_, T>)>, threads: usize) -> Vec<JobOutcome<T>> {
     type QueuedJob<'a, T> = (usize, (String, Job<'a, T>));
     let n = jobs.len();
@@ -144,7 +78,7 @@ pub fn run_jobs<T: Send>(jobs: Vec<(String, Job<'_, T>)>, threads: usize) -> Vec
                 let job = queue.lock().unwrap_or_else(PoisonError::into_inner).pop();
                 match job {
                     Some((i, (label, f))) => {
-                        let outcome = match panic_capture::run_caught(f) {
+                        let outcome = match run_caught(f) {
                             Ok(value) => JobOutcome::Done { label, value },
                             Err(reason) => JobOutcome::Failed { label, reason },
                         };
@@ -268,7 +202,7 @@ fn compare_all(exp_id: &str, opts: &CliOptions, train: &Dataset, test: &Dataset)
             (
                 m.label().to_string(),
                 Box::new(move |sink: &Arc<dyn TelemetrySink>| {
-                    run_method_with_sink(&m, train, test, target, sink)
+                    run_method(&m, train, test, target, sink)
                 }) as CellJob<'_>,
             )
         })
@@ -293,8 +227,7 @@ fn pnrule_grid_cell<'a>(
     let save_dir = opts.save_model.clone();
     let exp_id = exp_id.to_string();
     Box::new(move |sink: &Arc<dyn TelemetrySink>| {
-        let best =
-            run_pnrule_best_model_with_sink(train, test, target, &pnrule_variant_grid(), sink);
+        let best = run_pnrule_best(train, test, target, &pnrule_variant_grid(), sink);
         if let Some(dir) = &save_dir {
             crate::artifact_out::save_pnrule_artifact(
                 dir,
@@ -446,13 +379,13 @@ pub fn table3(opts: &CliOptions) -> Vec<ExperimentResult> {
                 (
                     "C4.5rules".to_string(),
                     Box::new(|sink: &Arc<dyn TelemetrySink>| {
-                        run_method_with_sink(&Method::C45Rules, &train, &test, target, sink)
+                        run_method(&Method::C45Rules, &train, &test, target, sink)
                     }),
                 ),
                 (
                     "RIPPER".to_string(),
                     Box::new(|sink: &Arc<dyn TelemetrySink>| {
-                        run_method_with_sink(&Method::Ripper, &train, &test, target, sink)
+                        run_method(&Method::Ripper, &train, &test, target, sink)
                     }),
                 ),
                 (
@@ -527,13 +460,13 @@ pub fn table5(opts: &CliOptions) -> Vec<ExperimentResult> {
                 (
                     "C4.5rules".to_string(),
                     Box::new(|sink: &Arc<dyn TelemetrySink>| {
-                        run_method_with_sink(&Method::C45Rules, &train, &test, target, sink)
+                        run_method(&Method::C45Rules, &train, &test, target, sink)
                     }),
                 ),
                 (
                     "RIPPER".to_string(),
                     Box::new(|sink: &Arc<dyn TelemetrySink>| {
-                        run_method_with_sink(&Method::Ripper, &train, &test, target, sink)
+                        run_method(&Method::Ripper, &train, &test, target, sink)
                     }),
                 ),
                 (
@@ -565,13 +498,7 @@ fn pnrule_params_cell<'a>(
     let save_dir = opts.save_model.clone();
     let exp_id = exp_id.to_string();
     Box::new(move |sink: &Arc<dyn TelemetrySink>| {
-        let best = run_pnrule_best_model_with_sink(
-            train,
-            test,
-            target,
-            std::slice::from_ref(&params),
-            sink,
-        );
+        let best = run_pnrule_best(train, test, target, std::slice::from_ref(&params), sink);
         if let Some(dir) = &save_dir {
             crate::artifact_out::save_pnrule_artifact(
                 dir,
@@ -619,19 +546,16 @@ pub fn table6(opts: &CliOptions) -> Vec<ExperimentResult> {
                 (
                     "C4.5rules".to_string(),
                     Box::new(move |sink: &Arc<dyn TelemetrySink>| {
-                        let unit =
-                            run_method_with_sink(&Method::C45Rules, train, test, target, sink);
-                        let strat =
-                            run_method_with_sink(&Method::C45TreeWe, train, test, target, sink);
+                        let unit = run_method(&Method::C45Rules, train, test, target, sink);
+                        let strat = run_method(&Method::C45TreeWe, train, test, target, sink);
                         best(unit, strat)
                     }),
                 ),
                 (
                     "RIPPER".to_string(),
                     Box::new(move |sink: &Arc<dyn TelemetrySink>| {
-                        let unit = run_method_with_sink(&Method::Ripper, train, test, target, sink);
-                        let strat =
-                            run_method_with_sink(&Method::RipperWe, train, test, target, sink);
+                        let unit = run_method(&Method::Ripper, train, test, target, sink);
+                        let strat = run_method(&Method::RipperWe, train, test, target, sink);
                         best(unit, strat)
                     }),
                 ),
@@ -682,7 +606,7 @@ pub fn rp_rn_grid(
                             max_p_rule_len: if p1 { Some(1) } else { None },
                             ..PnruleParams::with_recall_limits(rp, rn)
                         };
-                        run_method_with_sink(&Method::Pnrule(params), train, test, target, sink)
+                        run_method(&Method::Pnrule(params), train, test, target, sink)
                     }) as CellJob<'_>,
                 )
             })

@@ -25,10 +25,7 @@ pub use artifact_out::{artifact_path, save_pnrule_artifact};
 pub use checkpoint::{CellKey, Checkpoint};
 pub use cli::CliOptions;
 pub use experiments::{categorical_config, run_cells, run_jobs, CellJob, Job, JobOutcome};
-pub use methods::{
-    run_method, run_method_with_sink, run_pnrule_best, run_pnrule_best_model_with_sink,
-    run_pnrule_best_with_sink, BestPnrule, Method,
-};
+pub use methods::{run_method, run_pnrule_best, BestPnrule, Method};
 pub use report::{
     format_experiment, print_experiment, run_status, write_json, ExperimentResult, ResultRow,
 };

@@ -44,16 +44,11 @@ impl Method {
     }
 }
 
-/// Trains the variant on `train` and evaluates recall/precision/F for
-/// `target` on `test`.
-pub fn run_method(method: &Method, train: &Dataset, test: &Dataset, target: u32) -> PrfReport {
-    run_method_with_sink(method, train, test, target, &pnr_telemetry::noop())
-}
-
-/// [`run_method`] with an explicit telemetry sink attached to the
-/// learner. The sink is write-only observation: the report is identical
-/// whatever sink is passed.
-pub fn run_method_with_sink(
+/// Trains the variant on `train` with `sink` attached to the learner and
+/// evaluates recall/precision/F for `target` on `test`. The sink is
+/// write-only observation: the report is identical whatever sink is
+/// passed (`pnr_telemetry::noop()` when nothing records).
+pub fn run_method(
     method: &Method,
     train: &Dataset,
     test: &Dataset,
@@ -109,30 +104,6 @@ pub fn pnrule_variant_grid() -> Vec<PnruleParams> {
     grid
 }
 
-/// Runs every PNrule variant in `grid` and returns the best report (by F)
-/// with the winning parameters.
-pub fn run_pnrule_best(
-    train: &Dataset,
-    test: &Dataset,
-    target: u32,
-    grid: &[PnruleParams],
-) -> (PrfReport, PnruleParams) {
-    run_pnrule_best_with_sink(train, test, target, grid, &pnr_telemetry::noop())
-}
-
-/// [`run_pnrule_best`] with an explicit telemetry sink: each grid
-/// member's fit reports into the same sink (one `fit` span per variant).
-pub fn run_pnrule_best_with_sink(
-    train: &Dataset,
-    test: &Dataset,
-    target: u32,
-    grid: &[PnruleParams],
-    sink: &Arc<dyn TelemetrySink>,
-) -> (PrfReport, PnruleParams) {
-    let best = run_pnrule_best_model_with_sink(train, test, target, grid, sink);
-    (best.report, best.params)
-}
-
 /// The winning cell of a PNrule parameter-grid sweep, with everything an
 /// artifact needs: the trained model and its fit diagnostics, not just
 /// the evaluation numbers.
@@ -148,10 +119,11 @@ pub struct BestPnrule {
     pub fit_report: FitReport,
 }
 
-/// [`run_pnrule_best_with_sink`] keeping the winning *model* (first best
-/// F wins ties, identical to the report-only path) so callers can
-/// persist it as a [`pnr_core::ModelArtifact`].
-pub fn run_pnrule_best_model_with_sink(
+/// Runs every PNrule variant in `grid`, each fit reporting into `sink`
+/// (one `fit` span per variant), and returns the best by test F (the
+/// first wins ties) with its model, so callers can persist it as a
+/// [`pnr_core::ModelArtifact`].
+pub fn run_pnrule_best(
     train: &Dataset,
     test: &Dataset,
     target: u32,
@@ -205,7 +177,7 @@ mod tests {
             Method::RipperWe,
             Method::Pnrule(PnruleParams::default()),
         ] {
-            let rep = run_method(&m, &train, &test, target);
+            let rep = run_method(&m, &train, &test, target, &pnr_telemetry::noop());
             assert!((0.0..=1.0).contains(&rep.f), "{} F={}", m.label(), rep.f);
         }
     }
@@ -226,9 +198,10 @@ mod tests {
             PnruleParams::with_recall_limits(0.95, 0.9),
             PnruleParams::with_recall_limits(0.99, 0.7),
         ];
-        let (best, _) = run_pnrule_best(&train, &test, target, &grid);
+        let noop = pnr_telemetry::noop();
+        let best = run_pnrule_best(&train, &test, target, &grid, &noop).report;
         for p in &grid {
-            let rep = run_method(&Method::Pnrule(p.clone()), &train, &test, target);
+            let rep = run_method(&Method::Pnrule(p.clone()), &train, &test, target, &noop);
             assert!(best.f >= rep.f - 1e-12);
         }
     }

@@ -244,6 +244,52 @@ fn predict_policies_pin_fault_behavior_and_counters() {
 }
 
 #[test]
+fn predict_writes_valid_ndjson_when_a_quarantined_field_holds_control_characters() {
+    let dir = temp_dir("escape");
+    let artifact = make_artifact(&dir);
+    let csv = dir.join("hostile.csv");
+    let out = run(
+        "kdd_csv",
+        &["--rows", "4", "--seed", "5", "--out", csv.to_str().unwrap()],
+    );
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    // Each field is unparsable as a number, so its row is quarantined and
+    // the error text echoes the field: a control character, a
+    // non-printable (soft hyphen) and the JSON metacharacters; row 3
+    // stays clean.
+    let hostile = ["4.9\u{1}", "4\u{ad}9", "a\"b\\c\td"];
+    let mut text = std::fs::read_to_string(&csv).unwrap();
+    for (row, field) in hostile.iter().enumerate() {
+        text = patch_field(&text, row, "duration", field);
+    }
+    std::fs::write(&csv, text).unwrap();
+    let out = run(
+        "predict",
+        &[
+            "--model",
+            artifact.to_str().unwrap(),
+            "--input",
+            csv.to_str().unwrap(),
+        ],
+    );
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    let stdout = stdout_of(&out);
+    let records: Vec<serde_json::Value> = stdout
+        .lines()
+        .map(|line| serde_json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}")))
+        .collect();
+    assert_eq!(records.len(), 4, "{stdout}");
+    for (record, field) in records.iter().zip(hostile) {
+        let Some(serde_json::Value::Str(error)) = record.get("error") else {
+            panic!("expected a quarantined row, got {record:?}");
+        };
+        assert!(error.contains(&format!("`{field}`")), "{error}");
+    }
+    assert!(records[3].get("score").is_some(), "{:?}", records[3]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn predict_refuses_a_corrupted_artifact() {
     let dir = temp_dir("corrupt");
     let artifact = make_artifact(&dir);

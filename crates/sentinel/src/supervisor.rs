@@ -20,9 +20,7 @@
 use crate::client::{DaemonClient, PublishOutcome};
 use crate::detect::DriftVerdict;
 use pnr_core::retry::Backoff;
-use pnr_core::{
-    load_with_retry, ArtifactLineage, RefitEval, RefitOptions, RetryPolicy, ServingModel,
-};
+use pnr_core::{load_with_retry, ArtifactLineage, RefitEval, RefitOptions, ServingModel};
 use pnr_data::Dataset;
 use pnr_telemetry::{Counter, Span, SpanKind, TelemetrySink};
 use std::path::{Path, PathBuf};
@@ -150,7 +148,7 @@ pub fn supervise_refit(
         sink.add(Counter::RefitAttempts, 1);
         // reload per attempt: last-known-good may have changed, and a
         // prior corrupt candidate must never become the new baseline
-        let baseline_artifact = load_with_retry(baseline_path, &RetryPolicy::default())
+        let baseline_artifact = load_with_retry(baseline_path, &Backoff::default())
             .map_err(|e| format!("cannot load baseline {}: {e}", baseline_path.display()))?;
         let baseline = ServingModel::new(baseline_artifact).with_sink(sink.clone());
         let (candidate, eval) =
@@ -259,7 +257,7 @@ mod tests {
                 }))
             };
             // mirror the real daemon: verify the envelope and the lineage
-            let artifact = match load_with_retry(path, &RetryPolicy::default()) {
+            let artifact = match load_with_retry(path, &Backoff::default()) {
                 Ok(a) => a,
                 Err(e) => return rejected("swap_failed", e.to_string()),
             };
@@ -353,7 +351,7 @@ mod tests {
                 assert_eq!(parent_checksum, checksum);
                 assert_eq!(attempts, 1);
                 // the artifact on disk carries the stamped lineage
-                let saved = load_with_retry(&path, &RetryPolicy::default()).expect("load");
+                let saved = load_with_retry(&path, &Backoff::default()).expect("load");
                 let lin = saved.lineage.expect("lineage stamped");
                 assert_eq!(lin.parent_checksum, checksum);
                 assert_eq!(lin.window_id, 5);

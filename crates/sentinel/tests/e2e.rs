@@ -256,8 +256,7 @@ fn step_drift_is_detected_and_refit_publishes_with_lineage() {
     assert_eq!(lineage.parent_checksum, boot_checksum);
     assert_eq!(lineage.window_id, 1);
     assert_eq!(lineage.verdict, "refit");
-    let saved =
-        pnr_core::load_with_retry(&published_path, &pnr_core::RetryPolicy::default()).unwrap();
+    let saved = pnr_core::load_with_retry(&published_path, &pnr_core::Backoff::default()).unwrap();
     assert_eq!(saved.checksum().unwrap(), stats.active_checksum);
 
     let degraded = traffic.score_all(&stream.next_chunk(WINDOW));

@@ -35,7 +35,7 @@ use crate::queue::{BoundedQueue, PushError, PushOutcome, ShedPolicy};
 use crate::sink::ServeSink;
 use crate::state;
 use pnr_core::{
-    load_with_retry, ColumnMap, MissingColumnPolicy, ModelArtifact, RetryPolicy, ServingModel,
+    load_with_retry, Backoff, ColumnMap, MissingColumnPolicy, ModelArtifact, ServingModel,
     UnknownPolicy,
 };
 use pnr_telemetry::{Counter, Span, SpanKind, TelemetrySink};
@@ -648,7 +648,7 @@ fn handle_swap(path: &str, tx: &mpsc::Sender<String>, shared: &Arc<Shared>) {
     };
     let sink = shared.sink.clone();
     let span = Span::enter(sink.as_ref(), SpanKind::ServeSwap, "");
-    let loaded = load_with_retry(Path::new(path), &RetryPolicy::default());
+    let loaded = load_with_retry(Path::new(path), &Backoff::default());
     match loaded {
         Ok(artifact) => {
             let checksum = match artifact.checksum() {
@@ -798,8 +798,7 @@ pub fn run(model_arg: &Path, config: DaemonConfig) -> Result<i32, String> {
         },
         None => (model_arg.to_path_buf(), false),
     };
-    let artifact =
-        load_with_retry(&model_path, &RetryPolicy::default()).map_err(|e| e.to_string())?;
+    let artifact = load_with_retry(&model_path, &Backoff::default()).map_err(|e| e.to_string())?;
     let checksum = artifact.checksum().map_err(|e| e.to_string())?;
     let lineage = artifact.lineage.clone();
     let sink = Arc::new(ServeSink::new());

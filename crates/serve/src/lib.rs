@@ -5,16 +5,18 @@
 //! long-running NDJSON-over-TCP service with the robustness properties a
 //! rare-class detector needs in production:
 //!
-//! * **Panic isolation** ([`pool`]): every request runs inside a
-//!   `catch_unwind` boundary on a fixed worker pool; a panicking request
-//!   becomes a typed `worker_panic` response and the worker respawns.
+//! * **Panic isolation** ([`pool`]): every request runs on a fixed worker
+//!   pool inside the workspace's one panic boundary,
+//!   [`pnr_core::panic_capture::run_caught`]; a panicking request becomes
+//!   a typed `worker_panic` response and the worker respawns.
 //! * **Backpressure** ([`queue`]): a bounded queue with an explicit shed
 //!   policy (reject with `retry_after_ms`, or drop-oldest), so overload
 //!   degrades into typed rejections instead of unbounded memory growth.
 //! * **Zero-downtime hot-swap** ([`daemon`]): `swap` validates the new
 //!   artifact off the hot path (checksum + schema, with bounded retry on
-//!   transient I/O) and publishes it atomically as a new epoch; in-flight
-//!   requests finish on the epoch they were admitted against.
+//!   transient I/O under the default [`pnr_core::Backoff`]) and publishes
+//!   it atomically as a new epoch; in-flight requests finish on the epoch
+//!   they were admitted against.
 //! * **Graceful drain & crash recovery** ([`daemon`], [`state`]):
 //!   `shutdown` stops admission, finishes the backlog, prints the final
 //!   `stats` record as one NDJSON line and exits 0; a state file remembers

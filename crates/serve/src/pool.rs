@@ -8,80 +8,15 @@
 //! fresh thread and exits, so pool capacity never decays and no panic
 //! can poison state shared through the queue.
 //!
-//! Panic messages are captured with the hook pattern used by the
-//! experiment harness: a thread-local `ACTIVE` flag marks threads running
-//! an isolated job, the global hook records the payload + location for
-//! those threads (instead of spamming stderr) and forwards everything
-//! else to the previously installed hook.
+//! The boundary is [`pnr_core::panic_capture::run_caught`], the one the
+//! experiment runner and the sentinel's refit also use: the panic message
+//! and its source location are captured without printing to stderr.
 
 use crate::queue::{BoundedQueue, PopResult};
+use pnr_core::panic_capture::run_caught;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Captures panic messages from worker jobs without letting the global
-/// panic hook print for isolated (expected-to-be-caught) panics.
-mod panic_capture {
-    use std::cell::{Cell, RefCell};
-    use std::panic::{AssertUnwindSafe, PanicHookInfo};
-    use std::sync::OnceLock;
-
-    thread_local! {
-        /// True while the current thread runs a job under [`run_caught`].
-        static ACTIVE: Cell<bool> = const { Cell::new(false) };
-        /// The formatted message of the most recent captured panic.
-        static CAPTURED: RefCell<Option<String>> = const { RefCell::new(None) };
-    }
-
-    /// The hook that was installed before ours; panics on threads that are
-    /// not running an isolated job are forwarded to it unchanged.
-    type PanicHook = Box<dyn for<'a> Fn(&PanicHookInfo<'a>) + Send + Sync>;
-    static PREV_HOOK: OnceLock<PanicHook> = OnceLock::new();
-
-    fn install_hook() {
-        static ONCE: std::sync::Once = std::sync::Once::new();
-        ONCE.call_once(|| {
-            let _ = PREV_HOOK.set(std::panic::take_hook());
-            std::panic::set_hook(Box::new(|info| {
-                if ACTIVE.with(Cell::get) {
-                    let msg = payload_str(info.payload());
-                    let full = match info.location() {
-                        Some(loc) => format!("{msg} at {}:{}", loc.file(), loc.line()),
-                        None => msg,
-                    };
-                    CAPTURED.with(|c| *c.borrow_mut() = Some(full));
-                } else if let Some(prev) = PREV_HOOK.get() {
-                    prev(info);
-                }
-            }));
-        });
-    }
-
-    fn payload_str(payload: &dyn std::any::Any) -> String {
-        if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "non-string panic payload".to_string()
-        }
-    }
-
-    /// Runs `f`, converting a panic into `Err(message)`. Nothing is
-    /// printed for the captured panic; the message comes from the hook,
-    /// which sees the original payload and location.
-    pub fn run_caught<T>(f: impl FnOnce() -> T) -> Result<T, String> {
-        install_hook();
-        ACTIVE.with(|a| a.set(true));
-        let result = std::panic::catch_unwind(AssertUnwindSafe(f));
-        ACTIVE.with(|a| a.set(false));
-        result.map_err(|payload| {
-            CAPTURED
-                .with(|c| c.borrow_mut().take())
-                .unwrap_or_else(|| payload_str(payload.as_ref()))
-        })
-    }
-}
 
 /// How long an idle worker waits before re-checking for drain. Bounds
 /// shutdown latency without busy-waiting.
@@ -171,7 +106,7 @@ fn spawn_worker<T, W, P>(
                 PopResult::TimedOut => continue,
                 PopResult::Closed => break,
                 PopResult::Item(job) => {
-                    if let Err(msg) = panic_capture::run_caught(|| work(&job)) {
+                    if let Err(msg) = run_caught(|| work(&job)) {
                         // Count the respawn before answering, so a client
                         // that reads the panic reply and then asks for
                         // `stats` sees it. Then hand this slot, still
