@@ -2,7 +2,7 @@
 //!
 //! The PNrule framework reduces a k-class problem to k binary problems —
 //! one model per class, scored records assigned to the highest-scoring
-//! class (the reduction the companion paper [1] describes; this paper's
+//! class (the reduction the companion paper \[1\] describes; this paper's
 //! footnote 3 notes the framework's applicability "to the multi-class
 //! problem with different costs of misclassification"). Per-class
 //! misclassification costs scale the scores before the argmax.

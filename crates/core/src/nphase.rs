@@ -14,7 +14,7 @@
 //!   [`crate::grow::RecallGuard`]);
 //! * an **MDL stopping rule**: N-rules are added until the rule set's
 //!   description length exceeds the minimum seen so far by
-//!   `mdl_slack_bits` (the RIPPER convention, cited as [5] by the paper).
+//!   `mdl_slack_bits` (the RIPPER convention, cited as \[5\] by the paper).
 
 use crate::grow::{grow_rule, GrowOptions, RecallGuard};
 use crate::params::PnruleParams;

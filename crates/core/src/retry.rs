@@ -1,13 +1,16 @@
 //! Reusable bounded retry with deterministic, seeded backoff jitter.
 //!
-//! This is the one retry loop and the one schedule type ([`Backoff`]) the
-//! workspace shares: artifact loading
-//! ([`crate::artifact::load_with_retry`]), the sentinel's daemon
-//! reconnects, and refit artifact publication all run through
-//! [`run`]. Delays grow exponentially (`base_delay * 2^i`, capped at
-//! `max_delay`) and are optionally jittered by a seeded LCG — **never**
-//! by wall-clock randomness — so two runs with the same seed sleep the
-//! same schedule and a retry trace is reproducible bit for bit.
+//! This is the one schedule type ([`Backoff`]) the workspace shares, and
+//! the one retry loop ([`run`]): artifact loading
+//! ([`crate::artifact::load_with_retry`]) and the sentinel's daemon
+//! reconnects run through it. The sentinel's refit episodes keep a loop
+//! of their own, since each attempt reloads the baseline, refits and
+//! publishes, but they sleep the same [`Backoff`] between attempts and
+//! stop after its `attempts`. Delays grow exponentially
+//! (`base_delay * 2^i`, capped at `max_delay`) and are optionally
+//! jittered by a seeded LCG — **never** by wall-clock randomness — so two
+//! runs with the same seed sleep the same schedule and a retry trace is
+//! reproducible bit for bit.
 
 use std::time::Duration;
 

@@ -165,6 +165,18 @@ pub enum RecordError {
     },
 }
 
+impl RecordError {
+    /// The quarantine kind written next to the error in `predict`'s
+    /// NDJSON and the daemon's `score` replies: `"structural"` or
+    /// `"unknown-rejected"`.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            RecordError::Structural { .. } => "structural",
+            RecordError::UnknownRejected { .. } => "unknown-rejected",
+        }
+    }
+}
+
 impl fmt::Display for RecordError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

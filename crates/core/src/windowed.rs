@@ -20,7 +20,7 @@ use crate::learn::PnruleLearner;
 use crate::panic_capture::run_caught;
 use crate::params::PnruleParams;
 use crate::serving::ServingModel;
-use pnr_data::{AttrType, Dataset, DatasetBuilder, Value};
+use pnr_data::Dataset;
 use pnr_telemetry::{Span, SpanKind, TelemetrySink};
 use std::fmt;
 use std::sync::Arc;
@@ -155,62 +155,6 @@ impl From<ArtifactError> for RefitError {
     }
 }
 
-/// Copies the rows of `data` selected by `keep(row)` into a fresh
-/// dataset with byte-identical schema (attribute order, dictionary
-/// codes and class codes all pre-registered from the source), so rule
-/// conditions learned on a slice are meaningful on the whole.
-fn select_rows(data: &Dataset, mut keep: impl FnMut(usize) -> bool) -> Result<Dataset, RefitError> {
-    let schema = data.schema();
-    let mut b = DatasetBuilder::new();
-    for a in &schema.attributes {
-        b.add_attribute(a.name.clone(), a.ty);
-    }
-    for (ai, a) in schema.attributes.iter().enumerate() {
-        if a.ty == AttrType::Categorical {
-            for code in 0..a.dict.len() {
-                let code = u32::try_from(code).map_err(|_| {
-                    RefitError::Artifact(ArtifactError::Malformed {
-                        detail: "dictionary code does not fit u32".to_string(),
-                    })
-                })?;
-                b.add_cat_value(ai, a.dict.name(code));
-            }
-        }
-    }
-    for class in 0..schema.n_classes() {
-        let class = u32::try_from(class).map_err(|_| {
-            RefitError::Artifact(ArtifactError::Malformed {
-                detail: "class code does not fit u32".to_string(),
-            })
-        })?;
-        b.add_class(schema.classes.name(class));
-    }
-    let mut values = Vec::with_capacity(schema.n_attrs());
-    for row in 0..data.n_rows() {
-        if !keep(row) {
-            continue;
-        }
-        values.clear();
-        for (ai, a) in schema.attributes.iter().enumerate() {
-            values.push(match a.ty {
-                AttrType::Numeric => Value::num(data.num(ai, row)),
-                AttrType::Categorical => Value::cat(data.cat_name(ai, row)),
-            });
-        }
-        b.push_row(
-            &values,
-            schema.classes.name(data.label(row)),
-            data.weight(row),
-        )
-        .map_err(|e| {
-            RefitError::Artifact(ArtifactError::Malformed {
-                detail: format!("window row {row} failed to copy: {e}"),
-            })
-        })?;
-    }
-    Ok(b.finish())
-}
-
 /// Target-class recall of `model` over every row of `data`: the fraction
 /// of target-labelled rows the model decided positive. Rows the serving
 /// layer refuses to score count as misses — a model that quarantines the
@@ -261,9 +205,13 @@ pub fn refit_window(
             target: target_class.to_string(),
         })?;
     let stride = opts.holdout_stride;
-    let is_holdout = |row: usize| row % stride == stride - 1;
-    let train = select_rows(window, |r| !is_holdout(r))?;
-    let holdout = select_rows(window, is_holdout)?;
+    let (holdout_rows, train_rows): (Vec<u32>, Vec<u32>) =
+        (0..pnr_data::index::to_u32(window.n_rows(), "row count"))
+            .partition(|&row| (row as usize) % stride == stride - 1);
+    // `select_rows` clones the schema, so rule conditions learned on a
+    // slice keep their attribute, dictionary and class codes on the whole.
+    let train = window.select_rows(&train_rows);
+    let holdout = window.select_rows(&holdout_rows);
     let train_targets = train.labels().iter().filter(|&&l| l == target).count();
     if train_targets < opts.min_target_rows {
         return Err(RefitError::TooFewTargetRows {
@@ -294,18 +242,13 @@ pub fn refit_window(
         let _span = Span::enter(sink.as_ref(), SpanKind::RefitValidate, target_class);
         let candidate_serving = ServingModel::new(candidate.clone());
         let candidate_recall = recall_on(&candidate_serving, &holdout, target)?;
-        let holdout_target_code = holdout.class_code(target_class).unwrap_or(target);
-        let baseline_recall = recall_on(baseline, &holdout, holdout_target_code)?;
+        let baseline_recall = recall_on(baseline, &holdout, target)?;
         RefitEval {
             candidate_recall,
             baseline_recall,
             train_rows: train.n_rows(),
             holdout_rows: holdout.n_rows(),
-            holdout_targets: holdout
-                .labels()
-                .iter()
-                .filter(|&&l| l == holdout_target_code)
-                .count(),
+            holdout_targets: holdout.labels().iter().filter(|&&l| l == target).count(),
         }
     };
     if eval.candidate_recall + opts.recall_tolerance < eval.baseline_recall {
@@ -358,7 +301,8 @@ mod tests {
     #[test]
     fn select_rows_preserves_schema_and_codes() {
         let data = window(90);
-        let every_third = select_rows(&data, |r| r % 3 == 0).unwrap();
+        let rows: Vec<u32> = (0..90).filter(|r| r % 3 == 0).collect();
+        let every_third = data.select_rows(&rows);
         assert_eq!(every_third.n_rows(), 30);
         assert_eq!(
             every_third.schema().fingerprint(),

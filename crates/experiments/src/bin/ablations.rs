@@ -1,130 +1,5 @@
-//! Ablation studies for PNrule's design choices (beyond the paper):
-//!
-//! * `range` — explicit range conditions ON vs OFF in the condition search;
-//! * `nphase` — the N-phase ON vs OFF (OFF degenerates PNrule to a
-//!   relaxed-accuracy sequential coverer);
-//! * `scoring` — the ScoreMatrix vs the crisp "P and not N" decision
-//!   (emulated by a very large significance threshold, which makes every
-//!   cell fall back to its P-rule row estimate, vs threshold 0 which takes
-//!   every raw cell estimate).
-//!
-//! Each ablation runs on nsyn3 and the KDD simulation's `probe` class.
-
-use pnr_core::{PnruleLearner, PnruleParams};
-use pnr_data::Dataset;
-use pnr_experiments::{print_experiment, run_status, write_json, CliOptions, ExperimentResult};
-use pnr_rules::evaluate_classifier;
-use pnr_synth::numeric::NumericModelConfig;
-use pnr_synth::SynthScale;
-
-fn run(
-    params: PnruleParams,
-    train: &Dataset,
-    test: &Dataset,
-    target: u32,
-) -> pnr_metrics::PrfReport {
-    let model = PnruleLearner::new(params).fit(train, target);
-    evaluate_classifier(&model, test, target).report()
-}
-
+//! Runs the ablations of PNrule's design choices (`experiments::ablations`).
+//! Usage: `--scale <f> --seed <n> --out <dir> --threads <n> --no-resume`.
 fn main() {
-    let opts = CliOptions::from_env();
-    let mut results = Vec::new();
-
-    let tasks: Vec<(&str, Dataset, Dataset, u32)> = {
-        let cfg = NumericModelConfig::nsyn(3);
-        let train = pnr_synth::numeric::generate(
-            &cfg,
-            &SynthScale::paper_train().scaled_by(opts.scale),
-            opts.seed,
-        );
-        let test = pnr_synth::numeric::generate(
-            &cfg,
-            &SynthScale::paper_test().scaled_by(opts.scale),
-            opts.seed + 1,
-        );
-        let target = train.class_code(pnr_synth::TARGET_CLASS).unwrap();
-
-        let kdd_train = pnr_kddsim::generate_train((494_021.0 * opts.scale) as usize, opts.seed);
-        let kdd_test = pnr_kddsim::generate_test((311_029.0 * opts.scale) as usize, opts.seed + 1);
-        let probe = kdd_train.class_code("probe").unwrap();
-        vec![
-            ("nsyn3", train, test, target),
-            ("kdd-probe", kdd_train, kdd_test, probe),
-        ]
-    };
-
-    for (name, train, test, target) in &tasks {
-        let base = PnruleParams::default();
-
-        let mut exp = ExperimentResult::new(
-            format!("ablation_range/{name}"),
-            "explicit range conditions in the search".to_string(),
-        );
-        exp.push("ranges on", run(base.clone(), train, test, *target));
-        exp.push(
-            "ranges off",
-            run(
-                PnruleParams {
-                    use_ranges: false,
-                    ..base.clone()
-                },
-                train,
-                test,
-                *target,
-            ),
-        );
-        print_experiment(&exp);
-        results.push(exp);
-
-        let mut exp = ExperimentResult::new(
-            format!("ablation_nphase/{name}"),
-            "second phase on/off (off = relaxed-accuracy sequential covering)".to_string(),
-        );
-        exp.push("N-phase on", run(base.clone(), train, test, *target));
-        exp.push(
-            "N-phase off",
-            run(
-                PnruleParams {
-                    enable_n_phase: false,
-                    ..base.clone()
-                },
-                train,
-                test,
-                *target,
-            ),
-        );
-        print_experiment(&exp);
-        results.push(exp);
-
-        let mut exp = ExperimentResult::new(
-            format!("ablation_scoring/{name}"),
-            "ScoreMatrix significance threshold (0 = raw cells, huge = crisp P-and-not-N per row)"
-                .to_string(),
-        );
-        for (label, z) in [
-            ("z=0 (raw cells)", 0.0),
-            ("z=1 (default)", 1.0),
-            ("z=3", 3.0),
-        ] {
-            exp.push(
-                label,
-                run(
-                    PnruleParams {
-                        scoring_z_threshold: z,
-                        ..base.clone()
-                    },
-                    train,
-                    test,
-                    *target,
-                ),
-            );
-        }
-        print_experiment(&exp);
-        results.push(exp);
-    }
-
-    let path = write_json(&opts.out_dir, "ablations", &results).expect("write results");
-    eprintln!("results written to {}", path.display());
-    std::process::exit(run_status(&results));
+    pnr_experiments::run_main("ablations", pnr_experiments::experiments::ablations);
 }

@@ -10,90 +10,22 @@
 
 use pnr_core::{FitBudget, FitReport, PnruleLearner, PnruleParams};
 use pnr_data::Dataset;
-use pnr_experiments::CliOptions;
-use pnr_rules::{evaluate_classifier, TaskView};
-use pnr_synth::SynthScale;
+use pnr_experiments::{CliOptions, PaperData};
+use pnr_rules::{evaluate_classifier, BinaryClassifier, TaskView};
 use pnr_telemetry::{Counter, RecordingSink, SpanKind, TelemetrySink};
 use std::sync::Arc;
 
-/// The dataset spellings `load` accepts, listed whenever a name fails to
-/// resolve so the user never faces a bare error.
-const VALID_DATASETS: &str = "nsyn1..nsyn6, coa1..coa6, coad1..coad4, syngen, \
-kdd:<normal|dos|probe|r2l|u2r> (numeric/general names take optional \
-:tr=<f>/:nr=<f> suffixes)";
-
-fn load(name: &str, scale: f64, seed: u64) -> (Dataset, Dataset, u32) {
-    let train_scale = SynthScale::paper_train().scaled_by(scale);
-    let test_scale = SynthScale::paper_test().scaled_by(scale);
-    if let Some(class) = name.strip_prefix("kdd:") {
-        let train = pnr_kddsim::generate_train((494_021.0 * scale) as usize, seed);
-        let test = pnr_kddsim::generate_test((311_029.0 * scale) as usize, seed + 1);
-        let target = train.class_code(class).unwrap_or_else(|| {
-            bail(&format!(
-                "unknown kdd class {class:?}; valid datasets: {VALID_DATASETS}"
-            ))
-        });
-        return (train, test, target);
+/// Prints `model`'s recall, precision and F for `target` on train and test.
+fn print_rpf(model: &impl BinaryClassifier, train: &Dataset, test: &Dataset, target: u32) {
+    for (name, data) in [("train:", train), ("test: ", test)] {
+        let cm = evaluate_classifier(model, data, target);
+        println!(
+            "{name} R {:.4} P {:.4} F {:.4}",
+            cm.recall(),
+            cm.precision(),
+            cm.f_measure()
+        );
     }
-    // optional :tr=<f>/:nr=<f> suffixes
-    let mut parts = name.split(':');
-    let base = parts.next().unwrap_or(name);
-    let (mut tr_over, mut nr_over) = (None, None);
-    for p in parts {
-        if let Some(v) = p.strip_prefix("tr=") {
-            tr_over = Some(
-                v.parse::<f64>()
-                    .unwrap_or_else(|_| bail(&format!("suffix tr= takes a float, got {v:?}"))),
-            );
-        } else if let Some(v) = p.strip_prefix("nr=") {
-            nr_over = Some(
-                v.parse::<f64>()
-                    .unwrap_or_else(|_| bail(&format!("suffix nr= takes a float, got {v:?}"))),
-            );
-        } else {
-            bail(&format!(
-                "unknown dataset suffix {p:?}; valid datasets: {VALID_DATASETS}"
-            ));
-        }
-    }
-    let name = base;
-    let (train, test) = if name == "syngen" {
-        let mut cfg = pnr_synth::general::GeneralModelConfig::default();
-        cfg.tr = tr_over.unwrap_or(cfg.tr);
-        cfg.nr = nr_over.unwrap_or(cfg.nr);
-        (
-            pnr_synth::general::generate(&cfg, &train_scale, seed),
-            pnr_synth::general::generate(&cfg, &test_scale, seed + 1),
-        )
-    } else if let Some(i) = name.strip_prefix("nsyn") {
-        let i = i
-            .parse()
-            .ok()
-            .filter(|i| (1..=6).contains(i))
-            .unwrap_or_else(|| {
-                bail(&format!(
-                    "unknown dataset {name:?}; valid datasets: {VALID_DATASETS}"
-                ))
-            });
-        let mut cfg = pnr_synth::numeric::NumericModelConfig::nsyn(i);
-        cfg.tr = tr_over.unwrap_or(cfg.tr);
-        cfg.nr = nr_over.unwrap_or(cfg.nr);
-        (
-            pnr_synth::numeric::generate(&cfg, &train_scale, seed),
-            pnr_synth::numeric::generate(&cfg, &test_scale, seed + 1),
-        )
-    } else if let Some(cfg) = pnr_experiments::categorical_config(name) {
-        (
-            pnr_synth::categorical::generate(&cfg, &train_scale, seed),
-            pnr_synth::categorical::generate(&cfg, &test_scale, seed + 1),
-        )
-    } else {
-        bail(&format!(
-            "unknown dataset {name:?}; valid datasets: {VALID_DATASETS}"
-        ));
-    };
-    let target = train.class_code(pnr_synth::TARGET_CLASS).expect("target");
-    (train, test, target)
 }
 
 fn bail(problem: &str) -> ! {
@@ -185,7 +117,9 @@ fn main() {
     }
     let opts = CliOptions::parse(rest.into_iter()).unwrap_or_else(|problem| bail(&problem));
 
-    let (train, test, target) = load(&name, opts.scale, opts.seed);
+    let (data, class) = PaperData::parse(&name).unwrap_or_else(|problem| bail(&problem));
+    let (train, test) = data.generate(&opts);
+    let target = train.class_code(class).expect("target class");
     println!(
         "{name}: train {} rows ({} targets), test {} rows",
         train.n_rows(),
@@ -196,34 +130,13 @@ fn main() {
     if method == "ripper" {
         let model = pnr_ripper::RipperLearner::default().fit(&train, target);
         println!("\n{}", model.describe(train.schema()));
-        let cm_train = evaluate_classifier(&model, &train, target);
-        let cm_test = evaluate_classifier(&model, &test, target);
-        println!(
-            "train: R {:.4} P {:.4} F {:.4}\ntest:  R {:.4} P {:.4} F {:.4}",
-            cm_train.recall(),
-            cm_train.precision(),
-            cm_train.f_measure(),
-            cm_test.recall(),
-            cm_test.precision(),
-            cm_test.f_measure()
-        );
+        print_rpf(&model, &train, &test, target);
         return;
     }
     if method == "c45rules" {
         let model = pnr_c45::C45Learner::default().fit_rules(&train);
         println!("\n{}", model.describe(train.schema()));
-        let bv = model.binary_view(target);
-        let cm_train = evaluate_classifier(&bv, &train, target);
-        let cm_test = evaluate_classifier(&bv, &test, target);
-        println!(
-            "train: R {:.4} P {:.4} F {:.4}\ntest:  R {:.4} P {:.4} F {:.4}",
-            cm_train.recall(),
-            cm_train.precision(),
-            cm_train.f_measure(),
-            cm_test.recall(),
-            cm_test.precision(),
-            cm_test.f_measure()
-        );
+        print_rpf(&model.binary_view(target), &train, &test, target);
         return;
     }
     let mut params = PnruleParams::with_recall_limits(rp, rn);
@@ -301,17 +214,8 @@ fn main() {
         );
     }
 
-    let cm_train = evaluate_classifier(&model, &train, target);
-    let cm_test = evaluate_classifier(&model, &test, target);
-    println!(
-        "\ntrain: R {:.4} P {:.4} F {:.4}\ntest:  R {:.4} P {:.4} F {:.4}",
-        cm_train.recall(),
-        cm_train.precision(),
-        cm_train.f_measure(),
-        cm_test.recall(),
-        cm_test.precision(),
-        cm_test.f_measure()
-    );
+    println!();
+    print_rpf(&model, &train, &test, target);
 
     if trace {
         render_trace(&sink, &report);

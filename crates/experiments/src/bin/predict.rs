@@ -23,7 +23,7 @@
 //! invocation. Artifact loads retry transient I/O failures with bounded
 //! exponential backoff before giving up.
 
-use pnr_core::{MissingColumnPolicy, RecordError, ServingModel, UnknownPolicy};
+use pnr_core::{MissingColumnPolicy, ServingModel, UnknownPolicy};
 use pnr_telemetry::{Counter, RecordingSink, TelemetrySink};
 use std::io::Write;
 use std::path::Path;
@@ -201,15 +201,12 @@ fn main() {
             }
             Err(e) => {
                 n_errors += 1;
-                let kind = match &e {
-                    RecordError::Structural { .. } => "structural",
-                    RecordError::UnknownRejected { .. } => "unknown-rejected",
-                };
                 let mut error = String::new();
                 serde_json::write_escaped(&e.to_string(), &mut error);
                 writeln!(
                     sink,
-                    "{{\"row\":{i},\"error\":{error},\"kind\":\"{kind}\"}}"
+                    "{{\"row\":{i},\"error\":{error},\"kind\":\"{}\"}}",
+                    e.kind()
                 )
             }
         };

@@ -1,13 +1,4 @@
 //! Regenerates Table 1 (nsyn1..nsyn6) of the paper. Usage: `--scale <f> --seed <n> --out <dir> --threads <n> --no-resume`.
-use pnr_experiments::{experiments, print_experiment, run_status, write_json, CliOptions};
-
 fn main() {
-    let opts = CliOptions::from_env();
-    let results = experiments::table1(&opts);
-    for exp in &results {
-        print_experiment(exp);
-    }
-    let path = write_json(&opts.out_dir, "table1", &results).expect("write results");
-    eprintln!("results written to {}", path.display());
-    std::process::exit(run_status(&results));
+    pnr_experiments::run_main("table1", pnr_experiments::experiments::table1);
 }

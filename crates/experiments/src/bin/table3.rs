@@ -1,13 +1,4 @@
 //! Regenerates Table 3 (categorical-only datasets) of the paper. Usage: `--scale <f> --seed <n> --out <dir> --threads <n> --no-resume`.
-use pnr_experiments::{experiments, print_experiment, run_status, write_json, CliOptions};
-
 fn main() {
-    let opts = CliOptions::from_env();
-    let results = experiments::table3(&opts);
-    for exp in &results {
-        print_experiment(exp);
-    }
-    let path = write_json(&opts.out_dir, "table3", &results).expect("write results");
-    eprintln!("results written to {}", path.display());
-    std::process::exit(run_status(&results));
+    pnr_experiments::run_main("table3", pnr_experiments::experiments::table3);
 }

@@ -1,14 +1,8 @@
 //! Regenerates the section-4 probe rp×rn grid of the paper. Usage: `--scale <f> --seed <n> --out <dir> --threads <n> --no-resume`.
-use pnr_experiments::{experiments, print_experiment, run_status, write_json, CliOptions};
+use pnr_experiments::{experiments, run_main};
 
 fn main() {
-    let opts = CliOptions::from_env();
-    let results =
-        experiments::rp_rn_grid(&opts, "probe", &[0.95, 0.995], &[0.8, 0.95, 0.995], false);
-    for exp in &results {
-        print_experiment(exp);
-    }
-    let path = write_json(&opts.out_dir, "table_probe", &results).expect("write results");
-    eprintln!("results written to {}", path.display());
-    std::process::exit(run_status(&results));
+    run_main("table_probe", |opts| {
+        experiments::rp_rn_grid(opts, "probe", &[0.95, 0.995], &[0.8, 0.95, 0.995], false)
+    });
 }

@@ -1,16 +1,17 @@
 //! Definitions of every table/figure experiment.
 //!
-//! Jobs — one (method, dataset) cell each — run on a small worker pool
-//! with **panic isolation**: a cell whose fit panics becomes a
-//! [`JobOutcome::Failed`] carrying the panic message, and every sibling
-//! cell still completes. Completed cells are persisted through the
-//! [`Checkpoint`](crate::checkpoint::Checkpoint) store as they finish, so
-//! an interrupted table run resumes from where it died.
+//! Every experiment builds its data through one constructor,
+//! [`PaperData::generate`], and runs its (method, dataset) cells through
+//! [`run_cells`]. Cells run on a small worker pool with **panic
+//! isolation**: a cell whose fit panics becomes a [`JobOutcome::Failed`]
+//! carrying the panic message, and every sibling cell still completes.
+//! Completed cells are persisted through the [`Checkpoint`] store as
+//! they finish, so an interrupted table run resumes from where it died.
 
 use crate::checkpoint::{CellKey, Checkpoint};
 use crate::cli::CliOptions;
 use crate::methods::{pnrule_variant_grid, run_method, run_pnrule_best, Method};
-use crate::report::{ExperimentResult, ResultRow};
+use crate::report::{print_experiment, run_status, write_json, ExperimentResult, ResultRow};
 use pnr_core::panic_capture::run_caught;
 use pnr_core::PnruleParams;
 use pnr_data::{subsample_class, Dataset};
@@ -19,7 +20,7 @@ use pnr_rules::EvalMetric;
 use pnr_synth::categorical::CategoricalModelConfig;
 use pnr_synth::general::GeneralModelConfig;
 use pnr_synth::numeric::NumericModelConfig;
-use pnr_synth::SynthScale;
+use pnr_synth::{SynthScale, TARGET_CLASS};
 use pnr_telemetry::{RecordingSink, TelemetrySink};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -175,157 +176,267 @@ pub fn run_cells(
         .collect()
 }
 
-fn train_scale(opts: &CliOptions) -> SynthScale {
-    SynthScale::paper_train().scaled_by(opts.scale)
+/// The shared `main` of the result binaries: parses [`CliOptions`] from
+/// the process arguments, runs `experiment`, prints every experiment,
+/// writes `<out>/<name>.json` and exits with [`run_status`].
+pub fn run_main(name: &str, experiment: impl FnOnce(&CliOptions) -> Vec<ExperimentResult>) -> ! {
+    let opts = CliOptions::from_env();
+    let results = experiment(&opts);
+    for exp in &results {
+        print_experiment(exp);
+    }
+    let path = write_json(&opts.out_dir, name, &results).expect("write results");
+    eprintln!("results written to {}", path.display());
+    std::process::exit(run_status(&results));
 }
 
-fn test_scale(opts: &CliOptions) -> SynthScale {
-    SynthScale::paper_test().scaled_by(opts.scale)
+/// The dataset spellings [`PaperData::parse`] accepts, listed whenever a
+/// name fails to resolve so the user never faces a bare error.
+const VALID_DATASETS: &str = "nsyn1..nsyn6, coa1..coa6, coad1..coad4, syngen, \
+kdd:<normal|dos|probe|r2l|u2r> (numeric/general names take optional \
+:tr=<f>/:nr=<f> suffixes)";
+
+/// The data of one paper experiment: a synthetic model's configuration,
+/// or the KDD'99 simulation.
+#[derive(Debug, Clone, PartialEq)]
+pub enum PaperData {
+    /// The numeric-only peaks model (`nsyn1..6`).
+    Numeric(NumericModelConfig),
+    /// The categorical-only model (`coa1..6`, `coad1..4`).
+    Categorical(CategoricalModelConfig),
+    /// The general model (`syngen`).
+    General(GeneralModelConfig),
+    /// The KDD'99 simulation, sized by [`kdd_sizes`].
+    Kdd,
 }
 
-/// The standard five-method comparison on one (train, test) pair: `C`,
-/// `Cte`, `R`, `Re`, and best-of-grid PNrule.
-fn compare_all(exp_id: &str, opts: &CliOptions, train: &Dataset, test: &Dataset) -> Vec<ResultRow> {
-    let target = train
-        .class_code(pnr_synth::TARGET_CLASS)
-        .expect("target class");
-    let methods = [
-        Method::C45Rules,
-        Method::C45TreeWe,
-        Method::Ripper,
-        Method::RipperWe,
-    ];
-    let mut jobs: Vec<(String, CellJob<'_>)> = methods
-        .iter()
-        .map(|m| {
-            let m = m.clone();
-            (
-                m.label().to_string(),
-                Box::new(move |sink: &Arc<dyn TelemetrySink>| {
-                    run_method(&m, train, test, target, sink)
-                }) as CellJob<'_>,
-            )
-        })
-        .collect();
-    jobs.push((
-        "PNrule".to_string(),
-        pnrule_grid_cell(exp_id, opts, train, test, target),
-    ));
-    run_cells(exp_id, opts, jobs)
+impl PaperData {
+    /// The `(train, test)` pair at `opts.scale`: train from `opts.seed`,
+    /// test from `opts.seed + 1`.
+    pub fn generate(&self, opts: &CliOptions) -> (Dataset, Dataset) {
+        let train = SynthScale::paper_train().scaled_by(opts.scale);
+        let test = SynthScale::paper_test().scaled_by(opts.scale);
+        let seed = opts.seed;
+        match self {
+            PaperData::Numeric(cfg) => (
+                pnr_synth::numeric::generate(cfg, &train, seed),
+                pnr_synth::numeric::generate(cfg, &test, seed + 1),
+            ),
+            PaperData::Categorical(cfg) => (
+                pnr_synth::categorical::generate(cfg, &train, seed),
+                pnr_synth::categorical::generate(cfg, &test, seed + 1),
+            ),
+            PaperData::General(cfg) => (
+                pnr_synth::general::generate(cfg, &train, seed),
+                pnr_synth::general::generate(cfg, &test, seed + 1),
+            ),
+            PaperData::Kdd => {
+                let (n_train, n_test) = kdd_sizes(opts);
+                (
+                    pnr_kddsim::generate_train(n_train, seed),
+                    pnr_kddsim::generate_test(n_test, seed + 1),
+                )
+            }
+        }
+    }
+
+    /// Resolves a dataset spelling — `nsyn1..6`, `coa1..6`, `coad1..4`,
+    /// `syngen` or `kdd:<class>` — to its data and target class. Optional
+    /// `:tr=<f>`/`:nr=<f>` suffixes override the peak widths of the
+    /// numeric and general models. An unknown spelling is an `Err`
+    /// listing the valid ones.
+    pub fn parse(spec: &str) -> Result<(PaperData, &str), String> {
+        if let Some(class) = spec.strip_prefix("kdd:") {
+            if !pnr_kddsim::CLASSES.contains(&class) {
+                return Err(format!(
+                    "unknown kdd class {class:?}; valid datasets: {VALID_DATASETS}"
+                ));
+            }
+            return Ok((PaperData::Kdd, class));
+        }
+        let mut parts = spec.split(':');
+        let name = parts.next().unwrap_or(spec);
+        let (mut tr, mut nr) = (None, None);
+        for part in parts {
+            let (key, value) = part
+                .split_once('=')
+                .filter(|(key, _)| matches!(*key, "tr" | "nr"))
+                .ok_or_else(|| {
+                    format!("unknown dataset suffix {part:?}; valid datasets: {VALID_DATASETS}")
+                })?;
+            let width = value
+                .parse::<f64>()
+                .map_err(|_| format!("suffix {key}= takes a float, got {value:?}"))?;
+            *(if key == "tr" { &mut tr } else { &mut nr }) = Some(width);
+        }
+        let unknown = || format!("unknown dataset {name:?}; valid datasets: {VALID_DATASETS}");
+        let data = if name == "syngen" {
+            let mut cfg = GeneralModelConfig::default();
+            (cfg.tr, cfg.nr) = (tr.unwrap_or(cfg.tr), nr.unwrap_or(cfg.nr));
+            PaperData::General(cfg)
+        } else if let Some(i) = name.strip_prefix("nsyn") {
+            let i = i
+                .parse()
+                .ok()
+                .filter(|i| (1..=6).contains(i))
+                .ok_or_else(unknown)?;
+            let mut cfg = NumericModelConfig::nsyn(i);
+            (cfg.tr, cfg.nr) = (tr.unwrap_or(cfg.tr), nr.unwrap_or(cfg.nr));
+            PaperData::Numeric(cfg)
+        } else {
+            PaperData::Categorical(categorical_config(name).ok_or_else(unknown)?)
+        };
+        Ok((data, TARGET_CLASS))
+    }
 }
 
-/// The best-of-grid PNrule cell shared by the table experiments: runs
-/// the standard variant grid and, under `--save-model`, persists the
-/// winning model as a loadable artifact keyed by the experiment id.
-fn pnrule_grid_cell<'a>(
-    exp_id: &str,
-    opts: &CliOptions,
+/// KDD simulation sizes: the contest's 10% training sample (~494k) and the
+/// test set (~311k), shrunk by the scale factor.
+pub fn kdd_sizes(opts: &CliOptions) -> (usize, usize) {
+    (
+        ((494_021.0 * opts.scale).round() as usize).max(1_000),
+        ((311_029.0 * opts.scale).round() as usize).max(1_000),
+    )
+}
+
+/// The common description tail: `train <n> test <n> (scale <f>)`.
+fn sizes((train, test): &(Dataset, Dataset), opts: &CliOptions) -> String {
+    format!(
+        "train {} test {} (scale {})",
+        train.n_rows(),
+        test.n_rows(),
+        opts.scale
+    )
+}
+
+/// A cell fitting `method` on `train` and scoring it on `test`.
+fn method_cell<'a>(
+    method: Method,
     train: &'a Dataset,
     test: &'a Dataset,
     target: u32,
 ) -> CellJob<'a> {
-    let save_dir = opts.save_model.clone();
-    let exp_id = exp_id.to_string();
-    Box::new(move |sink: &Arc<dyn TelemetrySink>| {
-        let best = run_pnrule_best(train, test, target, &pnrule_variant_grid(), sink);
-        if let Some(dir) = &save_dir {
-            crate::artifact_out::save_pnrule_artifact(
-                dir,
-                &exp_id,
-                best.model,
-                best.params,
-                best.fit_report,
-                train.schema().clone(),
-            );
-        }
-        best.report
-    })
+    Box::new(move |sink: &Arc<dyn TelemetrySink>| run_method(&method, train, test, target, sink))
 }
 
-fn subset(rows: Vec<ResultRow>, keep: &[&str], exp: &mut ExperimentResult) {
-    for row in rows {
-        if keep.is_empty() || keep.contains(&row.label.as_str()) {
-            exp.push_row(row);
+/// Fills `exp`'s rows from `data` for `class`: a cell per baseline, under
+/// its paper label, then a `PNrule` cell keeping the best test F over
+/// `grid`. Under `--save-model` the PNrule cell saves its winning model
+/// as `<exp id>-PNrule.artifact`.
+fn compare(
+    mut exp: ExperimentResult,
+    opts: &CliOptions,
+    (train, test): &(Dataset, Dataset),
+    class: &str,
+    baselines: &[Method],
+    grid: &[PnruleParams],
+) -> ExperimentResult {
+    let target = train.class_code(class).expect("target class");
+    let mut jobs: Vec<(String, CellJob<'_>)> = baselines
+        .iter()
+        .map(|m| {
+            (
+                m.label().to_string(),
+                method_cell(m.clone(), train, test, target),
+            )
+        })
+        .collect();
+    let (save_dir, exp_id) = (opts.save_model.clone(), exp.id.clone());
+    jobs.push((
+        "PNrule".to_string(),
+        Box::new(move |sink: &Arc<dyn TelemetrySink>| {
+            let best = run_pnrule_best(train, test, target, grid, sink);
+            if let Some(dir) = &save_dir {
+                crate::artifact_out::save_pnrule_artifact(
+                    dir,
+                    &exp_id,
+                    best.model,
+                    best.params,
+                    best.fit_report,
+                    train.schema().clone(),
+                );
+            }
+            best.report
+        }),
+    ));
+    exp.rows = run_cells(&exp.id, opts, jobs);
+    exp
+}
+
+/// One experiment per `(tr, nr)` in `widths²`, on the model `data` builds
+/// for those peak widths, against `baselines` and the PNrule variant grid.
+fn width_grid(
+    name: &str,
+    widths: &[f64],
+    opts: &CliOptions,
+    data: impl Fn(f64, f64) -> PaperData,
+    baselines: &[Method],
+) -> Vec<ExperimentResult> {
+    let mut out = Vec::new();
+    for &tr in widths {
+        for &nr in widths {
+            let pair = data(tr, nr).generate(opts);
+            let exp = ExperimentResult::new(format!("{name} tr={tr} nr={nr}"), sizes(&pair, opts));
+            let grid = pnrule_variant_grid();
+            out.push(compare(exp, opts, &pair, TARGET_CLASS, baselines, &grid));
         }
     }
+    out
 }
+
+/// `C`, `Cte`, `R` and `Re`: the baselines of Table 1 and Figure 1.
+const ALL_BASELINES: [Method; 4] = [
+    Method::C45Rules,
+    Method::C45TreeWe,
+    Method::Ripper,
+    Method::RipperWe,
+];
 
 /// **Table 1** — `nsyn1..nsyn6`, five classifiers each.
 pub fn table1(opts: &CliOptions) -> Vec<ExperimentResult> {
     (1..=6)
         .map(|i| {
             let cfg = NumericModelConfig::nsyn(i);
-            let train = pnr_synth::numeric::generate(&cfg, &train_scale(opts), opts.seed);
-            let test = pnr_synth::numeric::generate(&cfg, &test_scale(opts), opts.seed + 1);
-            let mut exp = ExperimentResult::new(
-                format!("table1/nsyn{i}"),
-                format!(
-                    "nsptc={} ntc={} nspntc={} tr={} nr={} | train {} test {} (scale {})",
-                    cfg.nsptc,
-                    cfg.ntc,
-                    cfg.nspntc,
-                    cfg.tr,
-                    cfg.nr,
-                    train.n_rows(),
-                    test.n_rows(),
-                    opts.scale
-                ),
+            let pair = PaperData::Numeric(cfg.clone()).generate(opts);
+            let description = format!(
+                "nsptc={} ntc={} nspntc={} tr={} nr={} | {}",
+                cfg.nsptc,
+                cfg.ntc,
+                cfg.nspntc,
+                cfg.tr,
+                cfg.nr,
+                sizes(&pair, opts)
             );
-            let rows = compare_all(&exp.id, opts, &train, &test);
-            subset(rows, &[], &mut exp);
-            exp
+            let exp = ExperimentResult::new(format!("table1/nsyn{i}"), description);
+            compare(
+                exp,
+                opts,
+                &pair,
+                TARGET_CLASS,
+                &ALL_BASELINES,
+                &pnrule_variant_grid(),
+            )
         })
         .collect()
 }
 
 /// **Figure 1** — nsyn3 under the `tr × nr ∈ {0.2, 2, 4}²` grid.
 pub fn figure1(opts: &CliOptions) -> Vec<ExperimentResult> {
-    let mut out = Vec::new();
-    for tr in [0.2, 2.0, 4.0] {
-        for nr in [0.2, 2.0, 4.0] {
-            let cfg = NumericModelConfig::nsyn(3).with_widths(tr, nr);
-            let train = pnr_synth::numeric::generate(&cfg, &train_scale(opts), opts.seed);
-            let test = pnr_synth::numeric::generate(&cfg, &test_scale(opts), opts.seed + 1);
-            let mut exp = ExperimentResult::new(
-                format!("figure1/nsyn3 tr={tr} nr={nr}"),
-                format!(
-                    "train {} test {} (scale {})",
-                    train.n_rows(),
-                    test.n_rows(),
-                    opts.scale
-                ),
-            );
-            let rows = compare_all(&exp.id, opts, &train, &test);
-            subset(rows, &[], &mut exp);
-            out.push(exp);
-        }
-    }
-    out
+    let nsyn3 = |tr, nr| PaperData::Numeric(NumericModelConfig::nsyn(3).with_widths(tr, nr));
+    width_grid(
+        "figure1/nsyn3",
+        &[0.2, 2.0, 4.0],
+        opts,
+        nsyn3,
+        &ALL_BASELINES,
+    )
 }
 
 /// **Table 2** — nsyn5 under `tr × nr ∈ {0.2, 4}²`; `Cte`, `Re`, `P` rows.
 pub fn table2(opts: &CliOptions) -> Vec<ExperimentResult> {
-    let mut out = Vec::new();
-    for tr in [0.2, 4.0] {
-        for nr in [0.2, 4.0] {
-            let cfg = NumericModelConfig::nsyn(5).with_widths(tr, nr);
-            let train = pnr_synth::numeric::generate(&cfg, &train_scale(opts), opts.seed);
-            let test = pnr_synth::numeric::generate(&cfg, &test_scale(opts), opts.seed + 1);
-            let mut exp = ExperimentResult::new(
-                format!("table2/nsyn5 tr={tr} nr={nr}"),
-                format!(
-                    "train {} test {} (scale {})",
-                    train.n_rows(),
-                    test.n_rows(),
-                    opts.scale
-                ),
-            );
-            let rows = compare_all(&exp.id, opts, &train, &test);
-            subset(rows, &["C4.5-we", "RIPPER-we", "PNrule"], &mut exp);
-            out.push(exp);
-        }
-    }
-    out
+    let nsyn5 = |tr, nr| PaperData::Numeric(NumericModelConfig::nsyn(5).with_widths(tr, nr));
+    let baselines = [Method::C45TreeWe, Method::RipperWe];
+    width_grid("table2/nsyn5", &[0.2, 4.0], opts, nsyn5, &baselines)
 }
 
 /// The ten categorical dataset names of Table 3.
@@ -358,73 +469,30 @@ pub fn table3(opts: &CliOptions) -> Vec<ExperimentResult> {
         .into_iter()
         .filter_map(|name| {
             let cfg = categorical_config(&name)?;
-            let train = pnr_synth::categorical::generate(&cfg, &train_scale(opts), opts.seed);
-            let test = pnr_synth::categorical::generate(&cfg, &test_scale(opts), opts.seed + 1);
-            let target = train.class_code(pnr_synth::TARGET_CLASS).expect("target");
-            let mut exp = ExperimentResult::new(
-                format!("table3/{name}"),
-                format!(
-                    "t(na={},nspa={},V={}) nt(na={},nspa={},V={}) | train {} test {}",
-                    cfg.target.na,
-                    cfg.target.nspa,
-                    cfg.target.vocab,
-                    cfg.non_target.na,
-                    cfg.non_target.nspa,
-                    cfg.non_target.vocab,
-                    train.n_rows(),
-                    test.n_rows()
-                ),
+            let pair = PaperData::Categorical(cfg).generate(opts);
+            let description = format!(
+                "t(na={},nspa={},V={}) nt(na={},nspa={},V={}) | train {} test {}",
+                cfg.target.na,
+                cfg.target.nspa,
+                cfg.target.vocab,
+                cfg.non_target.na,
+                cfg.non_target.nspa,
+                cfg.non_target.vocab,
+                pair.0.n_rows(),
+                pair.1.n_rows()
             );
-            let jobs: Vec<(String, CellJob<'_>)> = vec![
-                (
-                    "C4.5rules".to_string(),
-                    Box::new(|sink: &Arc<dyn TelemetrySink>| {
-                        run_method(&Method::C45Rules, &train, &test, target, sink)
-                    }),
-                ),
-                (
-                    "RIPPER".to_string(),
-                    Box::new(|sink: &Arc<dyn TelemetrySink>| {
-                        run_method(&Method::Ripper, &train, &test, target, sink)
-                    }),
-                ),
-                (
-                    "PNrule".to_string(),
-                    pnrule_grid_cell(&exp.id, opts, &train, &test, target),
-                ),
-            ];
-            let rows = run_cells(&exp.id, opts, jobs);
-            for row in rows {
-                exp.push_row(row);
-            }
-            Some(exp)
+            let exp = ExperimentResult::new(format!("table3/{name}"), description);
+            let (baselines, grid) = ([Method::C45Rules, Method::Ripper], pnrule_variant_grid());
+            Some(compare(exp, opts, &pair, TARGET_CLASS, &baselines, &grid))
         })
         .collect()
 }
 
 /// **Table 4** — syngen under `tr × nr ∈ {0.2, 4}²`; `C`, `Re`, `P` rows.
 pub fn table4(opts: &CliOptions) -> Vec<ExperimentResult> {
-    let mut out = Vec::new();
-    for tr in [0.2, 4.0] {
-        for nr in [0.2, 4.0] {
-            let cfg = GeneralModelConfig::default().with_widths(tr, nr);
-            let train = pnr_synth::general::generate(&cfg, &train_scale(opts), opts.seed);
-            let test = pnr_synth::general::generate(&cfg, &test_scale(opts), opts.seed + 1);
-            let mut exp = ExperimentResult::new(
-                format!("table4/syngen tr={tr} nr={nr}"),
-                format!(
-                    "train {} test {} (scale {})",
-                    train.n_rows(),
-                    test.n_rows(),
-                    opts.scale
-                ),
-            );
-            let rows = compare_all(&exp.id, opts, &train, &test);
-            subset(rows, &["C4.5rules", "RIPPER-we", "PNrule"], &mut exp);
-            out.push(exp);
-        }
-    }
-    out
+    let syngen = |tr, nr| PaperData::General(GeneralModelConfig::default().with_widths(tr, nr));
+    let baselines = [Method::C45Rules, Method::RipperWe];
+    width_grid("table4/syngen", &[0.2, 4.0], opts, syngen, &baselines)
 }
 
 /// **Table 5** — effect of target-class proportion: the non-target class of
@@ -437,11 +505,8 @@ pub fn table5(opts: &CliOptions) -> Vec<ExperimentResult> {
         (4.0, 4.0, vec![1.0, 0.1, 0.05, 0.02, 0.01]),
     ] {
         let cfg = GeneralModelConfig::default().with_widths(tr, nr);
-        let full_train = pnr_synth::general::generate(&cfg, &train_scale(opts), opts.seed);
-        let full_test = pnr_synth::general::generate(&cfg, &test_scale(opts), opts.seed + 1);
-        let target = full_train
-            .class_code(pnr_synth::TARGET_CLASS)
-            .expect("target");
+        let (full_train, full_test) = PaperData::General(cfg).generate(opts);
+        let target = full_train.class_code(TARGET_CLASS).expect("target");
         let non_target = full_train
             .class_code(pnr_synth::NON_TARGET_CLASS)
             .expect("nc");
@@ -452,123 +517,48 @@ pub fn table5(opts: &CliOptions) -> Vec<ExperimentResult> {
             let test = subsample_class(&full_test, non_target, frac, &mut rng);
             let tc_pct =
                 100.0 * train.class_counts()[target as usize] as f64 / train.n_rows() as f64;
-            let mut exp = ExperimentResult::new(
+            let exp = ExperimentResult::new(
                 format!("table5/syngen tr={tr} nr={nr} ntc-frac={frac}"),
                 format!("target proportion {tc_pct:.1}% | train {}", train.n_rows()),
             );
-            let jobs: Vec<(String, CellJob<'_>)> = vec![
-                (
-                    "C4.5rules".to_string(),
-                    Box::new(|sink: &Arc<dyn TelemetrySink>| {
-                        run_method(&Method::C45Rules, &train, &test, target, sink)
-                    }),
-                ),
-                (
-                    "RIPPER".to_string(),
-                    Box::new(|sink: &Arc<dyn TelemetrySink>| {
-                        run_method(&Method::Ripper, &train, &test, target, sink)
-                    }),
-                ),
-                (
-                    "PNrule".to_string(),
-                    pnrule_grid_cell(&exp.id, opts, &train, &test, target),
-                ),
-            ];
-            let rows = run_cells(&exp.id, opts, jobs);
-            for row in rows {
-                exp.push_row(row);
-            }
-            out.push(exp);
+            let (baselines, grid) = ([Method::C45Rules, Method::Ripper], pnrule_variant_grid());
+            out.push(compare(
+                exp,
+                opts,
+                &(train, test),
+                TARGET_CLASS,
+                &baselines,
+                &grid,
+            ));
         }
     }
     out
-}
-
-/// A single-parameter PNrule cell (no grid): fits once and, under
-/// `--save-model`, persists the model as an artifact keyed by the
-/// experiment id.
-fn pnrule_params_cell<'a>(
-    exp_id: &str,
-    opts: &CliOptions,
-    train: &'a Dataset,
-    test: &'a Dataset,
-    target: u32,
-    params: PnruleParams,
-) -> CellJob<'a> {
-    let save_dir = opts.save_model.clone();
-    let exp_id = exp_id.to_string();
-    Box::new(move |sink: &Arc<dyn TelemetrySink>| {
-        let best = run_pnrule_best(train, test, target, std::slice::from_ref(&params), sink);
-        if let Some(dir) = &save_dir {
-            crate::artifact_out::save_pnrule_artifact(
-                dir,
-                &exp_id,
-                best.model,
-                best.params,
-                best.fit_report,
-                train.schema().clone(),
-            );
-        }
-        best.report
-    })
-}
-
-/// KDD simulation sizes: the contest's 10% training sample (~494k) and the
-/// test set (~311k), shrunk by the scale factor.
-pub fn kdd_sizes(opts: &CliOptions) -> (usize, usize) {
-    (
-        ((494_021.0 * opts.scale).round() as usize).max(1_000),
-        ((311_029.0 * opts.scale).round() as usize).max(1_000),
-    )
 }
 
 /// **Table 6** — simulated KDD'99, classes `probe` and `r2l`: each baseline
 /// reports its best of {as-is, stratified}; PNrule runs with the default
 /// two-phase settings (the "old PNrule" configuration).
 pub fn table6(opts: &CliOptions) -> Vec<ExperimentResult> {
-    let (n_train, n_test) = kdd_sizes(opts);
-    let train = pnr_kddsim::generate_train(n_train, opts.seed);
-    let test = pnr_kddsim::generate_test(n_test, opts.seed + 1);
+    let pair = PaperData::Kdd.generate(opts);
+    let baselines = [
+        Method::BestOf(vec![Method::C45Rules, Method::C45TreeWe]),
+        Method::BestOf(vec![Method::Ripper, Method::RipperWe]),
+    ];
     ["probe", "r2l"]
         .iter()
         .map(|class| {
-            let target = train.class_code(class).expect("class exists");
-            let mut exp = ExperimentResult::new(
+            let exp = ExperimentResult::new(
                 format!("table6/{class}"),
-                format!(
-                    "KDD sim | train {n_train} test {n_test} (scale {})",
-                    opts.scale
-                ),
+                format!("KDD sim | {}", sizes(&pair, opts)),
             );
-            let best = |a: PrfReport, b: PrfReport| if a.f >= b.f { a } else { b };
-            let (train, test) = (&train, &test);
-            let jobs: Vec<(String, CellJob<'_>)> = vec![
-                (
-                    "C4.5rules".to_string(),
-                    Box::new(move |sink: &Arc<dyn TelemetrySink>| {
-                        let unit = run_method(&Method::C45Rules, train, test, target, sink);
-                        let strat = run_method(&Method::C45TreeWe, train, test, target, sink);
-                        best(unit, strat)
-                    }),
-                ),
-                (
-                    "RIPPER".to_string(),
-                    Box::new(move |sink: &Arc<dyn TelemetrySink>| {
-                        let unit = run_method(&Method::Ripper, train, test, target, sink);
-                        let strat = run_method(&Method::RipperWe, train, test, target, sink);
-                        best(unit, strat)
-                    }),
-                ),
-                (
-                    "PNrule".to_string(),
-                    pnrule_params_cell(&exp.id, opts, train, test, target, PnruleParams::default()),
-                ),
-            ];
-            let rows = run_cells(&exp.id, opts, jobs);
-            for row in rows {
-                exp.push_row(row);
-            }
-            exp
+            compare(
+                exp,
+                opts,
+                &pair,
+                class,
+                &baselines,
+                &[PnruleParams::default()],
+            )
         })
         .collect()
 }
@@ -582,40 +572,102 @@ pub fn rp_rn_grid(
     rns: &[f64],
     p1: bool,
 ) -> Vec<ExperimentResult> {
-    let (n_train, n_test) = kdd_sizes(opts);
-    let train = pnr_kddsim::generate_train(n_train, opts.seed);
-    let test = pnr_kddsim::generate_test(n_test, opts.seed + 1);
+    let (train, test) = PaperData::Kdd.generate(opts);
     let target = train.class_code(class).expect("class exists");
     let suffix = if p1 { ".P1" } else { "" };
     let mut out = Vec::new();
     for &rp in rps {
-        let mut exp = ExperimentResult::new(
-            format!("section4/{class}{suffix} rp={rp}"),
-            format!("KDD sim | train {n_train} test {n_test}"),
-        );
-        let jobs: Vec<(String, CellJob<'_>)> = rns
+        let id = format!("section4/{class}{suffix} rp={rp}");
+        let jobs = rns
             .iter()
             .map(|&rn| {
-                let train = &train;
-                let test = &test;
-                (
-                    format!("rn={rn}"),
-                    Box::new(move |sink: &Arc<dyn TelemetrySink>| {
-                        let params = PnruleParams {
-                            metric: EvalMetric::FoilGain,
-                            max_p_rule_len: if p1 { Some(1) } else { None },
-                            ..PnruleParams::with_recall_limits(rp, rn)
-                        };
-                        run_method(&Method::Pnrule(params), train, test, target, sink)
-                    }) as CellJob<'_>,
-                )
+                let params = PnruleParams {
+                    metric: EvalMetric::FoilGain,
+                    max_p_rule_len: if p1 { Some(1) } else { None },
+                    ..PnruleParams::with_recall_limits(rp, rn)
+                };
+                let cell = method_cell(Method::Pnrule(params), &train, &test, target);
+                (format!("rn={rn}"), cell)
             })
             .collect();
-        let rows = run_cells(&exp.id, opts, jobs);
-        for row in rows {
-            exp.push_row(row);
+        out.push(ExperimentResult {
+            rows: run_cells(&id, opts, jobs),
+            id,
+            description: format!("KDD sim | train {} test {}", train.n_rows(), test.n_rows()),
+        });
+    }
+    out
+}
+
+/// Ablations of PNrule's design choices (beyond the paper), each on nsyn3
+/// and the KDD simulation's `probe` class:
+///
+/// * `ablation_range` — explicit range conditions ON vs OFF in the
+///   condition search;
+/// * `ablation_nphase` — the N-phase ON vs OFF (OFF degenerates PNrule to
+///   a relaxed-accuracy sequential coverer);
+/// * `ablation_scoring` — the ScoreMatrix significance threshold: 0 takes
+///   every raw cell estimate, a large threshold makes every cell fall back
+///   to its P-rule row estimate (the crisp "P and not N" decision).
+pub fn ablations(opts: &CliOptions) -> Vec<ExperimentResult> {
+    let tasks = [
+        (
+            "nsyn3",
+            PaperData::Numeric(NumericModelConfig::nsyn(3)).generate(opts),
+            TARGET_CLASS,
+        ),
+        ("kdd-probe", PaperData::Kdd.generate(opts), "probe"),
+    ];
+    let variant = |edit: fn(&mut PnruleParams)| {
+        let mut params = PnruleParams::default();
+        edit(&mut params);
+        params
+    };
+    let studies = [
+        (
+            "ablation_range",
+            "explicit range conditions in the search",
+            vec![
+                ("ranges on", variant(|_| {})),
+                ("ranges off", variant(|p| p.use_ranges = false)),
+            ],
+        ),
+        (
+            "ablation_nphase",
+            "second phase on/off (off = relaxed-accuracy sequential covering)",
+            vec![
+                ("N-phase on", variant(|_| {})),
+                ("N-phase off", variant(|p| p.enable_n_phase = false)),
+            ],
+        ),
+        (
+            "ablation_scoring",
+            "ScoreMatrix significance threshold (0 = raw cells, huge = crisp P-and-not-N per row)",
+            vec![
+                ("z=0 (raw cells)", variant(|p| p.scoring_z_threshold = 0.0)),
+                ("z=1 (default)", variant(|p| p.scoring_z_threshold = 1.0)),
+                ("z=3", variant(|p| p.scoring_z_threshold = 3.0)),
+            ],
+        ),
+    ];
+    let mut out = Vec::new();
+    for (name, (train, test), class) in &tasks {
+        let target = train.class_code(class).expect("target class");
+        for (study, description, variants) in &studies {
+            let id = format!("{study}/{name}");
+            let jobs = variants
+                .iter()
+                .map(|(label, params)| {
+                    let cell = method_cell(Method::Pnrule(params.clone()), train, test, target);
+                    (label.to_string(), cell)
+                })
+                .collect();
+            out.push(ExperimentResult {
+                rows: run_cells(&id, opts, jobs),
+                id,
+                description: description.to_string(),
+            });
         }
-        out.push(exp);
     }
     out
 }
@@ -880,11 +932,116 @@ mod tests {
     }
 
     #[test]
+    fn parse_accepts_every_spelling() {
+        for i in 1..=6 {
+            let cfg = NumericModelConfig::nsyn(i);
+            let want = Ok((PaperData::Numeric(cfg), TARGET_CLASS));
+            assert_eq!(PaperData::parse(&format!("nsyn{i}")), want);
+        }
+        for name in categorical_dataset_names() {
+            let want = PaperData::Categorical(categorical_config(&name).unwrap());
+            assert_eq!(PaperData::parse(&name), Ok((want, TARGET_CLASS)));
+        }
+        let syngen = GeneralModelConfig::default();
+        assert_eq!(
+            PaperData::parse("syngen"),
+            Ok((PaperData::General(syngen), TARGET_CLASS))
+        );
+        for class in pnr_kddsim::CLASSES {
+            let spec = format!("kdd:{class}");
+            assert_eq!(PaperData::parse(&spec), Ok((PaperData::Kdd, *class)));
+        }
+        // width suffixes, in either order; the last of a repeated one wins
+        let nsyn3 = NumericModelConfig::nsyn(3);
+        let cases = [
+            (
+                "nsyn3:tr=2",
+                PaperData::Numeric(nsyn3.clone().with_widths(2.0, nsyn3.nr)),
+            ),
+            (
+                "nsyn3:nr=4:tr=0.5",
+                PaperData::Numeric(nsyn3.clone().with_widths(0.5, 4.0)),
+            ),
+            (
+                "syngen:tr=0.2:nr=4",
+                PaperData::General(syngen.with_widths(0.2, 4.0)),
+            ),
+            (
+                "syngen:tr=1:nr=2:tr=3",
+                PaperData::General(syngen.with_widths(3.0, 2.0)),
+            ),
+        ];
+        for (spec, want) in cases {
+            assert_eq!(PaperData::parse(spec), Ok((want, TARGET_CLASS)), "{spec}");
+        }
+    }
+
+    #[test]
+    fn parse_rejects_unknown_spellings_with_the_valid_list() {
+        for spec in [
+            "nope",
+            "kdd:ddos",
+            "nsyn9",
+            "coa7",
+            "nsyn0",
+            "kdd:",
+            "",
+            "nsyn3:zz=1",
+        ] {
+            let err = PaperData::parse(spec).unwrap_err();
+            assert!(err.contains("nsyn1..nsyn6"), "{spec}: {err}");
+            assert!(err.contains("coad1..coad4"), "{spec}: {err}");
+        }
+        let err = PaperData::parse("syngen:tr=wide").unwrap_err();
+        assert_eq!(err, "suffix tr= takes a float, got \"wide\"");
+        let err = PaperData::parse("kdd:probe:tr=1").unwrap_err();
+        assert!(err.starts_with("unknown kdd class \"probe:tr=1\""), "{err}");
+    }
+
+    #[test]
+    fn kdd_data_has_the_kdd_sizes() {
+        let opts = CliOptions {
+            scale: 0.002,
+            ..Default::default()
+        };
+        let (train, test) = PaperData::Kdd.generate(&opts);
+        assert_eq!((train.n_rows(), test.n_rows()), kdd_sizes(&opts));
+    }
+
+    #[test]
     fn table6_smoke_runs_at_tiny_scale() {
         let out = table6(&tiny_opts());
         assert_eq!(out.len(), 2);
         for exp in &out {
-            assert_eq!(exp.rows.len(), 3);
+            let labels: Vec<&str> = exp.rows.iter().map(|r| r.label.as_str()).collect();
+            assert_eq!(labels, ["C4.5rules", "RIPPER", "PNrule"]);
+            assert!(!exp.any_failed(), "{:?}", exp.rows);
+        }
+    }
+
+    #[test]
+    fn ablations_smoke_runs_at_tiny_scale() {
+        let out = ablations(&tiny_opts());
+        let ids: Vec<&str> = out.iter().map(|e| e.id.as_str()).collect();
+        assert_eq!(
+            ids,
+            [
+                "ablation_range/nsyn3",
+                "ablation_nphase/nsyn3",
+                "ablation_scoring/nsyn3",
+                "ablation_range/kdd-probe",
+                "ablation_nphase/kdd-probe",
+                "ablation_scoring/kdd-probe",
+            ]
+        );
+        for exp in &out {
+            let labels: Vec<&str> = exp.rows.iter().map(|r| r.label.as_str()).collect();
+            let want: &[&str] = match exp.id.split('/').next() {
+                Some("ablation_range") => &["ranges on", "ranges off"],
+                Some("ablation_nphase") => &["N-phase on", "N-phase off"],
+                _ => &["z=0 (raw cells)", "z=1 (default)", "z=3"],
+            };
+            assert_eq!(labels, want, "{}", exp.id);
             assert!(!exp.any_failed(), "{:?}", exp.rows);
         }
     }

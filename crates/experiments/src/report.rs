@@ -15,11 +15,11 @@ use std::path::Path;
 pub struct ResultRow {
     /// Row label (classifier, possibly suffixed with a configuration).
     pub label: String,
-    /// Recall in [0,1] (0 for failed cells).
+    /// Recall in \[0,1\] (0 for failed cells).
     pub recall: f64,
-    /// Precision in [0,1] (0 for failed cells).
+    /// Precision in \[0,1\] (0 for failed cells).
     pub precision: f64,
-    /// F-measure in [0,1] (0 for failed cells).
+    /// F-measure in \[0,1\] (0 for failed cells).
     pub f: f64,
     /// Failure reason when the cell's job panicked or errored; `None` for
     /// a completed cell. Absent in JSON written before this field existed.

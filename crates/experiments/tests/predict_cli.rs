@@ -345,6 +345,17 @@ fn inspect_lists_valid_names_on_unknown_dataset() {
 }
 
 #[test]
+fn inspect_sizes_kdd_data_like_table6() {
+    // 311_029 × 0.02 = 6220.58: `kdd_sizes` rounds it to 6221 test rows
+    let out = run("inspect", &["kdd:probe", "--scale", "0.02"]);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    let stdout = stdout_of(&out);
+    let head = stdout.lines().next().unwrap_or("");
+    assert!(head.starts_with("kdd:probe: train 9880 rows"), "{head}");
+    assert!(head.ends_with("test 6221 rows"), "{head}");
+}
+
+#[test]
 fn kdd_csv_rejects_unknown_columns_with_the_valid_list() {
     let out = run("kdd_csv", &["--columns", "src_bytes,bogus"]);
     assert_eq!(out.status.code(), Some(2));

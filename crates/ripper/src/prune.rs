@@ -15,7 +15,7 @@ pub fn prune_value(p: f64, n: f64) -> f64 {
 }
 
 /// Generalises `rule` by deleting a **final sequence** of conditions: every
-/// prefix (including the full rule) is scored with [`prune_value`] on the
+/// prefix (including the full rule) is scored with `prune_value` on the
 /// prune split and the best-scoring prefix wins; ties prefer the shorter
 /// rule (more general). The empty prefix is not considered — a rule that
 /// would prune to nothing is the caller's signal to stop.

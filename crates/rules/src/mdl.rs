@@ -2,7 +2,7 @@
 //!
 //! Both RIPPER's stopping/deletion criterion and PNrule's N-stage stopping
 //! ("N-rules are added until the new rule increases the description length
-//! within some limit of the minimum value obtained so far [5]") price a rule
+//! within some limit of the minimum value obtained so far \[5\]") price a rule
 //! set as *theory bits* (the cost of transmitting the rules) plus *data
 //! bits* (the cost of transmitting the exceptions — the examples the theory
 //! misclassifies). Theory bits follow Cohen (ICML'95): a rule with `k` of

@@ -15,7 +15,7 @@
 //! dataset-sized mask.
 //!
 //! Parallelism is two-dimensional. Attributes are independent, and a
-//! [`ShardPlan`](crate::shard::ShardPlan) additionally splits the view's
+//! [`ShardPlan`] additionally splits the view's
 //! rows into contiguous shards whose per-shard statistics — all weight
 //! sums — merge exactly. Workers claim `(attribute × shard)` partial tasks
 //! off a shared counter (phase A); the main thread then reduces each

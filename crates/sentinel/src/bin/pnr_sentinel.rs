@@ -205,7 +205,6 @@ fn watch(opts: &Options) -> Result<(), String> {
         ..DetectorConfig::default()
     });
     let mut sup_config = SupervisorConfig::new(&opts.out_dir);
-    sup_config.max_attempts = opts.max_attempts;
     sup_config.backoff = Backoff::new(
         opts.max_attempts,
         Duration::from_millis(100),

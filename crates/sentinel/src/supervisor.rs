@@ -9,7 +9,7 @@
 //! the daemon's lineage-checked hot-swap. Every failure class (fit
 //! panic, exhausted budget, recall regression, corrupt file, rejected
 //! swap) is a counted no-op followed by seeded-jitter backoff; after
-//! `max_attempts` the supervisor tells the daemon to enter degraded mode
+//! `backoff.attempts` the supervisor tells the daemon to enter degraded mode
 //! and reports [`RefitOutcome::Degraded`]. The daemon side guarantees
 //! the complementary half: a candidate that fails validation there never
 //! replaces the serving model.
@@ -55,9 +55,9 @@ impl ModelPublisher for DaemonClient {
 /// Supervisor knobs.
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
-    /// Refit attempts before declaring the episode lost and degrading.
-    pub max_attempts: u32,
-    /// Backoff between attempts (jitter from its seed, not wall clock).
+    /// Refit attempts (`backoff.attempts`) before declaring the episode
+    /// lost and degrading, and the delay between them (jitter from its
+    /// seed, not wall clock).
     pub backoff: Backoff,
     /// Windowed-refit options (holdout stride, recall tolerance, params).
     pub refit: RefitOptions,
@@ -73,7 +73,6 @@ impl SupervisorConfig {
     /// A config writing under `out_dir` with defaults everywhere else.
     pub fn new(out_dir: impl Into<PathBuf>) -> Self {
         SupervisorConfig {
-            max_attempts: 3,
             backoff: Backoff::new(
                 3,
                 std::time::Duration::from_millis(50),
@@ -139,7 +138,7 @@ pub fn supervise_refit(
 ) -> Result<RefitOutcome, String> {
     std::fs::create_dir_all(&config.out_dir)
         .map_err(|e| format!("cannot create {}: {e}", config.out_dir.display()))?;
-    let attempts = config.max_attempts.max(1);
+    let attempts = config.backoff.attempts.max(1);
     let mut last_error = String::new();
     for attempt in 0..attempts {
         if attempt > 0 {

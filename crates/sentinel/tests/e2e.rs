@@ -287,7 +287,7 @@ fn corrupted_refit_keeps_last_known_good_and_degraded_mode_is_visible() {
     let window = pnr_kddsim::generate_test(2000, 42);
     let mut cfg = fast_supervisor(&dir);
     cfg.corrupt_artifacts = true;
-    cfg.max_attempts = 2;
+    cfg.backoff.attempts = 2;
     let outcome = supervise_refit(&window, "dos", &baseline, 1, &mut ctl, &cfg, &s).unwrap();
     match outcome {
         RefitOutcome::Degraded {

@@ -3,7 +3,7 @@
 //!
 //! Life of a request: a connection thread reads one NDJSON line as bytes,
 //! checks it is UTF-8, decodes it in one pass ([`parse_request`]), builds
-//! a [`ScoreJob`] against the *currently active* model epoch (capturing
+//! a `ScoreJob` against the *currently active* model epoch (capturing
 //! the epoch's `Arc` and the connection's column map for that epoch, so
 //! a concurrent swap can never mismatch a map with a model), and pushes
 //! it into the bounded queue. A pool worker pops it, scores it under the

@@ -23,8 +23,9 @@
 //!   the active artifact so `kill -9` + restart resumes the last
 //!   swapped-in model.
 //! * **Telemetry-native observability** ([`sink`]): counters and latency
-//!   percentiles come out of the same [`TelemetrySink`]
-//!   (pnr_telemetry::TelemetrySink) interface the learners use.
+//!   percentiles come out of the same
+//!   [`TelemetrySink`](pnr_telemetry::TelemetrySink) interface the
+//!   learners use.
 //!
 //! The wire protocol is documented in [`protocol`], which also types
 //! every request and the `stats`/`swap` replies once, for the daemon and

@@ -381,11 +381,7 @@ impl ScoreReply {
                 self.errors += 1;
                 out.push_str("{\"error\":");
                 serde_json::write_escaped(&e.to_string(), out);
-                let kind = match e {
-                    RecordError::Structural { .. } => "structural",
-                    RecordError::UnknownRejected { .. } => "unknown-rejected",
-                };
-                let _ = write!(out, ",\"kind\":\"{kind}\"}}");
+                let _ = write!(out, ",\"kind\":\"{}\"}}", e.kind());
             }
         }
     }

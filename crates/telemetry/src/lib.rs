@@ -404,8 +404,9 @@ impl RecordingSink {
     }
 
     /// Matches opens to closes and returns completed spans in close
-    /// order. Unmatched events (see [`nesting_error`]
-    /// (Self::nesting_error)) are skipped rather than invented.
+    /// order. Unmatched events (see
+    /// [`nesting_error`](Self::nesting_error)) are skipped rather than
+    /// invented.
     pub fn completed_spans(&self) -> Vec<CompletedSpan> {
         let events = self.events();
         let mut stack: Vec<(SpanKind, String)> = Vec::new();

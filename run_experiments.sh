@@ -2,12 +2,13 @@
 # Regenerates every table/figure of the paper into results/.
 # Usage: ./run_experiments.sh [scale]
 #
-# Completed (method, dataset) cells are checkpointed under
-# results/checkpoints/; re-running after an interruption resumes from
-# there (set RESUME_FLAGS=--no-resume to force a clean run). Each binary
-# exits 0 only when every cell completed; the script runs everything
-# regardless of individual failures and prints a pass/fail summary at
-# the end, exiting non-zero when anything failed.
+# Completed (method, dataset) cells of every table, figure and ablation
+# binary are checkpointed under results/checkpoints/; re-running after an
+# interruption resumes from there (set RESUME_FLAGS=--no-resume to force
+# a clean run; the flags reach ablations too). Each binary exits 0 only
+# when every cell completed; the script runs everything regardless of
+# individual failures and prints a pass/fail summary at the end, exiting
+# non-zero when anything failed.
 set -uo pipefail
 SCALE="${1:-0.5}"
 OUT=results

@@ -9,6 +9,9 @@ fn tiny() -> CliOptions {
         scale: 0.003,
         threads: 4,
         out_dir: "/tmp/pnr_harness_test".into(),
+        // every cell runs: with resume on, a rerun would serve each
+        // cell from checkpoints an earlier build left in `out_dir`
+        resume: false,
         ..Default::default()
     }
 }
