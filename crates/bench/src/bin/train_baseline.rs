@@ -2,7 +2,7 @@
 //! out-of-core training pipeline: kddsim rows are stream-generated to CSV
 //! without ever materializing the dataset, read back through the streaming
 //! CSV reader (one line of text at a time), and a complete P/N fit is
-//! timed per row-shard plan.
+//! timed per condition-search worker setting.
 //!
 //! Run from the workspace root:
 //!
@@ -10,19 +10,20 @@
 //! cargo run --release -p pnr-bench --bin train_baseline
 //! ```
 //!
-//! Before anything is timed, every sharded fit passes a **bit-identity
-//! gate**: its rendered [`ModelArtifact`] (checksum line included) must be
-//! byte-identical to the unsharded sequential fit's. kddsim rows carry
-//! unit weights, so every shard plan agrees bitwise (see the
-//! `unit_weights_make_all_shard_counts_agree` property in `pnr-rules`);
-//! a gate failure aborts the run — timings of a wrong computation are
-//! worthless.
+//! Before anything is timed, every fit of the worker sweep passes a
+//! **bit-identity gate**: its rendered [`ModelArtifact`] (checksum line
+//! included) must be byte-identical to the inline fit's
+//! (`search_workers: Some(1)`). The threaded search scores per-attribute
+//! statistics in attribute order, so every worker setting agrees bitwise
+//! (see the `threaded_search_is_bit_identical_to_inline` property in
+//! `pnr-rules`); a gate failure aborts the run — timings of a wrong
+//! computation are worthless.
 //!
 //! Like `search_baseline`, regenerating from a machine less parallel than
 //! the committed baseline's is refused unless `--force` is passed, and
 //! `detected_parallelism` is recorded so the sweep is read in context (on
-//! one core the sweep measures sharding overhead, not speedup — the
-//! `note` field says so rather than implying a win).
+//! one core the sweep measures thread overhead, not speedup — the `note`
+//! field says so rather than implying a win).
 //!
 //! `--smoke` runs the CI-scale drill instead: stream 10 million kddsim
 //! rows through the CSV reader (bounded generation and parse memory)
@@ -33,18 +34,15 @@
 use pnr_core::{FitBudget, ModelArtifact, PnruleLearner, PnruleParams};
 use pnr_data::{read_csv_with_report, CsvOptions, Dataset};
 use pnr_kddsim::MixStream;
-use pnr_rules::ShardPlan;
 use std::io::Write;
 use std::path::PathBuf;
 use std::time::Instant;
 
-/// Rows for the committed baseline measurement (1M rows → a 16-shard
-/// auto plan, so the sweep's three points are distinct).
+/// Rows for the committed baseline measurement.
 const BENCH_ROWS: usize = 1_000_000;
 /// Rows for the `--smoke` out-of-core drill.
 const SMOKE_ROWS: usize = 10_000_000;
-/// Generation chunk size (rows held in memory at once while streaming;
-/// matches `SHARD_TARGET_ROWS`).
+/// Generation chunk size (rows held in memory at once while streaming).
 const CHUNK_ROWS: usize = 65_536;
 /// Wall-clock budget for the smoke fit: enough to grow real rules at 10M
 /// rows, bounded enough for CI.
@@ -81,11 +79,11 @@ fn stream_to_csv(n: usize, seed: u64, path: &PathBuf) -> CsvOptions {
 
 /// Fits the target class and renders the model artifact (checksum line
 /// first — the gate compares the full rendering, which the checksum
-/// covers). The artifact is rendered with the *reference* default params
-/// regardless of which shard plan produced the fit: the params block
-/// records the plan as plain configuration, so leaving it in would make
-/// every sweep point trivially differ; rendering canonically means the
-/// only varying inputs are the fitted model and report — exactly what the
+/// covers). The artifact is rendered with the default params regardless
+/// of which worker setting produced the fit: the params block records the
+/// setting as plain configuration, so leaving it in would make every
+/// sweep point trivially differ; rendering canonically means the only
+/// varying inputs are the fitted model and report — exactly what the
 /// bit-identity gate must compare.
 fn fit_artifact(data: &Dataset, params: &PnruleParams) -> String {
     let code = data.class_code(TARGET).expect("target class present");
@@ -128,7 +126,6 @@ fn run_smoke() {
             wall_clock_secs: Some(SMOKE_FIT_SECS),
             ..FitBudget::default()
         },
-        row_shards: Some(ShardPlan::auto(SMOKE_ROWS).n_shards()),
         ..Default::default()
     };
     let code = data.class_code(TARGET).expect("target class present");
@@ -188,29 +185,30 @@ fn main() {
     std::fs::remove_file(&path).ok();
     assert_eq!(data.n_rows(), BENCH_ROWS);
 
-    // The reference every plan must reproduce: unsharded sequential fit.
+    // The reference every worker setting must reproduce: the inline fit.
     // One untimed warm-up pass first (it also produces the gate artifact),
     // then best-of-2 — the same protocol every sweep point gets, so the
     // reference is not penalized for paging in the freshly loaded columns.
-    let baseline_params = PnruleParams::default();
-    let reference = fit_artifact(&data, &baseline_params);
+    let inline_params = PnruleParams {
+        search_workers: Some(1),
+        ..Default::default()
+    };
+    let reference = fit_artifact(&data, &inline_params);
     let mut reference_secs = f64::INFINITY;
     for _ in 0..2 {
         let t = Instant::now();
-        let _ = fit_artifact(&data, &baseline_params);
+        let _ = fit_artifact(&data, &inline_params);
         reference_secs = reference_secs.min(t.elapsed().as_secs_f64());
     }
     eprintln!(
-        "reference fit (row_shards: none): {reference_secs:.2}s \
-         ({:.0} rows/s)",
+        "inline fit (search_workers: 1): {reference_secs:.2}s ({:.0} rows/s)",
         BENCH_ROWS as f64 / reference_secs,
     );
 
-    let auto_shards = ShardPlan::auto(BENCH_ROWS).n_shards();
     let mut sweep = Vec::new();
-    for shards in [1usize, 2, auto_shards] {
+    for (label, search_workers) in [("2", Some(2)), ("null", None)] {
         let params = PnruleParams {
-            row_shards: Some(shards),
+            search_workers,
             ..Default::default()
         };
         // Bit-identity gate BEFORE timing: a fast wrong answer is not a
@@ -218,8 +216,8 @@ fn main() {
         let gate = fit_artifact(&data, &params);
         assert_eq!(
             gate, reference,
-            "shard plan {shards} produced a different model artifact than \
-             the sequential fit — refusing to time a non-identical computation"
+            "search_workers {label} produced a different model artifact than \
+             the inline fit — refusing to time a non-identical computation"
         );
         let mut best = f64::INFINITY;
         for _ in 0..2 {
@@ -228,17 +226,17 @@ fn main() {
             best = best.min(t.elapsed().as_secs_f64());
         }
         let rows_per_sec = BENCH_ROWS as f64 / best;
-        eprintln!("row_shards {shards}: best {best:.2}s ({rows_per_sec:.0} rows/s)");
+        eprintln!("search_workers {label}: best {best:.2}s ({rows_per_sec:.0} rows/s)");
         sweep.push(format!(
-            r#"{{"row_shards": {shards}, "fit_secs": {best:.3}, "rows_per_sec": {rows_per_sec:.0}}}"#
+            r#"{{"search_workers": {label}, "fit_secs": {best:.3}, "rows_per_sec": {rows_per_sec:.0}}}"#
         ));
     }
 
     let note = if cores >= 2 {
-        "sweep timed with real parallelism; compare rows_per_sec across shard counts".to_string()
+        "sweep timed with real parallelism; compare rows_per_sec across worker settings".to_string()
     } else {
         format!(
-            "detected parallelism is {cores}: the shard sweep measures sharding \
+            "detected parallelism is {cores}: the worker sweep measures thread \
              overhead, not speedup, so no speedup is claimed"
         )
     };
@@ -255,15 +253,15 @@ fn main() {
   "stream_generate_secs": {gen_secs:.3},
   "chunked_load_secs": {load_secs:.3},
   "load_rows_per_sec": {load_rps:.0},
-  "bit_identity_gate": "every sharded artifact byte-identical to the unsharded sequential fit",
-  "sequential_fit_secs": {reference_secs:.3},
-  "sequential_rows_per_sec": {seq_rps:.0},
-  "shard_sweep": [{sweep}],
+  "bit_identity_gate": "every artifact of the worker sweep byte-identical to the inline fit",
+  "inline_fit_secs": {reference_secs:.3},
+  "inline_rows_per_sec": {inline_rps:.0},
+  "worker_sweep": [{sweep}],
   "note": "{note}"
 }}"#,
             attrs = data.n_attrs(),
             load_rps = BENCH_ROWS as f64 / load_secs,
-            seq_rps = BENCH_ROWS as f64 / reference_secs,
+            inline_rps = BENCH_ROWS as f64 / reference_secs,
             sweep = sweep.join(", "),
         ))
         .expect("baseline JSON is well-formed"),
@@ -271,8 +269,8 @@ fn main() {
     .expect("serialize");
     std::fs::write(out, json + "\n").expect("write BENCH_train.json");
     println!(
-        "BENCH_train.json written: load {:.0} rows/s, sequential fit {:.0} rows/s, \
-         sweep over shard counts [1, 2, {auto_shards}] all bit-identical",
+        "BENCH_train.json written: load {:.0} rows/s, inline fit {:.0} rows/s, \
+         sweep over search_workers [2, null] all bit-identical",
         BENCH_ROWS as f64 / load_secs,
         BENCH_ROWS as f64 / reference_secs,
     );

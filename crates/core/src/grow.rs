@@ -12,11 +12,7 @@
 //!   `R` would push retained recall of the original target class below the
 //!   user's lower limit `rn` (the [`RecallGuard`]).
 
-use pnr_rules::{
-    find_best_condition, BudgetTracker, CovStats, EvalMetric, Rule, SearchOptions, TaskView,
-};
-use pnr_telemetry::TelemetrySink;
-use std::sync::Arc;
+use pnr_rules::{find_best_condition, CovStats, EvalMetric, Rule, SearchOptions, TaskView};
 
 /// The N-phase's recall guard (section 2.2): forces further refinement of a
 /// rule whose acceptance as-is would cost too much recall.
@@ -54,10 +50,6 @@ pub struct GrowOptions {
     pub metric: EvalMetric,
     /// Maximum number of conditions (`None` = unlimited).
     pub max_len: Option<usize>,
-    /// Minimum support (total covered weight) every refinement must keep.
-    pub min_support_weight: f64,
-    /// Search explicit range conditions.
-    pub use_ranges: bool,
     /// Relative improvement a refinement must deliver over the current
     /// rule's score to be accepted. The paper accepts any strict
     /// improvement; a small tolerance (default 0.02) suppresses the
@@ -70,43 +62,11 @@ pub struct GrowOptions {
     /// the original target class is its **negative** coverage
     /// (`stats.neg()`).
     pub recall_guard: Option<RecallGuard>,
-    /// Optional training-budget tracker: the grow loop stops (keeping the
-    /// conditions accepted so far) when the budget's deadline passes or
-    /// its candidate limit fires inside the condition search.
-    pub budget: Option<Arc<BudgetTracker>>,
-    /// Telemetry sink the condition search reports counters to. Write-only:
-    /// nothing recorded here ever feeds back into growth decisions.
-    pub sink: Arc<dyn TelemetrySink>,
-    /// Worker-thread cap forwarded to the condition search (see
-    /// [`SearchOptions::max_workers`]): `None` = size-based heuristic,
-    /// `Some(1)` = sequential, `Some(k)` = forced threaded path with at
-    /// most `k` workers. The learned rule is bit-identical either way.
-    pub search_workers: Option<usize>,
-    /// Row-shard count forwarded to the condition search (see
-    /// [`SearchOptions::row_shards`]): `None` (default) keeps one shard —
-    /// the unsharded arithmetic — while `Some(k)` accumulates statistics
-    /// over `k` contiguous row chunks merged in shard-index order. The
-    /// shard plan, not the worker count, fixes the float grouping, so a
-    /// given setting learns the same rule on any machine.
-    pub row_shards: Option<usize>,
-}
-
-impl GrowOptions {
-    /// P-phase style options: improvement-gated growth with a support floor.
-    pub fn p_phase(metric: EvalMetric, min_support_weight: f64, use_ranges: bool) -> Self {
-        GrowOptions {
-            metric,
-            max_len: None,
-            min_support_weight,
-            use_ranges,
-            min_improvement: 0.02,
-            recall_guard: None,
-            budget: None,
-            sink: pnr_telemetry::noop(),
-            search_workers: None,
-            row_shards: None,
-        }
-    }
+    /// Options for every condition search of the grow loop. [`grow_rule`]
+    /// replaces only their `context` with the view it grows on. The grow
+    /// loop also stops (keeping the conditions accepted so far) when the
+    /// search's `budget` deadline passes or its candidate limit fires.
+    pub search: SearchOptions,
 }
 
 /// A grown rule with its coverage over the view it was grown on.
@@ -126,13 +86,8 @@ pub fn grow_rule(view: &TaskView<'_>, opts: &GrowOptions) -> Option<GrownRule> {
     // The fixed scoring context: the phase's remaining data.
     let ctx = (view.pos_weight(), view.total_weight());
     let search = SearchOptions {
-        use_ranges: opts.use_ranges,
-        min_support_weight: opts.min_support_weight,
         context: Some(ctx),
-        budget: opts.budget.clone(),
-        sink: opts.sink.clone(),
-        max_workers: opts.search_workers,
-        row_shards: opts.row_shards,
+        ..opts.search.clone()
     };
 
     let mut rule = Rule::empty();
@@ -147,7 +102,7 @@ pub fn grow_rule(view: &TaskView<'_>, opts: &GrowOptions) -> Option<GrownRule> {
         if rule.len() >= opts.max_len.unwrap_or(ABSOLUTE_MAX_LEN) {
             break;
         }
-        if opts.budget.as_ref().is_some_and(|b| !b.check_deadline()) {
+        if search.budget.as_ref().is_some_and(|b| !b.check_deadline()) {
             // Budget exhausted mid-growth: the conditions accepted so far
             // still form a valid (coarser) rule, so keep them.
             break;
@@ -204,6 +159,21 @@ mod tests {
     use super::*;
     use pnr_data::{AttrType, Dataset, DatasetBuilder, Value};
 
+    /// P-phase style options: improvement-gated growth with a support floor.
+    fn p_phase(metric: EvalMetric, min_support_weight: f64, use_ranges: bool) -> GrowOptions {
+        GrowOptions {
+            metric,
+            max_len: None,
+            min_improvement: 0.02,
+            recall_guard: None,
+            search: SearchOptions {
+                use_ranges,
+                min_support_weight,
+                ..SearchOptions::default()
+            },
+        }
+    }
+
     /// positives at (x in (2,4], k=a); x and k vary independently, so the
     /// impure x-band also holds k=b negatives and only the conjunction is
     /// pure.
@@ -233,7 +203,7 @@ mod tests {
     fn grows_conjunction_until_pure() {
         let (d, is_pos) = two_signal_data();
         let v = TaskView::full(&d, &is_pos, d.weights());
-        let opts = GrowOptions::p_phase(EvalMetric::ZNumber, 0.0, true);
+        let opts = p_phase(EvalMetric::ZNumber, 0.0, true);
         let g = grow_rule(&v, &opts).expect("rule should be grown");
         assert_eq!(g.stats.neg(), 0.0, "rule should end pure: {:?}", g.rule);
         assert_eq!(g.stats.pos, 20.0, "rule should cover all positives");
@@ -246,7 +216,7 @@ mod tests {
         let v = TaskView::full(&d, &is_pos, d.weights());
         let opts = GrowOptions {
             max_len: Some(1),
-            ..GrowOptions::p_phase(EvalMetric::ZNumber, 0.0, true)
+            ..p_phase(EvalMetric::ZNumber, 0.0, true)
         };
         let g = grow_rule(&v, &opts).expect("one-condition rule");
         assert_eq!(g.rule.len(), 1);
@@ -260,7 +230,7 @@ mod tests {
         let v = TaskView::full(&d, &is_pos, d.weights());
         // Floor above the pure conjunction's support (20): growth must stop
         // at a coarser rule.
-        let opts = GrowOptions::p_phase(EvalMetric::ZNumber, 25.0, true);
+        let opts = p_phase(EvalMetric::ZNumber, 25.0, true);
         if let Some(g) = grow_rule(&v, &opts) {
             assert!(
                 g.stats.total >= 25.0,
@@ -287,7 +257,7 @@ mod tests {
         let d = b.finish();
         let is_pos: Vec<bool> = (0..d.n_rows()).map(|r| d.label(r) == 0).collect();
         let v = TaskView::full(&d, &is_pos, d.weights());
-        assert!(grow_rule(&v, &GrowOptions::p_phase(EvalMetric::ZNumber, 0.0, true)).is_none());
+        assert!(grow_rule(&v, &p_phase(EvalMetric::ZNumber, 0.0, true)).is_none());
     }
 
     #[test]
@@ -323,7 +293,7 @@ mod tests {
                 orig_pos_total,
                 min_recall: 0.0,
             }),
-            ..GrowOptions::p_phase(EvalMetric::ZNumber, 0.0, false)
+            ..p_phase(EvalMetric::ZNumber, 0.0, false)
         };
         let strict = GrowOptions {
             recall_guard: Some(RecallGuard {

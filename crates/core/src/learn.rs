@@ -449,53 +449,48 @@ mod tests {
     }
 
     #[test]
-    fn candidate_budget_stop_is_identical_across_workers_and_shards() {
+    fn candidate_budget_stop_is_identical_across_workers() {
         use pnr_rules::FitBudget;
         use pnr_telemetry::{Counter, RecordingSink};
         // Unbudgeted, probe charges 378,288 candidates for its one P-rule
         // and r2l 2,295,413 for five P-rules and an N-rule; each limit
         // stops its fit partway through the P-phase. Wherever the budget
-        // latches, every worker count and shard plan must latch on the
-        // same candidate and keep the same rules.
+        // latches, every worker count must latch on the same candidate and
+        // keep the same rules.
         let data = pnr_kddsim::generate_train(40_000, 7);
         for (class, limit) in [("probe", 189_000), ("r2l", 1_150_000)] {
             let target = data.class_code(class).unwrap();
             let mut fits = Vec::new();
             for search_workers in [Some(1), Some(2)] {
-                for row_shards in [Some(1), Some(2)] {
-                    let params = PnruleParams {
-                        budget: FitBudget {
-                            max_candidates: Some(limit),
-                            ..FitBudget::default()
-                        },
-                        search_workers,
-                        row_shards,
-                        ..Default::default()
-                    };
-                    let recording = Arc::new(RecordingSink::new());
-                    let sink: Arc<dyn TelemetrySink> = recording.clone();
-                    let (model, report) = PnruleLearner::new(params)
-                        .with_sink(sink)
-                        .fit_with_report(&data, target);
+                let params = PnruleParams {
+                    budget: FitBudget {
+                        max_candidates: Some(limit),
+                        ..FitBudget::default()
+                    },
+                    search_workers,
+                    ..Default::default()
+                };
+                let recording = Arc::new(RecordingSink::new());
+                let sink: Arc<dyn TelemetrySink> = recording.clone();
+                let (model, report) = PnruleLearner::new(params)
+                    .with_sink(sink)
+                    .fit_with_report(&data, target);
+                assert!(
+                    report.budget_exhausted(),
+                    "{class}: the limit must stop the fit"
+                );
+                if search_workers == Some(2) {
                     assert!(
-                        report.budget_exhausted(),
-                        "{class}: the limit must stop the fit"
+                        recording.value(Counter::ParallelSearchCalls) > 0,
+                        "{class}: two workers must run the threaded search"
                     );
-                    if search_workers == Some(2) {
-                        assert!(
-                            recording.value(Counter::ParallelSearchCalls) > 0,
-                            "{class}: two workers must run the threaded search"
-                        );
-                    }
-                    fits.push((
-                        serde_json::to_string(&model).unwrap(),
-                        serde_json::to_string(&report).unwrap(),
-                    ));
                 }
+                fits.push((
+                    serde_json::to_string(&model).unwrap(),
+                    serde_json::to_string(&report).unwrap(),
+                ));
             }
-            for fit in &fits[1..] {
-                assert_eq!(fit, &fits[0], "{class}");
-            }
+            assert_eq!(fits[1], fits[0], "{class}");
         }
     }
 

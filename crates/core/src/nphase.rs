@@ -20,7 +20,7 @@ use crate::grow::{grow_rule, GrowOptions, RecallGuard};
 use crate::params::PnruleParams;
 use pnr_data::weights::approx;
 use pnr_rules::mdl::{count_possible_conditions, total_dl};
-use pnr_rules::{BudgetTracker, CovStats, Rule, TaskView};
+use pnr_rules::{BudgetTracker, CovStats, Rule, SearchOptions, TaskView};
 use pnr_telemetry::{Counter, Span, SpanKind, TelemetrySink};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -137,6 +137,14 @@ pub fn learn_n_rules_with_sink(
     let mut min_dl = dl;
     result.dl_trace.push(dl);
 
+    let search = SearchOptions {
+        use_ranges: params.use_ranges,
+        min_support_weight: 0.0,
+        context: None,
+        budget: budget.cloned(),
+        sink: sink.clone(),
+        max_workers: params.search_workers,
+    };
     let mut remaining = pooled.clone();
     // Aggregate exception bookkeeping for the DL of the growing rule set.
     let mut covered = 0.0; // total weight covered by accepted N-rules
@@ -177,14 +185,9 @@ pub fn learn_n_rules_with_sink(
         let opts = GrowOptions {
             metric: params.metric,
             max_len: params.max_n_rule_len,
-            min_support_weight: 0.0,
-            use_ranges: params.use_ranges,
             min_improvement: params.min_improvement,
             recall_guard: Some(guard),
-            budget: budget.cloned(),
-            sink: sink.clone(),
-            search_workers: params.search_workers,
-            row_shards: params.row_shards,
+            search: search.clone(),
         };
         // Label formatting is gated so the disabled path allocates nothing
         // per rule.

@@ -80,17 +80,6 @@ pub struct PnruleParams {
     /// this is a performance/verification knob, never a model knob.
     #[serde(default)]
     pub search_workers: Option<usize>,
-    /// Row-shard count for the condition search's statistics
-    /// accumulation: `None` (default) keeps one shard, reproducing the
-    /// unsharded scan's float arithmetic exactly; `Some(k)` splits each
-    /// view into `k` contiguous row chunks whose partial statistics merge
-    /// in shard-index order. Unlike `search_workers` this *is* a model
-    /// knob for non-unit weights (a different shard plan groups float
-    /// additions differently), but a fixed setting is machine-independent
-    /// and bit-reproducible — and with unit weights every plan agrees
-    /// bitwise. Must be ≥ 1 when set.
-    #[serde(default)]
-    pub row_shards: Option<usize>,
 }
 
 impl Default for PnruleParams {
@@ -113,7 +102,6 @@ impl Default for PnruleParams {
             max_n_rules: 200,
             budget: FitBudget::unlimited(),
             search_workers: None,
-            row_shards: None,
         }
     }
 }
@@ -167,13 +155,6 @@ impl PnruleParams {
             return Some(
                 "search_workers of 0 would leave no worker to scan; use Some(1) \
                  for the sequential path or None for the heuristic"
-                    .to_owned(),
-            );
-        }
-        if self.row_shards == Some(0) {
-            return Some(
-                "row_shards of 0 would leave no shard to accumulate; use Some(1) \
-                 for the unsharded plan or None for the default"
                     .to_owned(),
             );
         }
@@ -248,31 +229,6 @@ mod tests {
         let back: PnruleParams = serde_json::from_str(&legacy).unwrap();
         assert!(back.budget.is_unlimited());
         assert_eq!(back, p);
-    }
-
-    #[test]
-    fn params_without_row_shards_field_deserialize_as_default() {
-        // JSON written before the row_shards field existed must still load.
-        let p = PnruleParams::default();
-        let json = serde_json::to_string(&p).unwrap();
-        let legacy = json.replacen(",\"row_shards\":null", "", 1);
-        assert_ne!(
-            legacy, json,
-            "row_shards field not found in serialized form"
-        );
-        let back: PnruleParams = serde_json::from_str(&legacy).unwrap();
-        assert_eq!(back.row_shards, None);
-        assert_eq!(back, p);
-    }
-
-    #[test]
-    #[should_panic(expected = "row_shards")]
-    fn zero_row_shards_rejected() {
-        PnruleParams {
-            row_shards: Some(0),
-            ..Default::default()
-        }
-        .validate();
     }
 
     #[test]

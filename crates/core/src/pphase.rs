@@ -11,7 +11,7 @@
 use crate::grow::{grow_rule, GrowOptions};
 use crate::nphase::StopReason;
 use crate::params::PnruleParams;
-use pnr_rules::{BudgetTracker, CovStats, Rule, TaskView};
+use pnr_rules::{BudgetTracker, CovStats, Rule, SearchOptions, TaskView};
 use pnr_telemetry::{Span, SpanKind, TelemetrySink};
 use std::sync::Arc;
 
@@ -57,6 +57,20 @@ pub fn learn_p_rules_with_sink(
     }
     let min_support_weight = params.min_support_frac * target_total;
 
+    let opts = GrowOptions {
+        metric: params.metric,
+        max_len: params.max_p_rule_len,
+        min_improvement: params.min_improvement,
+        recall_guard: None,
+        search: SearchOptions {
+            use_ranges: params.use_ranges,
+            min_support_weight,
+            context: None,
+            budget: budget.cloned(),
+            sink: sink.clone(),
+            max_workers: params.search_workers,
+        },
+    };
     let mut result = PPhaseResult::default();
     let mut remaining = view.clone();
     let mut covered_pos = 0.0;
@@ -74,18 +88,6 @@ pub fn learn_p_rules_with_sink(
             result.stop_reason = StopReason::BudgetExhausted;
             break;
         }
-        let opts = GrowOptions {
-            metric: params.metric,
-            max_len: params.max_p_rule_len,
-            min_support_weight,
-            use_ranges: params.use_ranges,
-            min_improvement: params.min_improvement,
-            recall_guard: None,
-            budget: budget.cloned(),
-            sink: sink.clone(),
-            search_workers: params.search_workers,
-            row_shards: params.row_shards,
-        };
         let grown = {
             // Label formatting is gated so the disabled path allocates
             // nothing per rule.

@@ -130,6 +130,38 @@ fn save_and_load_round_trip_through_disk() {
 }
 
 #[test]
+fn artifacts_carrying_the_retired_row_shards_key_still_load() {
+    // Artifacts saved while the condition search had a row-shard knob
+    // carry `"row_shards"` in their params; the key is now unknown and
+    // must be skipped, whatever value it holds.
+    let (artifact, held_out) = trained_artifact();
+    let text = artifact.to_file_string().unwrap();
+    let (_, payload) = text.split_once('\n').unwrap();
+    let dir = std::env::temp_dir().join(format!("pnr_row_shards_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for value in ["null", "4"] {
+        let legacy = payload.replacen(
+            "\"params\":{",
+            &format!("\"params\":{{\"row_shards\":{value},"),
+            1,
+        );
+        assert_ne!(legacy, payload, "params object not found");
+        let path = dir.join(format!("legacy_{value}.artifact"));
+        std::fs::write(&path, with_checksum(&legacy)).unwrap();
+        let back = ModelArtifact::load(&path).unwrap();
+        assert_eq!(back.params, artifact.params, "row_shards: {value}");
+        for row in 0..held_out.n_rows() {
+            assert_eq!(
+                back.model.score(&held_out, row).to_bits(),
+                artifact.model.score(&held_out, row).to_bits(),
+                "row_shards: {value}, row {row}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn every_single_byte_flip_is_a_checksum_mismatch() {
     let (artifact, _) = trained_artifact();
     let text = artifact.to_file_string().unwrap();

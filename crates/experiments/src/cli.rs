@@ -67,8 +67,8 @@ impl CliOptions {
                     opts.scale = raw
                         .parse()
                         .map_err(|_| format!("--scale takes a float, got {raw:?}"))?;
-                    if opts.scale.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-                        return Err("--scale must be positive".to_string());
+                    if !(opts.scale.is_finite() && opts.scale > 0.0) {
+                        return Err("--scale must be positive and finite".to_string());
                     }
                 }
                 "--seed" => {
@@ -180,6 +180,8 @@ mod tests {
         assert!(err.contains("--scale must be positive"), "{err}");
         let err = parse(&["--scale", "NaN"]).unwrap_err();
         assert!(err.contains("positive"), "{err}");
+        let err = parse(&["--scale", "inf"]).unwrap_err();
+        assert!(err.contains("finite"), "{err}");
     }
 
     #[test]

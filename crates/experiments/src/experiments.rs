@@ -243,8 +243,9 @@ impl PaperData {
     /// Resolves a dataset spelling — `nsyn1..6`, `coa1..6`, `coad1..4`,
     /// `syngen` or `kdd:<class>` — to its data and target class. Optional
     /// `:tr=<f>`/`:nr=<f>` suffixes override the peak widths of the
-    /// numeric and general models. An unknown spelling is an `Err`
-    /// listing the valid ones.
+    /// numeric and general models; the categorical models have no widths
+    /// to override. An unknown spelling, or a suffix on a name that takes
+    /// none, is an `Err` listing the valid ones.
     pub fn parse(spec: &str) -> Result<(PaperData, &str), String> {
         if let Some(class) = spec.strip_prefix("kdd:") {
             if !pnr_kddsim::CLASSES.contains(&class) {
@@ -284,7 +285,13 @@ impl PaperData {
             (cfg.tr, cfg.nr) = (tr.unwrap_or(cfg.tr), nr.unwrap_or(cfg.nr));
             PaperData::Numeric(cfg)
         } else {
-            PaperData::Categorical(categorical_config(name).ok_or_else(unknown)?)
+            let cfg = categorical_config(name).ok_or_else(unknown)?;
+            if tr.is_some() || nr.is_some() {
+                return Err(format!(
+                    "dataset {name:?} takes no width suffix; valid datasets: {VALID_DATASETS}"
+                ));
+            }
+            PaperData::Categorical(cfg)
         };
         Ok((data, TARGET_CLASS))
     }
@@ -987,6 +994,8 @@ mod tests {
             "kdd:",
             "",
             "nsyn3:zz=1",
+            "coa1:tr=0.5",
+            "coad2:nr=1",
         ] {
             let err = PaperData::parse(spec).unwrap_err();
             assert!(err.contains("nsyn1..nsyn6"), "{spec}: {err}");

@@ -52,7 +52,6 @@ pub mod mdl;
 pub mod rule;
 pub mod ruleset;
 pub mod search;
-pub mod shard;
 pub mod stats;
 pub mod task;
 pub mod view_index;
@@ -63,8 +62,7 @@ pub use compiled::{CompiledMatcher, CompiledRuleSet};
 pub use condition::Condition;
 pub use rule::Rule;
 pub use ruleset::RuleSet;
-pub use search::{find_best_condition, CandidateCondition, SearchOptions};
-pub use shard::{worker_count, ShardPlan, SHARD_TARGET_ROWS};
+pub use search::{find_best_condition, worker_count, CandidateCondition, SearchOptions};
 pub use stats::{CovStats, EvalMetric};
 pub use task::TaskView;
 pub use view_index::ViewIndex;

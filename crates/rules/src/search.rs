@@ -14,24 +14,19 @@
 //! view that has shrunk to a handful of rows is not scanned through a
 //! dataset-sized mask.
 //!
-//! Parallelism is two-dimensional. Attributes are independent, and a
-//! [`ShardPlan`] additionally splits the view's
-//! rows into contiguous shards whose per-shard statistics — all weight
-//! sums — merge exactly. Workers claim `(attribute × shard)` partial tasks
-//! off a shared counter (phase A); the main thread then reduces each
-//! attribute's shard partials in **shard-index order** through
-//! [`pnr_data::weights::ordered_sum`]-style left folds, charges the budget
+//! Attributes are independent, so they are the one parallel axis. Workers
+//! claim attributes off a shared counter and compute each one's statistics
+//! over the whole view (phase A); the main thread then charges the budget
 //! and scores candidates in ascending attribute order (phase B). With one
-//! worker, phase A runs inline through the *same* plan, so the result is
-//! bit-identical for any worker count — including the "first best wins,
-//! lowest attribute index" tie-break.
+//! worker, phase A runs inline through the *same* per-attribute pass, so
+//! the result is bit-identical for any worker count — including the "first
+//! best wins, lowest attribute index" tie-break.
 
 use crate::budget::BudgetTracker;
 use crate::condition::Condition;
-use crate::shard::{worker_count, ShardPlan};
 use crate::stats::{CovStats, EvalMetric};
 use crate::task::TaskView;
-use pnr_data::weights::{approx, ordered_sum};
+use pnr_data::weights::approx;
 use pnr_data::Column;
 use pnr_telemetry::{Counter, TelemetrySink};
 use std::sync::Arc;
@@ -73,13 +68,6 @@ pub struct SearchOptions {
     /// and the determinism harness use this to prove bit-identity across
     /// thread counts on small fits. The result never depends on it.
     pub max_workers: Option<usize>,
-    /// Row-shard count for the [`ShardPlan`]. `None` (default) keeps one
-    /// shard, which reproduces the unsharded scan's float arithmetic
-    /// exactly; `Some(k)` splits the view's rows into `k` contiguous
-    /// shards (clamped to the row count). The plan — not the worker
-    /// count — fixes the float-addition grouping, so a given shard
-    /// request yields the same model on any machine. Must be ≥ 1.
-    pub row_shards: Option<usize>,
 }
 
 impl Default for SearchOptions {
@@ -91,7 +79,6 @@ impl Default for SearchOptions {
             budget: None,
             sink: pnr_telemetry::noop(),
             max_workers: None,
-            row_shards: None,
         }
     }
 }
@@ -165,26 +152,24 @@ impl Best {
     }
 }
 
-/// Per-shard accumulation of one attribute's condition statistics: a pure
-/// function of the shard's rows, computable on any thread.
-enum ShardPartial {
-    /// Per-dictionary-code positive/total covered weight over the shard's
-    /// slice of the view's row set.
+/// One attribute's condition statistics over the whole view: a pure
+/// function of the view, computable on any thread.
+enum AttrPartial {
+    /// Per-dictionary-code positive/total covered weight over the view's
+    /// row set.
     Cat { pos: Vec<f64>, tot: Vec<f64> },
-    /// Within-shard prefix sums at each distinct value of the shard's
-    /// slice of the view's sorted projection.
+    /// Prefix sums at each distinct value of the view's sorted projection.
     Num(Boundaries),
 }
 
 /// Finds the highest-scoring single condition over the view, or `None` when
 /// no candidate has positive support under the constraints.
 ///
-/// Phase A computes the `(attribute × shard)` partial statistics: inline
-/// on the calling thread when [`worker_count`] allows one worker, on
-/// scoped worker threads otherwise. Phase B reduces each attribute's
-/// partials in shard-index order, charges the budget and scores the
-/// candidates in ascending attribute order on the calling thread, so the
-/// result is bit-identical for any worker count.
+/// Phase A computes one partial per attribute: inline on the calling
+/// thread when [`worker_count`] allows one worker, on scoped worker
+/// threads otherwise. Phase B charges the budget and scores the candidates
+/// in ascending attribute order on the calling thread, so the result is
+/// bit-identical for any worker count.
 pub fn find_best_condition(
     view: &TaskView<'_>,
     metric: EvalMetric,
@@ -194,12 +179,11 @@ pub fn find_best_condition(
         return None;
     }
     let n_attrs = view.data.n_attrs();
-    let plan = ShardPlan::new(view.n_rows(), opts.row_shards);
     let available = std::thread::available_parallelism().map_or(1, |p| p.get());
     let workers = worker_count(
         opts.max_workers,
         view.n_rows() * n_attrs,
-        n_attrs * plan.n_shards(),
+        n_attrs,
         available,
     );
     if opts.sink.enabled() {
@@ -229,19 +213,24 @@ pub fn find_best_condition(
         .unwrap_or_else(|| (view.pos_weight(), view.total_weight()));
     // Threaded phase A runs to completion up front; inline phase A runs
     // one attribute at a time, just before phase B scores it.
-    let mut threaded = (workers > 1).then(|| threaded_partials(view, &plan, workers).into_iter());
+    let mut threaded = (workers > 1).then(|| threaded_partials(view, workers).into_iter());
     let mut best = Best::default();
     for attr in 0..n_attrs {
-        let partials: Vec<ShardPartial> = match threaded.as_mut() {
-            Some(done) => done.by_ref().take(plan.n_shards()).flatten().collect(),
-            None => plan
-                .ranges()
-                .map(|(lo, hi)| compute_shard_partial(view, attr, lo, hi))
-                .collect(),
+        let partial = match threaded.as_mut() {
+            Some(done) => done.next().flatten(),
+            None => Some(attr_partial(view, attr)),
         };
-        score_merged_attribute(
-            view, attr, partials, metric, opts, pos_total, n_total, &mut best,
-        );
+        match partial {
+            Some(AttrPartial::Cat { pos, tot }) => {
+                score_categorical(
+                    attr, &pos, &tot, metric, opts, pos_total, n_total, &mut best,
+                );
+            }
+            Some(AttrPartial::Num(b)) => {
+                score_numeric(attr, &b, metric, opts, pos_total, n_total, &mut best);
+            }
+            None => {}
+        }
     }
     if budget_depleted(opts) {
         // The budget fired somewhere in this call: discard the partial
@@ -251,36 +240,60 @@ pub fn find_best_condition(
     best.cand
 }
 
-/// Phase A on `workers` scoped threads. Workers claim `(attribute ×
-/// shard)` tasks off a shared counter (task = attr * n_shards + shard)
-/// and each slot is written by exactly one worker; the partials come back
-/// in task order.
-fn threaded_partials(
-    view: &TaskView<'_>,
-    plan: &ShardPlan,
-    workers: usize,
-) -> Vec<Option<ShardPartial>> {
-    let tasks = view.data.n_attrs() * plan.n_shards();
-    let slots: Vec<std::sync::Mutex<Option<ShardPartial>>> =
-        (0..tasks).map(|_| std::sync::Mutex::new(None)).collect();
+/// The single worker-count policy for condition search.
+///
+/// Returns how many worker threads to spawn for a search of `tasks`
+/// independent units (attributes) over `cells = rows × attributes`, given
+/// `available` hardware threads. A return of `1` means the caller runs
+/// the search inline.
+///
+/// * `max_workers == Some(1)` (or a degenerate search with at most one
+///   task) → inline;
+/// * `max_workers == Some(k > 1)` forces worker threads even below the
+///   cell threshold, with at least two workers so single-core hosts still
+///   exercise the worker merge (thread-count sweeps rely on this);
+/// * `max_workers == None` engages threads only when `cells` reaches
+///   [`PARALLEL_MIN_CELLS`].
+pub fn worker_count(
+    max_workers: Option<usize>,
+    cells: usize,
+    tasks: usize,
+    available: usize,
+) -> usize {
+    if tasks <= 1 {
+        return 1;
+    }
+    match max_workers {
+        Some(cap) if cap <= 1 => 1,
+        Some(cap) => available.max(2).min(cap).min(tasks),
+        None if cells >= PARALLEL_MIN_CELLS => available.max(1).min(tasks),
+        None => 1,
+    }
+}
+
+/// Phase A on `workers` scoped threads. Workers claim attributes off a
+/// shared counter and each attribute's slot is written by exactly one
+/// worker; the partials come back in attribute order.
+fn threaded_partials(view: &TaskView<'_>, workers: usize) -> Vec<Option<AttrPartial>> {
+    let n_attrs = view.data.n_attrs();
+    let slots: Vec<std::sync::Mutex<Option<AttrPartial>>> =
+        (0..n_attrs).map(|_| std::sync::Mutex::new(None)).collect();
     let next = std::sync::atomic::AtomicUsize::new(0);
-    // Workers race only over *which* slot they fill; phase B reduces each
-    // attribute's shard partials in shard-index order and visits
-    // attributes in ascending order on the calling thread, so the outcome
-    // is bit-identical to the inline scan. det:merge(shard-index-order)
+    // Workers race only over *which* slot they fill; phase B visits the
+    // slots in ascending attribute order on the calling thread, so the
+    // outcome is bit-identical to the inline scan.
+    // det:merge(lowest-attr-first)
     std::thread::scope(|s| {
         for _ in 0..workers {
             s.spawn(|| loop {
-                let task = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if task >= tasks {
+                let attr = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                if attr >= n_attrs {
                     break;
                 }
-                let attr = task / plan.n_shards();
-                let (lo, hi) = plan.bounds(task % plan.n_shards());
-                let partial = compute_shard_partial(view, attr, lo, hi);
+                let partial = attr_partial(view, attr);
                 // Poison recovery is sound: each slot is written by exactly
                 // one worker, and a panicked worker re-panics at scope join.
-                *slots[task]
+                *slots[attr]
                     .lock()
                     .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(partial);
             });
@@ -295,17 +308,16 @@ fn threaded_partials(
         .collect()
 }
 
-/// Computes one attribute's statistics over the shard rows `[lo, hi)` —
-/// positions into the view's row set (categorical) or sorted projection
-/// (numeric); both orders are fixed by the view, so the accumulation below
-/// is deterministic per shard.
-fn compute_shard_partial(view: &TaskView<'_>, attr: usize, lo: usize, hi: usize) -> ShardPartial {
+/// Computes one attribute's statistics over the view's row set
+/// (categorical) or sorted projection (numeric); both orders are fixed by
+/// the view, so the accumulation below is deterministic.
+fn attr_partial(view: &TaskView<'_>, attr: usize) -> AttrPartial {
     match view.data.column(attr) {
         Column::Cat(_) => {
             let n_values = view.data.schema().attr(attr).dict.len();
             let mut pos = vec![0.0f64; n_values];
             let mut tot = vec![0.0f64; n_values];
-            for &r in &view.rows.as_slice()[lo..hi] {
+            for &r in view.rows.as_slice() {
                 let code = view.data.cat(attr, r as usize) as usize;
                 let w = view.weights[r as usize];
                 tot[code] += w;
@@ -313,113 +325,14 @@ fn compute_shard_partial(view: &TaskView<'_>, attr: usize, lo: usize, hi: usize)
                     pos[code] += w;
                 }
             }
-            ShardPartial::Cat { pos, tot }
+            AttrPartial::Cat { pos, tot }
         }
-        Column::Num(_) => {
-            // The view's own sorted projection: one pass over exactly the
-            // shard's rows, no dataset-sized mask. Row order (ascending
-            // value, ties by row id) matches a mask-filtered scan of the
-            // global sort index.
-            let sorted = view.projection(attr);
-            ShardPartial::Num(shard_boundaries(view, attr, &sorted[lo..hi]))
-        }
+        // The view's own sorted projection: one pass over exactly the
+        // view's rows, no dataset-sized mask. Row order (ascending value,
+        // ties by row id) matches a mask-filtered scan of the global sort
+        // index.
+        Column::Num(_) => AttrPartial::Num(boundaries(view, attr)),
     }
-}
-
-/// Merges per-attribute shard partials (in shard-index order) and scores
-/// the attribute's candidates into `best`. This is the only scoring entry
-/// point, shared by the inline and threaded phase A.
-#[allow(clippy::too_many_arguments)]
-fn score_merged_attribute(
-    view: &TaskView<'_>,
-    attr: usize,
-    partials: Vec<ShardPartial>,
-    metric: EvalMetric,
-    opts: &SearchOptions,
-    pos_total: f64,
-    n_total: f64,
-    best: &mut Best,
-) {
-    match view.data.column(attr) {
-        Column::Cat(_) => {
-            let (pos, tot) = merge_cat_partials(partials);
-            score_categorical(attr, &pos, &tot, metric, opts, pos_total, n_total, best);
-        }
-        Column::Num(_) => {
-            let b = merge_num_partials(partials);
-            score_numeric(attr, &b, metric, opts, pos_total, n_total, best);
-        }
-    }
-}
-
-/// Shard-index-order reduction of categorical partials: each code's
-/// positive/total weight is an [`ordered_sum`] over the shards' local
-/// sums, so the float-addition grouping is fixed by the plan alone. With a
-/// single shard this is `0.0 + local`, bit-identical to the unsharded
-/// counting pass.
-fn merge_cat_partials(partials: Vec<ShardPartial>) -> (Vec<f64>, Vec<f64>) {
-    let locals: Vec<(Vec<f64>, Vec<f64>)> = partials
-        .into_iter()
-        .filter_map(|p| match p {
-            ShardPartial::Cat { pos, tot } => Some((pos, tot)),
-            ShardPartial::Num(_) => None,
-        })
-        .collect();
-    let n_values = locals.first().map_or(0, |(p, _)| p.len());
-    let mut pos = vec![0.0f64; n_values];
-    let mut tot = vec![0.0f64; n_values];
-    for code in 0..n_values {
-        // det:merge(shard-index-order) — `locals` preserves shard order
-        pos[code] = ordered_sum(locals.iter().map(|(p, _)| p[code]));
-        tot[code] = ordered_sum(locals.iter().map(|(_, t)| t[code]));
-    }
-    (pos, tot)
-}
-
-/// Shard-index-order reduction of numeric prefix partials. Each shard's
-/// local prefix is offset by the running base — the left fold
-/// [`ordered_sum`] performs, kept incremental so every shard is offset
-/// exactly once — and a distinct value straddling a shard boundary
-/// overwrites the previous entry, exactly as the unsharded prefix pass
-/// overwrites repeated values. With a single shard the base is `0.0` and
-/// the result is bit-identical to the unsharded scan.
-fn merge_num_partials(partials: Vec<ShardPartial>) -> Boundaries {
-    let locals: Vec<Boundaries> = partials
-        .into_iter()
-        .filter_map(|p| match p {
-            ShardPartial::Num(b) => Some(b),
-            ShardPartial::Cat { .. } => None,
-        })
-        .collect();
-    let mut b = Boundaries {
-        values: Vec::new(),
-        cum_pos: Vec::new(),
-        cum_tot: Vec::new(),
-    };
-    let mut base_pos = 0.0;
-    let mut base_tot = 0.0;
-    // det:merge(shard-index-order) — left fold over shards in index order
-    for local in &locals {
-        for i in 0..local.values.len() {
-            let v = local.values[i];
-            let cp = base_pos + local.cum_pos[i];
-            let ct = base_tot + local.cum_tot[i];
-            if b.values.last() == Some(&v) {
-                let last = b.values.len() - 1;
-                b.cum_pos[last] = cp;
-                b.cum_tot[last] = ct;
-            } else {
-                b.values.push(v);
-                b.cum_pos.push(cp);
-                b.cum_tot.push(ct);
-            }
-        }
-        if let (Some(&lp), Some(&lt)) = (local.cum_pos.last(), local.cum_tot.last()) {
-            base_pos += lp; // lint:allow(unordered-float-sum) — shard-index-order left fold
-            base_tot += lt; // lint:allow(unordered-float-sum) — shard-index-order left fold
-        }
-    }
-    b
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -459,9 +372,8 @@ fn score_categorical(
 }
 
 /// Cumulative weights at each distinct-value boundary of a numeric attribute
-/// restricted to a run of projection rows: `cum_pos[i]` / `cum_tot[i]` cover
-/// all scanned rows with value ≤ `values[i]`. Built per shard by
-/// [`shard_boundaries`] and reduced by [`merge_num_partials`].
+/// over a view: `cum_pos[i]` / `cum_tot[i]` cover all of the view's rows
+/// with value ≤ `values[i]`. Built by [`boundaries`].
 struct Boundaries {
     values: Vec<f64>,
     cum_pos: Vec<f64>,
@@ -501,11 +413,10 @@ impl Boundaries {
     }
 }
 
-/// Builds one shard's local boundary prefix over `sorted`, a contiguous
-/// slice of the view's sorted projection. The float accumulation runs in
-/// slice order (ascending value, ties by row id) starting from zero, so a
-/// whole-projection slice reproduces the historical unsharded pass exactly.
-fn shard_boundaries(view: &TaskView<'_>, attr: usize, sorted: &[u32]) -> Boundaries {
+/// Builds the view's boundary prefix for `attr` in one pass over its sorted
+/// projection. The float accumulation runs in projection order (ascending
+/// value, ties by row id) starting from zero.
+fn boundaries(view: &TaskView<'_>, attr: usize) -> Boundaries {
     let mut b = Boundaries {
         values: Vec::new(),
         cum_pos: Vec::new(),
@@ -513,7 +424,7 @@ fn shard_boundaries(view: &TaskView<'_>, attr: usize, sorted: &[u32]) -> Boundar
     };
     let mut cum_pos = 0.0;
     let mut cum_tot = 0.0;
-    for &r in sorted {
+    for &r in view.projection(attr).iter() {
         let v = view.data.num(attr, r as usize);
         let w = view.weights[r as usize];
         cum_tot += w; // lint:allow(unordered-float-sum) — prefix sum in sorted-projection order
@@ -1011,7 +922,7 @@ mod tests {
         assert_eq!(tracker.candidates_charged(), 0);
     }
 
-    /// A mixed-type dataset for the parallel/sharded identity tests.
+    /// A mixed-type dataset for the parallel identity tests.
     fn mixed_data() -> (Dataset, Vec<bool>) {
         let rows: Vec<(f64, bool)> = (0..60)
             .map(|i| (((i * 7) % 13) as f64, i % 4 == 0))
@@ -1062,61 +973,6 @@ mod tests {
     }
 
     #[test]
-    fn row_sharded_threaded_matches_row_sharded_inline() {
-        // For every shard count, the threaded (attr × shard) scan must be
-        // bit-identical to the inline scan over the *same* plan, even
-        // with non-unit weights.
-        let (d, is_pos) = mixed_data();
-        let v = TaskView::full(&d, &is_pos, d.weights());
-        for shards in [1usize, 2, 3, 7, 60, 200] {
-            let par = SearchOptions {
-                max_workers: Some(4),
-                row_shards: Some(shards),
-                ..Default::default()
-            };
-            let seq = SearchOptions {
-                max_workers: Some(1),
-                row_shards: Some(shards),
-                ..Default::default()
-            };
-            let g = find_best_condition(&v, EvalMetric::ZNumber, &par).unwrap();
-            let s = find_best_condition(&v, EvalMetric::ZNumber, &seq).unwrap();
-            assert_eq!(g.condition, s.condition, "shards={shards}");
-            assert_eq!(g.score.to_bits(), s.score.to_bits(), "shards={shards}");
-            assert_eq!(g.stats, s.stats, "shards={shards}");
-        }
-    }
-
-    #[test]
-    fn unit_weight_shard_sweep_is_bit_identical_to_unsharded() {
-        // With unit weights every partial sum is a small integer, exact in
-        // f64 under any grouping — so even *different* shard counts agree
-        // bitwise. This is the invariant the determinism harness and the
-        // training bench's bit-identity gate rely on.
-        let rows: Vec<(f64, bool)> = (0..80)
-            .map(|i| (((i * 11) % 17) as f64, i % 5 == 0))
-            .collect();
-        let (d, is_pos) = numeric_data(&rows);
-        let v = TaskView::full(&d, &is_pos, d.weights());
-        let baseline =
-            find_best_condition(&v, EvalMetric::ZNumber, &SearchOptions::default()).unwrap();
-        for shards in [2usize, 3, 8, 80] {
-            let opts = SearchOptions {
-                row_shards: Some(shards),
-                ..Default::default()
-            };
-            let got = find_best_condition(&v, EvalMetric::ZNumber, &opts).unwrap();
-            assert_eq!(got.condition, baseline.condition, "shards={shards}");
-            assert_eq!(
-                got.score.to_bits(),
-                baseline.score.to_bits(),
-                "shards={shards}"
-            );
-            assert_eq!(got.stats, baseline.stats, "shards={shards}");
-        }
-    }
-
-    #[test]
     fn parallel_search_telemetry_records_worker_policy() {
         let (d, is_pos) = mixed_data();
         let v = TaskView::full(&d, &is_pos, d.weights());
@@ -1141,5 +997,36 @@ mod tests {
         find_best_condition(&v, EvalMetric::ZNumber, &seq).unwrap();
         assert_eq!(seq_sink.value(Counter::ParallelSearchCalls), 0);
         assert_eq!(seq_sink.value(Counter::SearchWorkerThreads), 0);
+    }
+
+    #[test]
+    fn inline_cases_return_one_worker() {
+        // degenerate search: at most one task
+        assert_eq!(worker_count(None, 1 << 20, 1, 8), 1);
+        assert_eq!(worker_count(Some(8), 1 << 20, 0, 8), 1);
+        // explicit one-worker cap
+        assert_eq!(worker_count(Some(1), 1 << 20, 64, 8), 1);
+        assert_eq!(worker_count(Some(0), 1 << 20, 64, 8), 1);
+        // below the size threshold with no explicit cap
+        assert_eq!(worker_count(None, 100, 64, 8), 1);
+    }
+
+    #[test]
+    fn explicit_cap_forces_threads_below_the_threshold() {
+        // Small search, cap 4, 8 hardware threads: threaded with 4 workers.
+        assert_eq!(worker_count(Some(4), 100, 64, 8), 4);
+        // A single-core host still gets the two-worker floor under a cap.
+        assert_eq!(worker_count(Some(4), 100, 64, 1), 2);
+        // Never more workers than tasks.
+        assert_eq!(worker_count(Some(16), 1 << 20, 3, 8), 3);
+    }
+
+    #[test]
+    fn default_heuristic_uses_available_parallelism() {
+        // Above threshold: one worker per hardware thread, capped by tasks.
+        assert_eq!(worker_count(None, PARALLEL_MIN_CELLS, 64, 8), 8);
+        assert_eq!(worker_count(None, 1 << 20, 3, 8), 3);
+        // Single core above the threshold stays inline.
+        assert_eq!(worker_count(None, 1 << 20, 64, 1), 1);
     }
 }

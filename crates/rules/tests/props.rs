@@ -355,6 +355,9 @@ proptest! {
         }
     }
 
+    /// The threaded search (`max_workers: Some(4)`) agrees bit for bit
+    /// with the inline one (`Some(1)`) across all metrics, the full view
+    /// and two chained restricted views, under random non-unit weights.
     #[test]
     fn threaded_search_is_bit_identical_to_inline(
         rows in rows_strategy(),
@@ -369,16 +372,22 @@ proptest! {
         let par = SearchOptions { max_workers: Some(4), ..Default::default() };
         let seq = SearchOptions { max_workers: Some(1), ..Default::default() };
         let full = TaskView::full(&d, &flags, &w);
-        let keep = |r: u32| {
-            mask_seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(u64::from(r).wrapping_mul(1442695040888963407))
-                .count_ones()
-                % 2
-                == 0
+        // A pseudo-random row mask, deterministic in `(mask_seed, salt, row)`.
+        let keep = |salt: u64| {
+            move |r: u32| {
+                (mask_seed ^ salt)
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(u64::from(r).wrapping_mul(1442695040888963407))
+                    .count_ones()
+                    % 2
+                    == 0
+            }
         };
-        let sub = full.restricted_to(full.rows.filter(keep));
-        for view in [&full, &sub] {
+        // A view restricted once, and a view restricted from that one, as
+        // rule growth chains them.
+        let once = full.restricted_to(full.rows.filter(keep(0)));
+        let twice = once.restricted_to(once.rows.filter(keep(2)));
+        for view in [&full, &once, &twice] {
             let got = find_best_condition(view, metric, &par);
             let want = find_best_condition(view, metric, &seq);
             match (got, want) {

@@ -94,9 +94,9 @@ pub enum Counter {
     /// Hot-swap attempts rejected during off-path validation (corrupt
     /// artifact, bad schema, unreadable file); the old epoch kept serving.
     SwapFailures,
-    /// Condition searches that took the threaded (attribute × shard)
-    /// path. Inline scans — too small or capped at one worker — don't
-    /// tick this.
+    /// Condition searches that took the threaded (one task per
+    /// attribute) path. Inline scans — too small or capped at one worker —
+    /// don't tick this.
     ParallelSearchCalls,
     /// Worker threads spawned across all threaded searches; divided by
     /// `ParallelSearchCalls` this is the mean effective worker count, so

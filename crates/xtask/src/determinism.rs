@@ -5,18 +5,17 @@
 //! of the same logical training set must produce the same model down to
 //! the last bit, no matter how the rows were inserted or how many worker
 //! threads the condition search used. That end-to-end bit-identity is
-//! the regression gate ROADMAP item 3 (out-of-core, row-parallel
-//! training) must keep passing — the paper's two-phase induction is
-//! greedy and order-sensitive, so an ulp of drift in a Z-number can
-//! change the learned rule list silently.
+//! the regression gate every change to the learner or the condition
+//! search must keep passing — the paper's two-phase induction is greedy
+//! and order-sensitive, so an ulp of drift in a Z-number can change the
+//! learned rule list silently.
 //!
 //! Protocol: generate one kddsim training set, rebuild it under K row
 //! permutations (the pre-registered kddsim schema keeps dictionary codes
-//! independent of insertion order), fit each copy under paired
-//! (worker-thread cap, row-shard count) configs {(1,1), (2,2),
-//! (max, ~rows/4)}, wrap each fit in a [`ModelArtifact`] (params
-//! normalised so neither knob is itself compared) and assert all
-//! FNV-1a checksums of the serialized artifacts are identical.
+//! independent of insertion order), fit each copy under worker-thread
+//! caps {1, 2, max}, wrap each fit in a [`ModelArtifact`] (params
+//! normalised so the cap is not itself compared) and assert all FNV-1a
+//! checksums of the serialized artifacts are identical.
 //!
 //! Row-permutation invariance holds because kddsim rows carry unit
 //! weights: every learner statistic is then a sum of 1.0s — exact in
@@ -115,28 +114,20 @@ fn permuted_copy(base: &Dataset, order: &[usize]) -> Result<Dataset, String> {
     Ok(b.finish())
 }
 
-/// Fits one copy with the given worker cap and row-shard count and
-/// returns the FNV-1a checksum of its serialized [`ModelArtifact`].
-/// `search_workers` and `row_shards` are the knobs under test, so the
-/// artifact's stored params normalise both to `None` — the compared
-/// bytes must cover model, report and schema, not the sweep variables
-/// themselves.
-fn fit_checksum(
-    data: &Dataset,
-    target: u32,
-    workers: Option<usize>,
-    shards: Option<usize>,
-) -> Result<u64, String> {
+/// Fits one copy with the given worker cap and returns the FNV-1a
+/// checksum of its serialized [`ModelArtifact`]. `search_workers` is the
+/// knob under test, so the artifact's stored params normalise it to
+/// `None` — the compared bytes must cover model, report and schema, not
+/// the sweep variable itself.
+fn fit_checksum(data: &Dataset, target: u32, workers: Option<usize>) -> Result<u64, String> {
     let params = PnruleParams {
         search_workers: workers,
-        row_shards: shards,
         ..Default::default()
     };
     let learner = PnruleLearner::new(params);
     let (model, report) = learner.fit_with_report(data, target);
     let mut stored = learner.params().clone();
     stored.search_workers = None;
-    stored.row_shards = None;
     let artifact = ModelArtifact::new(model, stored, report, data.schema().clone())
         .map_err(|e| format!("artifact assembly: {e}"))?;
     let text = artifact
@@ -145,14 +136,10 @@ fn fit_checksum(
     Ok(fnv1a_64(text.as_bytes()))
 }
 
-/// Runs the full sweep: 3 row orders × paired (worker cap, row-shard)
-/// configs {(1,1), (2,2), (max, shard-per-few-rows)}. Shard-count
-/// invariance holds for the same unit-weight reason as row-permutation
-/// invariance: each shard's `CovStats` is a sum of 1.0s, so the
-/// shard-index-order reduction reassociates exact integer sums. The last
-/// config drives the shard count far past the worker count (one shard
-/// per handful of rows) to prove the reduction — not scheduling luck —
-/// carries the guarantee.
+/// Runs the full sweep: 3 row orders × worker caps {1, 2, max}. An
+/// explicit cap above one forces the threaded search even on this small
+/// training set, so the sweep compares the threaded merge against the
+/// inline scan, not two runs of one path.
 pub fn run(rows: usize) -> Result<DeterminismReport, String> {
     let base = pnr_kddsim::generate_train(rows, SEED);
     let target = base
@@ -163,7 +150,6 @@ pub fn run(rows: usize) -> Result<DeterminismReport, String> {
     let max_workers = std::thread::available_parallelism()
         .map_or(2, |p| p.get())
         .max(2);
-    let max_shards = (rows / 4).clamp(3, 1024);
 
     let orders: [(&str, Vec<usize>); 3] = [
         ("identity", (0..base.n_rows()).collect()),
@@ -171,20 +157,16 @@ pub fn run(rows: usize) -> Result<DeterminismReport, String> {
         ("shuffled", lcg_shuffle(base.n_rows(), SEED)),
     ];
     let configs = [
-        ("workers=1 shards=1".to_string(), Some(1), Some(1)),
-        ("workers=2 shards=2".to_string(), Some(2), Some(2)),
-        (
-            format!("workers=max({max_workers}) shards={max_shards}"),
-            Some(max_workers),
-            Some(max_shards),
-        ),
+        ("workers=1".to_string(), 1),
+        ("workers=2".to_string(), 2),
+        (format!("workers=max({max_workers})"), max_workers),
     ];
 
     let mut results = Vec::new();
     for (oname, order) in &orders {
         let data = permuted_copy(&base, order)?;
-        for (cname, w, s) in &configs {
-            let sum = fit_checksum(&data, target, *w, *s)?;
+        for (cname, workers) in &configs {
+            let sum = fit_checksum(&data, target, Some(*workers))?;
             results.push((format!("rows={oname:<8} {cname}"), sum));
         }
     }
