@@ -99,7 +99,8 @@ pub fn check_subset(context: &str, child: &[u32], parent: &[u32]) {
 
 /// Asserts view-projection consistency: `proj` must be a permutation of
 /// `rows` (the view's ascending row ids) ordered ascending by the value of
-/// numeric attribute `attr` with ties in row order.
+/// numeric attribute `attr` under `f64::total_cmp`, the order every sort
+/// index is built with (so `-0.0` precedes `0.0`), with ties in row order.
 ///
 /// # Panics
 /// Panics on a length mismatch, an out-of-order pair, or a row-set mismatch.
@@ -120,7 +121,7 @@ pub fn check_sorted_projection(
         let (a, b) = (pair[0], pair[1]);
         let (va, vb) = (data.num(attr, a as usize), data.num(attr, b as usize));
         assert!(
-            va < vb || (va == vb && a < b),
+            va.total_cmp(&vb).then(a.cmp(&b)).is_lt(),
             "audit: {context}: projection of attr {attr} out of order: \
              row {a} (value {va}) precedes row {b} (value {vb})",
         );
@@ -227,6 +228,31 @@ mod tests {
         // values descend with row id, so the sorted projection reverses
         check_sorted_projection("t", &d, 0, &[0, 1, 2, 3, 4, 5], &[5, 4, 3, 2, 1, 0]);
         check_sorted_projection("t", &d, 0, &[1, 3], &[3, 1]);
+    }
+
+    #[test]
+    fn signed_zeros_follow_total_cmp() {
+        // `-0.0 == 0.0`, but the sort index orders `-0.0` first whatever
+        // the row ids, and so must every projection.
+        let mut b = DatasetBuilder::new();
+        b.add_attribute("x", AttrType::Numeric);
+        for v in [0.0, -0.0, 0.0] {
+            b.push_row(&[Value::num(v)], "c", 1.0).unwrap();
+        }
+        let d = b.finish();
+        assert_eq!(d.sort_index(0), &[1, 0, 2]);
+        check_sorted_projection("t", &d, 0, &[0, 1, 2], &[1, 0, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of order")]
+    fn zero_before_negative_zero_fires() {
+        let mut b = DatasetBuilder::new();
+        b.add_attribute("x", AttrType::Numeric);
+        for v in [0.0, -0.0] {
+            b.push_row(&[Value::num(v)], "c", 1.0).unwrap();
+        }
+        check_sorted_projection("t", &b.finish(), 0, &[0, 1], &[0, 1]);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::schema::{AttrType, Schema};
 use serde::{Deserialize, Serialize};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// One attribute column of a dataset.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -35,8 +35,9 @@ impl Column {
 /// weight overrides are carried separately by the caller where needed.
 ///
 /// Per-attribute **sort indexes** (row permutations ordered by numeric value)
-/// are computed lazily on first use and cached; they power single-scan
-/// threshold search in the rule learners.
+/// are computed lazily on first use and cached behind an `Arc`; they power
+/// single-scan threshold search in the rule learners, and a projection
+/// over every row shares the cached index instead of copying it.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct Dataset {
     schema: Schema,
@@ -44,7 +45,7 @@ pub struct Dataset {
     labels: Vec<u32>,
     weights: Vec<f64>,
     #[serde(skip)]
-    sort_indexes: Vec<OnceLock<Vec<u32>>>,
+    sort_indexes: Vec<OnceLock<Arc<Vec<u32>>>>,
 }
 
 impl Dataset {
@@ -166,6 +167,11 @@ impl Dataset {
             AttrType::Numeric,
             "sort_index requires a numeric attribute"
         );
+        self.cached_sort_index(attr)
+    }
+
+    /// The cached sort index of numeric attribute `attr`, built on first use.
+    fn cached_sort_index(&self, attr: usize) -> &Arc<Vec<u32>> {
         self.sort_indexes[attr].get_or_init(|| {
             let Column::Num(vals) = &self.columns[attr] else {
                 unreachable!()
@@ -174,7 +180,7 @@ impl Dataset {
             // total_cmp: builder-validated values are finite, so this orders
             // identically to partial_cmp without an unwrap on the NaN arm.
             idx.sort_by(|&a, &b| vals[a as usize].total_cmp(&vals[b as usize]));
-            idx
+            Arc::new(idx)
         })
     }
 
@@ -185,11 +191,13 @@ impl Dataset {
     ///
     /// Cost is `O(min(n_rows, m·log m))` for a subset of size `m`: a small
     /// subset is sorted directly, a large one filtered out of the cached
-    /// global sort index. Both paths produce the identical ordering.
+    /// global sort index through a row bitmap ([`crate::filter_members`]).
+    /// Both paths produce the identical ordering. When `rows` is every row
+    /// the cached sort index itself is returned, shared, not copied.
     ///
     /// # Panics
     /// Panics if `attr` is categorical.
-    pub fn sorted_projection(&self, attr: usize, rows: &[u32]) -> Vec<u32> {
+    pub fn sorted_projection(&self, attr: usize, rows: &[u32]) -> Arc<Vec<u32>> {
         assert_eq!(
             self.schema.attr(attr).ty,
             AttrType::Numeric,
@@ -198,30 +206,22 @@ impl Dataset {
         let n = self.n_rows();
         let m = rows.len();
         if m == n {
-            return self.sort_index(attr).to_vec();
+            return Arc::clone(self.cached_sort_index(attr));
         }
         // Direct sort wins while m·log₂m stays under the full-scan cost.
         let direct = m == 0 || m * (usize::BITS - m.leading_zeros()) as usize <= n;
         let Column::Num(vals) = &self.columns[attr] else {
             unreachable!()
         };
-        if direct {
+        Arc::new(if direct {
             let mut idx = rows.to_vec();
             // Stable sort: ties keep the caller's (ascending row id) order,
             // matching the filtered global index below.
             idx.sort_by(|&a, &b| vals[a as usize].total_cmp(&vals[b as usize]));
             idx
         } else {
-            let mut mask = vec![false; n];
-            for &r in rows {
-                mask[r as usize] = true;
-            }
-            self.sort_index(attr)
-                .iter()
-                .copied()
-                .filter(|&r| mask[r as usize])
-                .collect()
-        }
+            crate::filter_members(self.cached_sort_index(attr), rows, n)
+        })
     }
 
     /// Weighted count of rows per class.
@@ -350,9 +350,9 @@ mod tests {
     #[test]
     fn sorted_projection_restricts_sort_index() {
         let d = small();
-        assert_eq!(d.sorted_projection(0, &[0, 1, 2]), vec![1, 2, 0]);
-        assert_eq!(d.sorted_projection(0, &[0, 2]), vec![2, 0]);
-        assert_eq!(d.sorted_projection(0, &[1]), vec![1]);
+        assert_eq!(*d.sorted_projection(0, &[0, 1, 2]), vec![1, 2, 0]);
+        assert_eq!(*d.sorted_projection(0, &[0, 2]), vec![2, 0]);
+        assert_eq!(*d.sorted_projection(0, &[1]), vec![1]);
         assert!(d.sorted_projection(0, &[]).is_empty());
     }
 
@@ -373,7 +373,7 @@ mod tests {
             .copied()
             .filter(|r| subset.contains(r))
             .collect();
-        assert_eq!(d.sorted_projection(0, &subset), filtered);
+        assert_eq!(*d.sorted_projection(0, &subset), filtered);
         // tiny subset takes the direct path
         let tiny = [5u32, 9, 13, 21];
         let filtered_tiny: Vec<u32> = d
@@ -382,7 +382,7 @@ mod tests {
             .copied()
             .filter(|r| tiny.contains(r))
             .collect();
-        assert_eq!(d.sorted_projection(0, &tiny), filtered_tiny);
+        assert_eq!(*d.sorted_projection(0, &tiny), filtered_tiny);
     }
 
     #[test]

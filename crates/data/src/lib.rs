@@ -53,7 +53,7 @@ pub use csv::{
 pub use dataset::{Column, Dataset};
 pub use dict::Dictionary;
 pub use error::DataError;
-pub use rowset::RowSet;
+pub use rowset::{filter_members, RowSet};
 pub use schema::{AttrType, Attribute, Schema};
 pub use split::{stratified_split, subsample_class, train_test_split};
 pub use stats::{describe, summarize, AttrSummary, CategoricalSummary, NumericSummary};

@@ -124,20 +124,33 @@ impl RowSet {
         RowSet { rows: out }
     }
 
-    /// A dense membership mask of size `n_rows` (true where the row is in the
-    /// set). Learners use this to scan global sort indexes cheaply.
-    pub fn mask(&self, n_rows: usize) -> Vec<bool> {
-        let mut m = vec![false; n_rows];
-        for &r in &self.rows {
-            m[r as usize] = true;
-        }
-        m
-    }
-
     /// Sum of `weights[row]` over the set, in row-set order.
     pub fn total_weight(&self, weights: &[f64]) -> f64 {
         crate::weights::ordered_sum(self.rows.iter().map(|&r| weights[r as usize]))
     }
+}
+
+/// The entries of `source` that are members of `rows`, in `source`'s
+/// order; `rows` holds sorted unique row ids below `n_rows`.
+///
+/// The members are marked in a bitmap of `n_rows` bits first, so the
+/// filter is one pass over each slice, `O(n_rows/64 + |rows| + |source|)`,
+/// where a [`RowSet::contains`] per entry costs a binary search. Sorted
+/// projections restrict a sorted row list (the global sort index or an
+/// ancestor view's projection) to a subset through it, keeping its order.
+pub fn filter_members(source: &[u32], rows: &[u32], n_rows: usize) -> Vec<u32> {
+    let mut bits = vec![0u64; n_rows.div_ceil(64)];
+    for &r in rows {
+        bits[r as usize / 64] |= 1 << (r % 64);
+    }
+    let mut out = Vec::with_capacity(rows.len());
+    out.extend(
+        source
+            .iter()
+            .copied()
+            .filter(|&r| bits[r as usize / 64] >> (r % 64) & 1 == 1),
+    );
+    out
 }
 
 impl FromIterator<u32> for RowSet {
@@ -193,9 +206,16 @@ mod tests {
     }
 
     #[test]
-    fn mask_marks_members() {
-        let s = RowSet::from_vec(vec![0, 2]);
-        assert_eq!(s.mask(4), vec![true, false, true, false]);
+    fn filter_members_keeps_source_order_across_words() {
+        // Members on both sides of the 64-bit word boundaries.
+        let rows = [0u32, 63, 64, 127, 128, 129];
+        let source = [129u32, 5, 64, 200, 63, 128, 0, 65, 127];
+        assert_eq!(
+            filter_members(&source, &rows, 201),
+            vec![129, 64, 63, 128, 0, 127]
+        );
+        assert!(filter_members(&source, &[], 201).is_empty());
+        assert!(filter_members(&[], &rows, 130).is_empty());
     }
 
     #[test]

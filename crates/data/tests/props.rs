@@ -1,7 +1,7 @@
 //! Property-based tests for the dataset substrate.
 
 use pnr_data::{
-    read_csv_str, read_csv_str_with_report, read_csv_with_report, stratify_weights,
+    filter_members, read_csv_str, read_csv_str_with_report, read_csv_with_report, stratify_weights,
     write_csv_string, AttrType, CsvOptions, DataError, Dataset, DatasetBuilder, LoadReport,
     RowPolicy, RowSet, Value,
 };
@@ -48,10 +48,12 @@ proptest! {
     }
 
     #[test]
-    fn rowset_mask_round_trips(a in rowset_strategy(60)) {
-        let mask = a.mask(60);
-        let back: RowSet = (0..60u32).filter(|&r| mask[r as usize]).collect();
-        prop_assert_eq!(back, a);
+    fn filter_members_agrees_with_contains(
+        a in rowset_strategy(200),
+        source in prop::collection::vec(0u32..200, 0..300),
+    ) {
+        let want: Vec<u32> = source.iter().copied().filter(|&r| a.contains(r)).collect();
+        prop_assert_eq!(filter_members(&source, a.as_slice(), 200), want);
     }
 
     #[test]

@@ -15,12 +15,15 @@
 //! dataset-sized mask.
 //!
 //! Attributes are independent, so they are the one parallel axis. Workers
-//! claim attributes off a shared counter and compute each one's statistics
-//! over the whole view (phase A); the main thread then charges the budget
-//! and scores candidates in ascending attribute order (phase B). With one
-//! worker, phase A runs inline through the *same* per-attribute pass, so
-//! the result is bit-identical for any worker count — including the "first
-//! best wins, lowest attribute index" tie-break.
+//! claim attributes off a shared counter and scan each one: compute its
+//! statistics over the whole view, score its candidates, keep its first
+//! best and the candidate counts it charges, and drop the statistics. The
+//! calling thread then replays each attribute's charges against the budget
+//! and offers its best, in ascending attribute order. With one worker the
+//! *same* scan runs inline, so the result is bit-identical for any worker
+//! count: the first maximum of the per-attribute first maxima is the global
+//! first maximum, which is the "first best wins, lowest attribute index"
+//! tie-break.
 
 use crate::budget::BudgetTracker;
 use crate::condition::Condition;
@@ -29,7 +32,7 @@ use crate::task::TaskView;
 use pnr_data::weights::approx;
 use pnr_data::Column;
 use pnr_telemetry::{Counter, TelemetrySink};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Options controlling condition search.
 #[derive(Debug, Clone)]
@@ -152,24 +155,42 @@ impl Best {
     }
 }
 
-/// One attribute's condition statistics over the whole view: a pure
-/// function of the view, computable on any thread.
-enum AttrPartial {
-    /// Per-dictionary-code positive/total covered weight over the view's
-    /// row set.
-    Cat { pos: Vec<f64>, tot: Vec<f64> },
-    /// Prefix sums at each distinct value of the view's sorted projection.
-    Num(Boundaries),
+/// What every candidate of one search call is scored against. Workers get
+/// this and never the options' budget or sink, so every charge and every
+/// counter is written by the calling thread.
+#[derive(Debug, Clone, Copy)]
+struct Scoring {
+    metric: EvalMetric,
+    pos_total: f64,
+    n_total: f64,
+    min_support: f64,
+    use_ranges: bool,
+}
+
+impl Scoring {
+    fn score(&self, stats: CovStats) -> f64 {
+        self.metric.score(stats, self.pos_total, self.n_total)
+    }
+}
+
+/// One attribute's scan: its first-best candidate, and the candidate
+/// counts it charges in charge order — the categorical or one-sided count,
+/// then the range count. A pure function of the view, computable on any
+/// thread.
+#[derive(Debug, Default)]
+struct AttrScan {
+    best: Best,
+    charges: Vec<usize>,
 }
 
 /// Finds the highest-scoring single condition over the view, or `None` when
 /// no candidate has positive support under the constraints.
 ///
-/// Phase A computes one partial per attribute: inline on the calling
-/// thread when [`worker_count`] allows one worker, on scoped worker
-/// threads otherwise. Phase B charges the budget and scores the candidates
-/// in ascending attribute order on the calling thread, so the result is
-/// bit-identical for any worker count.
+/// Each attribute is scanned once: inline on the calling thread when
+/// [`worker_count`] allows one worker, on scoped worker threads otherwise.
+/// The calling thread then replays each attribute's charges against the
+/// budget and offers its best in ascending attribute order, so the result
+/// is bit-identical for any worker count.
 pub fn find_best_condition(
     view: &TaskView<'_>,
     metric: EvalMetric,
@@ -194,8 +215,8 @@ pub fn find_best_condition(
             opts.sink.add(Counter::ParallelSearchCalls, 1);
             opts.sink.add(Counter::SearchWorkerThreads, workers as u64);
         }
-        // Warm/cold projection telemetry is classified here, before
-        // phase A materialises any projection.
+        // Warm/cold projection telemetry is classified here, before any
+        // scan materialises a projection.
         for attr in 0..n_attrs {
             if matches!(view.data.column(attr), Column::Num(_)) {
                 let counter = if view.projection_is_warm(attr) {
@@ -211,25 +232,30 @@ pub fn find_best_condition(
     let (pos_total, n_total) = opts
         .context
         .unwrap_or_else(|| (view.pos_weight(), view.total_weight()));
-    // Threaded phase A runs to completion up front; inline phase A runs
-    // one attribute at a time, just before phase B scores it.
-    let mut threaded = (workers > 1).then(|| threaded_partials(view, workers).into_iter());
+    let scoring = Scoring {
+        metric,
+        pos_total,
+        n_total,
+        min_support: opts.min_support_weight,
+        use_ranges: opts.use_ranges,
+    };
+    // Threaded scans run to completion up front; inline scans run one
+    // attribute at a time, just before its charges are replayed.
+    let mut threaded = (workers > 1).then(|| threaded_scans(view, scoring, workers).into_iter());
     let mut best = Best::default();
     for attr in 0..n_attrs {
-        let partial = match threaded.as_mut() {
-            Some(done) => done.next().flatten(),
-            None => Some(attr_partial(view, attr)),
+        let scan = match threaded.as_mut() {
+            Some(done) => done.next().unwrap_or_default(),
+            None => scan_attr(view, attr, scoring),
         };
-        match partial {
-            Some(AttrPartial::Cat { pos, tot }) => {
-                score_categorical(
-                    attr, &pos, &tot, metric, opts, pos_total, n_total, &mut best,
-                );
+        // The first refused charge ends this attribute, as it would have
+        // ended its scan; the next attribute still charges, so the
+        // tracker and the counters see the same sequence for any worker
+        // count.
+        if scan.charges.iter().all(|&n| charge_candidates(opts, n)) {
+            if let Some(c) = scan.best.cand {
+                best.offer(c.condition, c.stats, c.score);
             }
-            Some(AttrPartial::Num(b)) => {
-                score_numeric(attr, &b, metric, opts, pos_total, n_total, &mut best);
-            }
-            None => {}
         }
     }
     if budget_depleted(opts) {
@@ -271,17 +297,17 @@ pub fn worker_count(
     }
 }
 
-/// Phase A on `workers` scoped threads. Workers claim attributes off a
-/// shared counter and each attribute's slot is written by exactly one
-/// worker; the partials come back in attribute order.
-fn threaded_partials(view: &TaskView<'_>, workers: usize) -> Vec<Option<AttrPartial>> {
+/// Scans every attribute on `workers` scoped threads. Workers claim
+/// attributes off a shared counter and each attribute's slot is written by
+/// exactly one worker; the scans come back in attribute order.
+fn threaded_scans(view: &TaskView<'_>, scoring: Scoring, workers: usize) -> Vec<AttrScan> {
     let n_attrs = view.data.n_attrs();
-    let slots: Vec<std::sync::Mutex<Option<AttrPartial>>> =
-        (0..n_attrs).map(|_| std::sync::Mutex::new(None)).collect();
+    let slots: Vec<OnceLock<AttrScan>> = (0..n_attrs).map(|_| OnceLock::new()).collect();
     let next = std::sync::atomic::AtomicUsize::new(0);
-    // Workers race only over *which* slot they fill; phase B visits the
-    // slots in ascending attribute order on the calling thread, so the
-    // outcome is bit-identical to the inline scan.
+    // Workers race only over *which* slot they fill; the calling thread
+    // replays the slots in ascending attribute order, so the outcome is
+    // bit-identical to the inline scan. A panicked worker re-panics at
+    // scope join.
     // det:merge(lowest-attr-first)
     std::thread::scope(|s| {
         for _ in 0..workers {
@@ -290,28 +316,22 @@ fn threaded_partials(view: &TaskView<'_>, workers: usize) -> Vec<Option<AttrPart
                 if attr >= n_attrs {
                     break;
                 }
-                let partial = attr_partial(view, attr);
-                // Poison recovery is sound: each slot is written by exactly
-                // one worker, and a panicked worker re-panics at scope join.
-                *slots[attr]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(partial);
+                let _ = slots[attr].set(scan_attr(view, attr, scoring));
             });
         }
     });
     slots
         .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-        })
+        .map(|s| s.into_inner().unwrap_or_default())
         .collect()
 }
 
-/// Computes one attribute's statistics over the view's row set
-/// (categorical) or sorted projection (numeric); both orders are fixed by
-/// the view, so the accumulation below is deterministic.
-fn attr_partial(view: &TaskView<'_>, attr: usize) -> AttrPartial {
+/// Scans one attribute: computes its statistics over the view's row set
+/// (categorical) or sorted projection (numeric), scores every candidate,
+/// and drops the statistics. Both orders are fixed by the view, so the
+/// accumulation below is deterministic.
+fn scan_attr(view: &TaskView<'_>, attr: usize, scoring: Scoring) -> AttrScan {
+    let mut scan = AttrScan::default();
     match view.data.column(attr) {
         Column::Cat(_) => {
             let n_values = view.data.schema().attr(attr).dict.len();
@@ -325,48 +345,36 @@ fn attr_partial(view: &TaskView<'_>, attr: usize) -> AttrPartial {
                     pos[code] += w;
                 }
             }
-            AttrPartial::Cat { pos, tot }
+            score_categorical(attr, &pos, &tot, scoring, &mut scan);
         }
         // The view's own sorted projection: one pass over exactly the
         // view's rows, no dataset-sized mask. Row order (ascending value,
         // ties by row id) matches a mask-filtered scan of the global sort
         // index.
-        Column::Num(_) => AttrPartial::Num(boundaries(view, attr)),
+        Column::Num(_) => score_numeric(attr, &boundaries(view, attr), scoring, &mut scan),
     }
+    scan
 }
 
-#[allow(clippy::too_many_arguments)]
-fn score_categorical(
-    attr: usize,
-    pos: &[f64],
-    tot: &[f64],
-    metric: EvalMetric,
-    opts: &SearchOptions,
-    pos_total: f64,
-    n_total: f64,
-    best: &mut Best,
-) {
+fn score_categorical(attr: usize, pos: &[f64], tot: &[f64], scoring: Scoring, scan: &mut AttrScan) {
     let n_values = tot.len();
     if n_values == 0 {
         return;
     }
     // One scored candidate per dictionary value.
-    if !charge_candidates(opts, n_values) {
-        return;
-    }
+    scan.charges.push(n_values);
     for code in 0..n_values {
-        if approx::is_zero(tot[code]) || tot[code] < opts.min_support_weight {
+        if approx::is_zero(tot[code]) || tot[code] < scoring.min_support {
             continue;
         }
         let stats = CovStats::new(pos[code], tot[code]);
-        let score = metric.score(stats, pos_total, n_total);
-        best.offer(
+        scan.best.offer(
             Condition::CatEq {
                 attr,
                 value: pnr_data::index::to_u32(code, "dictionary code"),
             },
             stats,
-            score,
+            scoring.score(stats),
         );
     }
 }
@@ -444,24 +452,13 @@ fn boundaries(view: &TaskView<'_>, attr: usize) -> Boundaries {
     b
 }
 
-#[allow(clippy::too_many_arguments)]
-fn score_numeric(
-    attr: usize,
-    b: &Boundaries,
-    metric: EvalMetric,
-    opts: &SearchOptions,
-    pos_total: f64,
-    n_total: f64,
-    best: &mut Best,
-) {
+fn score_numeric(attr: usize, b: &Boundaries, scoring: Scoring, scan: &mut AttrScan) {
     if b.len() < 2 {
         // A constant attribute offers no split.
         return;
     }
     // Two one-sided candidates per interior boundary.
-    if !charge_candidates(opts, (b.len() - 1) * 2) {
-        return;
-    }
+    scan.charges.push((b.len() - 1) * 2);
     // b.len() >= 2 was checked above, so the last boundary exists.
     let all = CovStats::new(b.cum_pos[b.len() - 1], b.cum_tot[b.len() - 1]);
 
@@ -471,22 +468,22 @@ fn score_numeric(
     let mut best_gt: Option<(usize, f64)> = None;
     for i in 0..b.len() - 1 {
         let le = b.interval(None, i);
-        if le.total >= opts.min_support_weight {
-            let s = metric.score(le, pos_total, n_total);
+        if le.total >= scoring.min_support {
+            let s = scoring.score(le);
             if s.is_finite() && best_le.is_none_or(|(_, bs)| s > bs) {
                 best_le = Some((i, s));
             }
         }
         let gt = CovStats::new(all.pos - le.pos, all.total - le.total);
-        if gt.total >= opts.min_support_weight {
-            let s = metric.score(gt, pos_total, n_total);
+        if gt.total >= scoring.min_support {
+            let s = scoring.score(gt);
             if s.is_finite() && best_gt.is_none_or(|(_, bs)| s > bs) {
                 best_gt = Some((i, s));
             }
         }
     }
     if let Some((i, s)) = best_le {
-        best.offer(
+        scan.best.offer(
             Condition::NumLe {
                 attr,
                 value: b.threshold(i),
@@ -498,7 +495,7 @@ fn score_numeric(
     if let Some((i, s)) = best_gt {
         let le = b.interval(None, i);
         let stats = CovStats::new(all.pos - le.pos, all.total - le.total);
-        best.offer(
+        scan.best.offer(
             Condition::NumGt {
                 attr,
                 value: b.threshold(i),
@@ -508,7 +505,7 @@ fn score_numeric(
         );
     }
 
-    if !opts.use_ranges {
+    if !scoring.use_ranges {
         return;
     }
 
@@ -524,46 +521,40 @@ fn score_numeric(
         // Best one-sided is `A > v_lo` (a finite gt_score implies the
         // candidate exists): fix lo, scan hi to the right.
         let Some((lo_idx, _)) = best_gt else { return };
-        if !charge_candidates(opts, (b.len() - 1).saturating_sub(lo_idx + 1)) {
-            return;
-        }
+        scan.charges.push((b.len() - 1).saturating_sub(lo_idx + 1));
         for hi_idx in lo_idx + 1..b.len() - 1 {
             let stats = b.interval(Some(lo_idx), hi_idx);
-            if stats.total < opts.min_support_weight {
+            if stats.total < scoring.min_support {
                 continue;
             }
-            let s = metric.score(stats, pos_total, n_total);
-            best.offer(
+            scan.best.offer(
                 Condition::NumRange {
                     attr,
                     lo: b.lower_threshold(lo_idx),
                     hi: b.threshold(hi_idx),
                 },
                 stats,
-                s,
+                scoring.score(stats),
             );
         }
     } else {
         // Best one-sided is `A ≤ v_hi` (a finite le_score implies the
         // candidate exists): fix hi, scan lo to the left.
         let Some((hi_idx, _)) = best_le else { return };
-        if !charge_candidates(opts, hi_idx) {
-            return;
-        }
+        scan.charges.push(hi_idx);
         for lo_idx in 0..hi_idx {
             let stats = b.interval(Some(lo_idx), hi_idx);
-            if stats.total < opts.min_support_weight {
+            if stats.total < scoring.min_support {
                 continue;
             }
-            let s = metric.score(stats, pos_total, n_total);
-            best.offer(
+            scan.best.offer(
                 Condition::NumRange {
                     attr,
                     lo: b.lower_threshold(lo_idx),
                     hi: b.threshold(hi_idx),
                 },
                 stats,
-                s,
+                scoring.score(stats),
             );
         }
     }
@@ -969,6 +960,70 @@ mod tests {
             assert_eq!(g.condition, s.condition, "{metric:?}");
             assert_eq!(g.score.to_bits(), s.score.to_bits(), "{metric:?}");
             assert_eq!(g.stats, s.stats, "{metric:?}");
+        }
+    }
+
+    /// Under every candidate limit from 1 to one past the unbudgeted
+    /// total, the threaded and inline searches charge the same sequence:
+    /// the same result, the same tracker state and the same counters.
+    #[test]
+    fn threaded_and_inline_searches_charge_alike_under_every_limit() {
+        let (d, is_pos) = mixed_data();
+        let v = TaskView::full(&d, &is_pos, d.weights());
+        for metric in [EvalMetric::ZNumber, EvalMetric::FoilGain] {
+            let free = std::sync::Arc::new(pnr_telemetry::RecordingSink::new());
+            let opts = SearchOptions {
+                sink: free.clone(),
+                ..Default::default()
+            };
+            let unbudgeted = find_best_condition(&v, metric, &opts).map(|c| c.condition);
+            let total = free.value(Counter::ConditionsEvaluated);
+            assert!(total > 0);
+            let run = |limit: u64, workers: usize| {
+                let tracker = std::sync::Arc::new(
+                    crate::budget::FitBudget {
+                        max_candidates: Some(limit),
+                        ..Default::default()
+                    }
+                    .start()
+                    .expect("a candidate limit starts a tracker"),
+                );
+                let sink = std::sync::Arc::new(pnr_telemetry::RecordingSink::new());
+                let opts = SearchOptions {
+                    budget: Some(tracker.clone()),
+                    sink: sink.clone(),
+                    max_workers: Some(workers),
+                    ..Default::default()
+                };
+                let found = find_best_condition(&v, metric, &opts)
+                    .map(|c| (c.condition, c.score.to_bits(), c.stats));
+                (
+                    found,
+                    tracker.candidates_charged(),
+                    tracker.is_exhausted(),
+                    sink.value(Counter::ConditionsEvaluated),
+                    sink.value(Counter::CandidateCharges),
+                )
+            };
+            // At limit 1 the first charge (x's one-sided count) is refused,
+            // and each later attribute charges its first count and stops:
+            // (13 - 1) * 2 + (5 - 1) * 2 + 3 evaluated, 24 charged.
+            let refused = run(1, 1);
+            assert_eq!(
+                (refused.1, refused.3, refused.4),
+                (24, 35, 24),
+                "{metric:?}"
+            );
+            for limit in 1..=total + 1 {
+                let threaded = run(limit, 4);
+                assert_eq!(threaded, run(limit, 1), "{metric:?} limit {limit}");
+                // The sweep crosses the budget: below the total the search
+                // is refused, from the total on it finds the free winner.
+                assert_eq!(threaded.2, limit < total, "{metric:?} limit {limit}");
+                if limit >= total {
+                    assert_eq!(threaded.0.map(|c| c.0), unbudgeted, "{metric:?}");
+                }
+            }
         }
     }
 

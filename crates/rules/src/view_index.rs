@@ -10,9 +10,13 @@
 //! of lazily-built per-attribute row lists sorted by attribute value, and a
 //! view derived via `restricted_to`/`without` chains back to its parent, so
 //! a child's projection is built by filtering the nearest materialised
-//! ancestor projection — `O(|ancestor view|)` — instead of re-scanning the
-//! dataset. A root view (no ancestor) builds from the dataset directly in
-//! `O(min(n_rows, m·log m))`.
+//! ancestor projection instead of re-scanning the dataset. The filter marks
+//! the view's rows in a bitmap of `n_rows` bits and keeps the ancestor rows
+//! whose bit is set ([`pnr_data::filter_members`]), one linear pass:
+//! `O(|ancestor view| + n_rows/64)`, where a binary search per ancestor row
+//! would add a `log |view|` factor. A root view (no ancestor) builds from
+//! the dataset directly in `O(min(n_rows, m·log m))`, and a root view over
+//! every row shares the dataset's cached sort index.
 //!
 //! All paths produce the identical ordering (ascending value, ties in row
 //! order), so swapping build strategies never changes search results — the
@@ -86,11 +90,11 @@ impl ViewIndex {
                     }
                 };
                 let proj = match source {
-                    Some(p) => p
-                        .iter()
-                        .copied()
-                        .filter(|&r| self.rows.contains(r))
-                        .collect::<Vec<u32>>(),
+                    Some(p) => Arc::new(pnr_data::filter_members(
+                        p,
+                        self.rows.as_slice(),
+                        data.n_rows(),
+                    )),
                     None => data.sorted_projection(attr, self.rows.as_slice()),
                 };
                 // Fires when a derived view's rows are not a subset of its
@@ -104,7 +108,7 @@ impl ViewIndex {
                     self.rows.as_slice(),
                     &proj,
                 );
-                Arc::new(proj)
+                proj
             })
             .clone()
     }
@@ -139,11 +143,11 @@ mod tests {
         let idx = ViewIndex::root(rows.clone(), d.n_attrs());
         assert_eq!(
             *idx.projection(&d, 0),
-            d.sorted_projection(0, rows.as_slice())
+            *d.sorted_projection(0, rows.as_slice())
         );
         assert_eq!(
             *idx.projection(&d, 1),
-            d.sorted_projection(1, rows.as_slice())
+            *d.sorted_projection(1, rows.as_slice())
         );
     }
 
@@ -166,7 +170,7 @@ mod tests {
         let child = parent.derive(child_rows.clone());
         assert_eq!(
             *child.projection(&d, 1),
-            d.sorted_projection(1, child_rows.as_slice())
+            *d.sorted_projection(1, child_rows.as_slice())
         );
     }
 
@@ -180,13 +184,13 @@ mod tests {
         // parent's cache stays untouched
         assert_eq!(
             *child.projection(&d, 1),
-            d.sorted_projection(1, child_rows.as_slice())
+            *d.sorted_projection(1, child_rows.as_slice())
         );
         let grandchild = child.derive(RowSet::from_vec(vec![8, 13]));
         // grandchild now finds the child's materialised projection
         assert_eq!(
             *grandchild.projection(&d, 1),
-            d.sorted_projection(1, &[8, 13])
+            *d.sorted_projection(1, &[8, 13])
         );
     }
 
@@ -201,7 +205,7 @@ mod tests {
             idx = idx.derive(rows.clone());
             assert_eq!(
                 *idx.projection(&d, 1),
-                d.sorted_projection(1, rows.as_slice()),
+                *d.sorted_projection(1, rows.as_slice()),
                 "chain step {step}"
             );
         }

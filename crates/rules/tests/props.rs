@@ -414,3 +414,101 @@ proptest! {
         prop_assert_eq!(rest.n_rows() + covered.len(), v.n_rows());
     }
 }
+
+/// Attribute values for the projection property: heavy ties, and `-0.0`
+/// beside `0.0`, which compare equal but which `f64::total_cmp` orders.
+const TIED_VALUES: [f64; 6] = [-2.5, -1.0, -0.0, 0.0, 0.5, 3.0];
+
+/// The view's rows stably sorted by `f64::total_cmp` on attribute `attr`:
+/// ascending value, ties in ascending row id.
+fn sorted_by_value(d: &Dataset, attr: usize, rows: &[u32]) -> Vec<u32> {
+    let mut out = rows.to_vec();
+    out.sort_by(|&a, &b| d.num(attr, a as usize).total_cmp(&d.num(attr, b as usize)));
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every sorted-projection build path equals a brute-force stable sort:
+    /// projections derived along `restricted_to`/`without` chains (from a
+    /// materialised ancestor, past unmaterialised ones, or from the
+    /// dataset), both `Dataset::sorted_projection` paths, and the shared
+    /// sort index of a view over every row. Datasets reach 300 rows, so
+    /// row ids fall on both sides of the bitmap's 64-bit words.
+    #[test]
+    fn projections_match_a_stable_sort_along_view_chains(
+        rows in prop::collection::vec((0usize..6, 0usize..6, prop::bool::ANY), 1..301),
+        root_mat in 0usize..4,
+        steps in prop::collection::vec((prop::bool::ANY, any::<u64>(), 0usize..4), 0..7),
+    ) {
+        let mut b = DatasetBuilder::new();
+        b.add_attribute("x", AttrType::Numeric);
+        b.add_attribute("y", AttrType::Numeric);
+        for &(x, y, pos) in &rows {
+            b.push_row(
+                &[Value::num(TIED_VALUES[x]), Value::num(TIED_VALUES[y])],
+                if pos { "pos" } else { "neg" },
+                1.0,
+            )
+            .unwrap();
+        }
+        let d = b.finish();
+        let flags: Vec<bool> = (0..d.n_rows()).map(|r| d.label(r) == 0).collect();
+        let n = d.n_rows();
+        let all: Vec<u32> = (0..n as u32).collect();
+        for attr in 0..2 {
+            // Both `sorted_projection` paths: a single row sorts directly;
+            // every row but one (from three rows up) filters the index.
+            for subset in [&all[..1], &all[1..]] {
+                prop_assert_eq!(
+                    &*d.sorted_projection(attr, subset),
+                    &sorted_by_value(&d, attr, subset)
+                );
+            }
+            // Every row: the cached index, shared rather than copied.
+            let shared = d.sorted_projection(attr, &all);
+            prop_assert_eq!(&*shared, &sorted_by_value(&d, attr, &all));
+            prop_assert!(std::sync::Arc::ptr_eq(&shared, &d.sorted_projection(attr, &all)));
+        }
+
+        // A random chain of derived views; `mat` bit `attr` materialises
+        // that attribute's projection as the view is made, so later views
+        // derive from the nearest materialised ancestor or the dataset.
+        let mut views = vec![(TaskView::full(&d, &flags, d.weights()), root_mat)];
+        for &(restrict, salt, mat) in &steps {
+            let parent = &views.last().expect("the root view").0;
+            let keep = |r: u32| {
+                salt.wrapping_add(u64::from(r))
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    .rotate_left(29)
+                    % 3
+                    != 0
+            };
+            let child = if restrict {
+                parent.restricted_to(parent.rows.filter(keep))
+            } else {
+                parent.without(&parent.rows.filter(|r| !keep(r)))
+            };
+            views.push((child, mat));
+            let (view, mat) = views.last().expect("just pushed");
+            for attr in (0..2).filter(|a| mat >> a & 1 == 1) {
+                prop_assert_eq!(
+                    &*view.projection(attr),
+                    &sorted_by_value(&d, attr, view.rows.as_slice())
+                );
+            }
+        }
+        if root_mat & 1 == 1 {
+            prop_assert!(std::sync::Arc::ptr_eq(&views[0].0.projection(0), &d.sorted_projection(0, &all)));
+        }
+        // Leaf first, so unmaterialised ancestors stay unmaterialised.
+        for (view, _) in views.iter().rev() {
+            for attr in 0..2 {
+                let want = sorted_by_value(&d, attr, view.rows.as_slice());
+                prop_assert_eq!(&*view.projection(attr), &want);
+                prop_assert_eq!(&*d.sorted_projection(attr, view.rows.as_slice()), &want);
+            }
+        }
+    }
+}

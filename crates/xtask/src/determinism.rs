@@ -12,10 +12,11 @@
 //!
 //! Protocol: generate one kddsim training set, rebuild it under K row
 //! permutations (the pre-registered kddsim schema keeps dictionary codes
-//! independent of insertion order), fit each copy under worker-thread
-//! caps {1, 2, max}, wrap each fit in a [`ModelArtifact`] (params
-//! normalised so the cap is not itself compared) and assert all FNV-1a
-//! checksums of the serialized artifacts are identical.
+//! independent of insertion order), fit each copy once under each
+//! distinct worker-thread cap of {1, 2, max} ([`worker_caps`]), wrap each
+//! fit in a [`ModelArtifact`] (params normalised so the cap is not itself
+//! compared) and assert all FNV-1a checksums of the serialized artifacts
+//! are identical.
 //!
 //! Row-permutation invariance holds because kddsim rows carry unit
 //! weights: every learner statistic is then a sum of 1.0s — exact in
@@ -30,7 +31,7 @@ use pnr_data::{Dataset, Value};
 
 /// Default kddsim training-set size: large enough that full-view
 /// searches cross the parallel cell threshold, small enough that the
-/// nine debug-profile fits stay in CI-friendly time.
+/// (at most nine) debug-profile fits stay in CI-friendly time.
 pub const DEFAULT_ROWS: usize = 1500;
 
 /// Seed for both the kddsim generator and the row permutation.
@@ -136,10 +137,20 @@ fn fit_checksum(data: &Dataset, target: u32, workers: Option<usize>) -> Result<u
     Ok(fnv1a_64(text.as_bytes()))
 }
 
-/// Runs the full sweep: 3 row orders × worker caps {1, 2, max}. An
-/// explicit cap above one forces the threaded search even on this small
-/// training set, so the sweep compares the threaded merge against the
-/// inline scan, not two runs of one path.
+/// The distinct worker caps of {1, 2, max} on a host with `available`
+/// hardware threads, where max is `available` but at least 2. On one or
+/// two CPUs max is 2, so the sweep has two caps rather than a repeated
+/// third.
+fn worker_caps(available: usize) -> Vec<usize> {
+    let mut caps = vec![1, 2, available.max(2)];
+    caps.dedup();
+    caps
+}
+
+/// Runs the full sweep: 3 row orders × the distinct worker caps of
+/// {1, 2, max} ([`worker_caps`]). An explicit cap above one forces the
+/// threaded search even on this small training set, so the sweep compares
+/// the threaded merge against the inline scan, not two runs of one path.
 pub fn run(rows: usize) -> Result<DeterminismReport, String> {
     let base = pnr_kddsim::generate_train(rows, SEED);
     let target = base
@@ -147,26 +158,24 @@ pub fn run(rows: usize) -> Result<DeterminismReport, String> {
         .classes
         .code(TARGET_CLASS)
         .ok_or_else(|| format!("kddsim schema has no `{TARGET_CLASS}` class"))?;
-    let max_workers = std::thread::available_parallelism()
-        .map_or(2, |p| p.get())
-        .max(2);
+    let caps = worker_caps(std::thread::available_parallelism().map_or(2, |p| p.get()));
 
     let orders: [(&str, Vec<usize>); 3] = [
         ("identity", (0..base.n_rows()).collect()),
         ("reversed", (0..base.n_rows()).rev().collect()),
         ("shuffled", lcg_shuffle(base.n_rows(), SEED)),
     ];
-    let configs = [
-        ("workers=1".to_string(), 1),
-        ("workers=2".to_string(), 2),
-        (format!("workers=max({max_workers})"), max_workers),
-    ];
 
     let mut results = Vec::new();
     for (oname, order) in &orders {
         let data = permuted_copy(&base, order)?;
-        for (cname, workers) in &configs {
-            let sum = fit_checksum(&data, target, Some(*workers))?;
+        for &workers in &caps {
+            let cname = if workers > 2 {
+                format!("workers=max({workers})")
+            } else {
+                format!("workers={workers}")
+            };
+            let sum = fit_checksum(&data, target, Some(workers))?;
             results.push((format!("rows={oname:<8} {cname}"), sum));
         }
     }
@@ -211,9 +220,17 @@ mod tests {
     }
 
     #[test]
+    fn worker_caps_are_distinct() {
+        assert_eq!(worker_caps(1), vec![1, 2]);
+        assert_eq!(worker_caps(2), vec![1, 2]);
+        assert_eq!(worker_caps(4), vec![1, 2, 4]);
+    }
+
+    #[test]
     fn small_sweep_is_bit_identical() {
         let report = run(300).expect("harness run");
-        assert_eq!(report.runs(), 9);
+        let caps = worker_caps(std::thread::available_parallelism().map_or(2, |p| p.get()));
+        assert_eq!(report.runs(), 3 * caps.len());
         assert!(report.is_deterministic(), "checksum divergence:\n{report}");
     }
 }

@@ -13,9 +13,9 @@
 //!   serving-path file no longer exists, or a source file escapes every
 //!   lint scope (see [`scopes`]).
 //! * `determinism [rows]` — the dynamic counterpart: fits a small kddsim
-//!   workload under permuted row insertion orders × thread counts
-//!   {1, 2, max} and asserts every `ModelArtifact` is bit-identical by
-//!   FNV-1a checksum (see [`determinism`]).
+//!   workload under permuted row insertion orders × the distinct thread
+//!   counts of {1, 2, max} and asserts every `ModelArtifact` is
+//!   bit-identical by FNV-1a checksum (see [`determinism`]).
 //!
 //! Exit status everywhere: 0 clean, 1 findings/violations, 2 usage/IO
 //! error.
