@@ -1,5 +1,6 @@
 //! Incremental construction of [`Dataset`]s.
 
+use crate::csv::Fields;
 use crate::dataset::{Column, Dataset};
 use crate::error::DataError;
 use crate::schema::{AttrType, Attribute, Schema};
@@ -135,22 +136,108 @@ impl DatasetBuilder {
             }
         }
         for (attr, value) in values.iter().enumerate() {
-            #[cfg(feature = "audit")]
-            if let Value::Num(x) = value {
-                crate::audit::check_finite_value("DatasetBuilder::push_row", attr, *x);
-            }
-            match (&mut self.columns[attr], value) {
-                (Column::Num(col), Value::Num(x)) => col.push(*x),
-                (Column::Cat(col), Value::Cat(s)) => {
-                    let code = self.schema.attributes[attr].dict.intern(s);
-                    col.push(code);
+            self.append(attr, value);
+        }
+        self.commit(class, weight);
+        Ok(())
+    }
+
+    /// Appends one CSV row given as its text fields, class last: the CSV
+    /// loader's path, which needs no `Value` per field. Each numeric field
+    /// is parsed and each categorical one looked up as it is appended. A
+    /// value new to its dictionary is interned only once the whole row is
+    /// valid, and a malformed row is cut back off every column, so it
+    /// leaves the builder and its dictionaries as they were. The error says
+    /// why the row is malformed, checked in this order: the field count,
+    /// the first field that is not a number, the first number that is not
+    /// finite.
+    pub(crate) fn push_fields(&mut self, fields: &Fields<'_>) -> Result<(), String> {
+        let n_attrs = self.columns.len();
+        if fields.len() != n_attrs + 1 {
+            return Err(format!(
+                "expected {} fields, got {}",
+                n_attrs + 1,
+                fields.len()
+            ));
+        }
+        let committed = self.n_rows();
+        let new_values = match self.append_fields(fields) {
+            Ok(new_values) => new_values,
+            Err(message) => {
+                for c in &mut self.columns {
+                    match c {
+                        Column::Num(v) => v.truncate(committed),
+                        Column::Cat(v) => v.truncate(committed),
+                    }
                 }
-                _ => unreachable!("validated above"),
+                return Err(message);
+            }
+        };
+        if new_values {
+            // A categorical column still at the committed length skipped a
+            // value its dictionary lacks.
+            for attr in 0..n_attrs {
+                if matches!(&self.columns[attr], Column::Cat(col) if col.len() == committed) {
+                    self.append(attr, &Value::Cat(fields.get(attr)));
+                }
             }
         }
+        self.commit(fields.get(n_attrs), 1.0);
+        Ok(())
+    }
+
+    /// [`push_fields`](Self::push_fields)'s pass over the attributes:
+    /// appends every finite number and every categorical value its
+    /// dictionary already holds, and says whether any value was new. On an
+    /// error the columns hold a partial row.
+    fn append_fields(&mut self, fields: &Fields<'_>) -> Result<bool, String> {
+        let mut non_finite = None;
+        let mut new_values = false;
+        for attr in 0..self.columns.len() {
+            let field = fields.get(attr);
+            match &mut self.columns[attr] {
+                Column::Cat(col) => match self.schema.attributes[attr].dict.code(field) {
+                    Some(code) => col.push(code),
+                    None => new_values = true,
+                },
+                Column::Num(_) => {
+                    let x: f64 = field
+                        .parse()
+                        .map_err(|_| format!("field {attr} ({field:?}) is not numeric"))?;
+                    if x.is_finite() {
+                        self.append(attr, &Value::Num(x));
+                    } else {
+                        non_finite.get_or_insert(attr);
+                    }
+                }
+            }
+        }
+        match non_finite {
+            Some(attr) => Err(DataError::NonFiniteValue { attr }.to_string()),
+            None => Ok(new_values),
+        }
+    }
+
+    /// Appends a value of the column's type to column `attr`, interning a
+    /// categorical one: the one column append of both row paths.
+    fn append(&mut self, attr: usize, value: &Value<'_>) {
+        match (&mut self.columns[attr], value) {
+            (Column::Num(col), Value::Num(x)) => {
+                #[cfg(feature = "audit")]
+                crate::audit::check_finite_value("DatasetBuilder::append", attr, *x);
+                col.push(*x);
+            }
+            (Column::Cat(col), Value::Cat(s)) => {
+                col.push(self.schema.attributes[attr].dict.intern(s));
+            }
+            _ => unreachable!("the caller checked the value's type"),
+        }
+    }
+
+    /// Ends a row whose every column is appended: its label and weight.
+    fn commit(&mut self, class: &str, weight: f64) {
         self.labels.push(self.schema.classes.intern(class));
         self.weights.push(weight);
-        Ok(())
     }
 
     /// Number of rows pushed so far.

@@ -7,19 +7,25 @@
 //!
 //! Every `read_csv*` function streams its source through one loader that
 //! reads a line at a time, so transient parse memory is one line whether
-//! the source is a string or a file far larger than RAM.
+//! the source is a string or a file far larger than RAM. Each line is read
+//! as bytes and decoded once; a line that is not UTF-8 is a malformed row.
+//! One scan of a line's bytes records where each field starts and ends in
+//! a span buffer that every line reuses, and an accepted row is appended
+//! straight into the dataset's columns, so no row allocates.
 
-use crate::builder::{DatasetBuilder, Value};
+use crate::builder::DatasetBuilder;
 use crate::dataset::{Column, Dataset};
 use crate::error::DataError;
 use crate::schema::AttrType;
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
+use std::str::Utf8Error;
 
 /// What to do with a malformed data row (wrong field count, unparsable
-/// numeric field, or a row the dataset builder rejects).
+/// numeric field, non-finite number, or a line that is not UTF-8).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RowPolicy {
     /// Any malformed row aborts the load with an error (the default).
@@ -103,7 +109,8 @@ pub fn read_csv(path: impl AsRef<Path>, opts: &CsvOptions) -> Result<Dataset, Da
 /// Reads a dataset plus its [`LoadReport`] from a CSV file, one line at a
 /// time: neither the file's text nor its records are ever held whole. With
 /// inferred types the file is read twice, once to infer and once to load.
-/// See [`read_csv_str_with_report`].
+/// A data line that is not UTF-8 is a malformed row, and a header that is
+/// not UTF-8 a header error. See [`read_csv_str_with_report`].
 pub fn read_csv_with_report(
     path: impl AsRef<Path>,
     opts: &CsvOptions,
@@ -149,19 +156,19 @@ pub fn read_csv_str_with_report(
 /// The one loader behind every `read_csv*` function. `open` yields a fresh
 /// reader over the same bytes on each call: one for the load, plus one
 /// before it for the inference pass when [`CsvOptions::types`] is `None`.
-/// Rows are split once, pushed into one builder and quarantined into one
+/// Rows are split once, appended into one builder and quarantined into one
 /// report, all in file order.
 fn load<R: BufRead>(
     open: impl Fn() -> Result<R, DataError>,
     opts: &CsvOptions,
 ) -> Result<(Dataset, LoadReport), DataError> {
-    let sep = opts.separator;
+    let mut split = Splitter::new(opts.separator);
     let types = match &opts.types {
         Some(types) => types.clone(),
-        None => infer_types(open()?, sep)?,
+        None => infer_types(open()?, &mut split)?,
     };
     let mut lines = Lines::new(open()?);
-    let names = lines.header(sep)?;
+    let names = lines.header(&mut split)?;
     let n_attrs = names.len() - 1;
     if types.len() != n_attrs {
         return Err(DataError::Csv {
@@ -175,55 +182,39 @@ fn load<R: BufRead>(
     }
     let mut report = LoadReport::default();
     while let Some((lineno, line)) = lines.next_line()? {
-        let fields: Vec<&str> = line.split(sep).map(str::trim).collect();
-        if let Err(message) = push_record(&mut b, &types, &fields) {
+        let pushed = match line {
+            Ok(line) => b.push_fields(&split.split(line)),
+            Err(e) => Err(not_utf8(e)),
+        };
+        if let Err(message) = pushed {
             quarantine(&opts.on_error, &mut report, lineno, message)?;
         }
     }
     Ok((b.finish(), report))
 }
 
-/// Appends one split record to `b`, or says why it is malformed: a wrong
-/// field count, an unparsable numeric field, or a row the builder rejects.
-fn push_record(b: &mut DatasetBuilder, types: &[AttrType], fields: &[&str]) -> Result<(), String> {
-    let n_attrs = types.len();
-    if fields.len() != n_attrs + 1 {
-        return Err(format!(
-            "expected {} fields, got {}",
-            n_attrs + 1,
-            fields.len()
-        ));
-    }
-    let mut row = Vec::with_capacity(n_attrs);
-    for (a, (field, ty)) in fields.iter().zip(types).enumerate() {
-        row.push(match ty {
-            AttrType::Numeric => Value::Num(
-                field
-                    .parse()
-                    .map_err(|_| format!("field {a} ({field:?}) is not numeric"))?,
-            ),
-            AttrType::Categorical => Value::Cat(field),
-        });
-    }
-    b.push_row(&row, fields[n_attrs], 1.0)
-        .map_err(|e| e.to_string())
+/// Why a line whose bytes are not UTF-8 is malformed.
+fn not_utf8(e: Utf8Error) -> String {
+    format!("not valid UTF-8: {e}")
 }
 
 /// The inference pass: an attribute is numeric iff at least one row has
 /// the right field count and every such row's field parses as a finite
-/// `f64`. Rows with a wrong field count are left to the load to report.
-fn infer_types(reader: impl BufRead, sep: char) -> Result<Vec<AttrType>, DataError> {
+/// `f64`. Rows with a wrong field count or that are not UTF-8 are left to
+/// the load to report.
+fn infer_types(reader: impl BufRead, split: &mut Splitter) -> Result<Vec<AttrType>, DataError> {
     let mut lines = Lines::new(reader);
-    let n_fields = lines.header(sep)?.len();
+    let n_fields = lines.header(split)?.len();
     let mut numeric = vec![true; n_fields - 1];
     let mut any_row = false;
     while let Some((_, line)) = lines.next_line()? {
-        let fields: Vec<&str> = line.split(sep).map(str::trim).collect();
+        let Ok(line) = line else { continue };
+        let fields = split.split(line);
         if fields.len() != n_fields {
             continue;
         }
         any_row = true;
-        for (is_numeric, field) in numeric.iter_mut().zip(&fields) {
+        for (is_numeric, field) in numeric.iter_mut().zip(fields.iter()) {
             *is_numeric = *is_numeric && field.parse::<f64>().is_ok_and(f64::is_finite);
         }
     }
@@ -239,11 +230,78 @@ fn infer_types(reader: impl BufRead, sep: char) -> Result<Vec<AttrType>, DataErr
         .collect())
 }
 
-/// The non-blank lines of a CSV source, read one at a time into one reused
-/// buffer.
+/// Splits lines at one separator, recording each field's byte range in
+/// one span buffer that every line reuses.
+struct Splitter {
+    sep: String,
+    spans: Vec<(usize, usize)>,
+}
+
+impl Splitter {
+    fn new(sep: char) -> Self {
+        Splitter {
+            sep: sep.to_string(),
+            spans: Vec::new(),
+        }
+    }
+
+    /// The fields [`str::split`] would give for `line`, found in one scan
+    /// of its bytes for the separator's encoding. The scan is exact for
+    /// any `char` separator: a UTF-8 lead byte never occurs inside another
+    /// character's encoding, so a match always starts a character.
+    fn split<'a>(&'a mut self, line: &'a str) -> Fields<'a> {
+        let sep = self.sep.as_bytes();
+        let (first, rest) = (sep[0], &sep[1..]);
+        let bytes = line.as_bytes();
+        self.spans.clear();
+        let mut start = 0;
+        for (at, &b) in bytes.iter().enumerate() {
+            if b == first && (rest.is_empty() || bytes[at + 1..].starts_with(rest)) {
+                self.spans.push((start, at));
+                start = at + sep.len();
+            }
+        }
+        self.spans.push((start, bytes.len()));
+        Fields {
+            line,
+            spans: &self.spans,
+        }
+    }
+}
+
+/// One line's fields, as byte ranges of the line.
+#[derive(Clone, Copy)]
+pub(crate) struct Fields<'a> {
+    line: &'a str,
+    spans: &'a [(usize, usize)],
+}
+
+impl<'a> Fields<'a> {
+    /// Number of fields.
+    pub(crate) fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// Field `i`, trimmed as [`str::trim`] trims.
+    pub(crate) fn get(&self, i: usize) -> &'a str {
+        let (start, end) = self.spans[i];
+        self.line[start..end].trim()
+    }
+
+    /// Every field in order, trimmed.
+    fn iter(self) -> impl Iterator<Item = &'a str> {
+        (0..self.len()).map(move |i| self.get(i))
+    }
+}
+
+/// A line's text, or why its bytes are not UTF-8.
+type LineText<'a> = Result<&'a str, Utf8Error>;
+
+/// The non-blank lines of a CSV source, read one at a time as bytes into
+/// one reused buffer.
 struct Lines<R> {
     reader: R,
-    buf: String,
+    buf: Vec<u8>,
     /// 1-based physical number of the line last read.
     lineno: usize,
 }
@@ -252,7 +310,7 @@ impl<R: BufRead> Lines<R> {
     fn new(reader: R) -> Self {
         Lines {
             reader,
-            buf: String::new(),
+            buf: Vec::new(),
             lineno: 0,
         }
     }
@@ -260,47 +318,63 @@ impl<R: BufRead> Lines<R> {
     /// The next non-blank line with its 1-based physical line number, its
     /// `\n` or `\r\n` ending removed as [`str::lines`] removes it, or `None`
     /// at the end of the source. A last line without a newline counts.
-    fn next_line(&mut self) -> Result<Option<(usize, &str)>, DataError> {
+    fn next_line(&mut self) -> Result<Option<(usize, LineText<'_>)>, DataError> {
         loop {
             self.buf.clear();
-            if self.reader.read_line(&mut self.buf)? == 0 {
+            if self.reader.read_until(b'\n', &mut self.buf)? == 0 {
                 return Ok(None);
             }
             self.lineno += 1;
-            if !self.buf.trim().is_empty() {
-                let line = match self.buf.strip_suffix('\n') {
-                    Some(l) => l.strip_suffix('\r').unwrap_or(l),
-                    None => &self.buf,
-                };
-                return Ok(Some((self.lineno, line)));
+            if self.buf.ends_with(b"\n") {
+                self.buf.pop();
+                if self.buf.ends_with(b"\r") {
+                    self.buf.pop();
+                }
+            }
+            if !is_blank(&self.buf) {
+                return Ok(Some((self.lineno, std::str::from_utf8(&self.buf))));
             }
         }
     }
 
-    /// Reads the header, the first non-blank line, and checks it: at least
-    /// one attribute and the class column, and no name twice. Returns the
-    /// trimmed column names, class column last.
-    fn header(&mut self, sep: char) -> Result<Vec<String>, DataError> {
-        let Some((_, header)) = self.next_line()? else {
+    /// Reads the header, the first non-blank line, and checks it: UTF-8,
+    /// at least one attribute and the class column, and no name twice.
+    /// Returns the trimmed column names, class column last.
+    fn header(&mut self, split: &mut Splitter) -> Result<Vec<String>, DataError> {
+        let Some((line, header)) = self.next_line()? else {
             return Err(DataError::Csv {
                 line: 1,
                 message: "missing header".into(),
             });
         };
-        let names: Vec<String> = header.split(sep).map(|s| s.trim().to_string()).collect();
+        let header = header.map_err(|e| DataError::Csv {
+            line,
+            message: not_utf8(e),
+        })?;
+        let names: Vec<String> = split.split(header).iter().map(str::to_string).collect();
         if names.len() < 2 {
             return Err(DataError::Csv {
                 line: 1,
                 message: "header needs at least one attribute and a class column".into(),
             });
         }
-        for (i, name) in names.iter().enumerate() {
-            if names[..i].contains(name) {
-                return Err(DataError::DuplicateAttribute { name: name.clone() });
-            }
+        let mut seen = BTreeSet::new();
+        if let Some(name) = names.iter().find(|name| !seen.insert(name.as_str())) {
+            return Err(DataError::DuplicateAttribute { name: name.clone() });
         }
         Ok(names)
     }
+}
+
+/// Whether a line holds nothing but whitespace (as [`str::trim`] counts
+/// it). A line that is not UTF-8 is not blank. An ASCII byte that is not
+/// whitespace settles it without decoding the line, and data rows start
+/// with one.
+fn is_blank(line: &[u8]) -> bool {
+    !line
+        .iter()
+        .any(|&b| b.is_ascii() && !char::from(b).is_whitespace())
+        && std::str::from_utf8(line).is_ok_and(|s| s.trim().is_empty())
 }
 
 /// Writes a dataset to a CSV file. See [`write_csv_string`].
@@ -643,6 +717,52 @@ mod tests {
         let (d, report) = assert_file_matches_str(text, &opts2).unwrap();
         assert_eq!(d.n_rows(), 2);
         assert_eq!(report.n_skipped(), 2);
+    }
+
+    /// Loads `bytes` from a file, which unlike a `&str` need not be UTF-8.
+    fn load_bytes(bytes: &[u8], opts: &CsvOptions) -> Result<(Dataset, LoadReport), DataError> {
+        static CASE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let case = CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join("pnr_data_csv_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("bytes_{}_{case}.csv", std::process::id()));
+        std::fs::write(&path, bytes).unwrap();
+        let loaded = read_csv_with_report(&path, opts);
+        std::fs::remove_file(&path).ok();
+        loaded
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_is_a_malformed_row() {
+        // Line 3 holds "café" in Latin-1: 0xE9 is no UTF-8 sequence.
+        let text = b"x,k,class\n1,a,p\n2,caf\xe9,n\n3,b,p\n";
+        let typed = Some(vec![AttrType::Numeric, AttrType::Categorical]);
+        for types in [typed, None] {
+            let skip = CsvOptions {
+                types: types.clone(),
+                on_error: RowPolicy::Skip { max: 10 },
+                ..Default::default()
+            };
+            let (d, report) = load_bytes(text, &skip).unwrap();
+            assert_eq!(d.n_rows(), 2, "{types:?}");
+            assert_eq!(d.schema().attr(0).ty, AttrType::Numeric, "{types:?}");
+            let dict: Vec<&str> = d.schema().attr(1).dict.iter().map(|(_, v)| v).collect();
+            assert_eq!(dict, ["a", "b"]);
+            assert_eq!(report.skipped.len(), 1);
+            assert_eq!(report.skipped[0].0, 3);
+            assert!(report.skipped[0].1.contains("UTF-8"), "{report:?}");
+
+            let fail = CsvOptions {
+                on_error: RowPolicy::Fail,
+                ..skip
+            };
+            let err = load_bytes(text, &fail).unwrap_err();
+            assert!(matches!(err, DataError::Csv { line: 3, .. }), "{err}");
+            assert!(err.to_string().starts_with("csv line 3: "), "{err}");
+        }
+        // A header that is not UTF-8 is a header error at its own line.
+        let err = load_bytes(b"\nx,caf\xe9,class\n1,a,p\n", &CsvOptions::default()).unwrap_err();
+        assert!(matches!(err, DataError::Csv { line: 2, .. }), "{err}");
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Property-based tests for the dataset substrate.
+//! Property-based tests for the dataset substrate, with the CSV loader's
+//! oracle and wide-header checks.
 
 use pnr_data::{
     filter_members, read_csv_str, read_csv_str_with_report, read_csv_with_report, stratify_weights,
@@ -144,14 +145,45 @@ proptest! {
     }
 }
 
-/// A random small typed table rendered by `write_csv_string`, then damaged
-/// by corruptions chosen by `seed`: a field dropped or added, a numeric
-/// field replaced by a word or a non-finite number, blank lines inserted,
-/// `\r\n` endings, no trailing newline, or the text cut off mid-line. The
-/// header line itself is never damaged. Returns the text and the types the
-/// table was rendered with.
-fn malformed_csv(seed: u64) -> (String, Vec<AttrType>) {
+/// The header's duplicate-name check is one ordered-set pass, not a scan
+/// of every earlier name per name.
+#[test]
+fn a_wide_header_is_checked_for_duplicates_in_one_pass() {
+    // 50,000 names, the last repeating the first.
+    let attrs: Vec<String> = (0..49_999).map(|i| format!("a{i}")).collect();
+    let attrs = attrs.join(",");
+    let err = read_csv_str(&format!("{attrs},a0\n"), &CsvOptions::default()).unwrap_err();
+    assert!(
+        matches!(&err, DataError::DuplicateAttribute { name } if name == "a0"),
+        "{err}"
+    );
+    let row = vec!["0"; 49_999].join(",");
+    let text = format!("{attrs},class\n{row},p\n");
+    let d = read_csv_str(&text, &CsvOptions::default()).unwrap();
+    assert_eq!((d.n_attrs(), d.n_rows()), (49_999, 1));
+}
+
+/// How a damaged numeric field may read, in three equally likely groups:
+/// not a number, a finite number spelled as `f64` parsing also accepts it,
+/// and a number that is not finite.
+const NUMBER_SPELLINGS: [&[&str]; 3] = [
+    &["oops", ""],
+    &["+5", ".5", "5.", "-0", "1e3"],
+    &["inf", "NaN", "1e999"],
+];
+
+/// A random small typed table rendered by `write_csv_string` with `,`, `;`
+/// or the two-byte `¦` as separator, then damaged by corruptions chosen by
+/// `seed`: a field dropped, added or emptied, a row's numeric fields
+/// replaced by [`NUMBER_SPELLINGS`], fields padded with ASCII or Unicode
+/// whitespace (`\u{a0}`, `\u{3000}`), blank lines inserted, `\r\n`
+/// endings, no trailing newline, or the text cut off mid-line. Categorical
+/// values include non-ASCII ones (`é`, `中`). The header line itself is
+/// never damaged. Returns the text, the types the table was rendered with
+/// and the separator.
+fn malformed_csv(seed: u64) -> (String, Vec<AttrType>, char) {
     let mut rng = StdRng::seed_from_u64(seed);
+    let sep = [',', ';', '¦'][rng.gen_range(0..3usize)];
     let types: Vec<AttrType> = (0..rng.gen_range(1..=3usize))
         .map(|_| {
             if rng.gen_bool(0.5) {
@@ -171,40 +203,54 @@ fn malformed_csv(seed: u64) -> (String, Vec<AttrType>) {
             .map(|ty| match ty {
                 AttrType::Numeric => Value::num(f64::from(rng.gen_range(-800..800i32)) / 8.0),
                 AttrType::Categorical => {
-                    Value::cat(["tcp", "udp", "7", "icmp"][rng.gen_range(0..4usize)])
+                    Value::cat(["tcp", "udp", "7", "icmp", "é", "中"][rng.gen_range(0..6usize)])
                 }
             })
             .collect();
         b.push_row(&row, ["n", "p"][rng.gen_range(0..2usize)], 1.0)
             .unwrap();
     }
-    let mut lines: Vec<String> = write_csv_string(&b.finish(), ',')
+    let mut lines: Vec<String> = write_csv_string(&b.finish(), sep)
         .lines()
         .map(str::to_string)
         .collect();
     let numeric: Vec<usize> = (0..types.len())
         .filter(|&a| types[a] == AttrType::Numeric)
         .collect();
-    for _ in 0..rng.gen_range(0..5usize) {
+    let sep_str = sep.to_string();
+    for _ in 0..rng.gen_range(0..7usize) {
         if lines.len() < 2 {
             break;
         }
         let i = rng.gen_range(1..lines.len());
-        let mut fields: Vec<&str> = lines[i].split(',').collect();
-        match rng.gen_range(0..3u32) {
+        let mut fields: Vec<String> = lines[i].split(sep).map(str::to_string).collect();
+        let f = rng.gen_range(0..fields.len());
+        match rng.gen_range(0..5u32) {
             0 => {
-                fields.remove(rng.gen_range(0..fields.len()));
+                fields.remove(f);
             }
-            1 => fields.insert(rng.gen_range(0..=fields.len()), "extra"),
+            1 => fields.insert(rng.gen_range(0..=fields.len()), "extra".into()),
+            2 => fields[f].clear(),
+            3 => {
+                // Every numeric field, so that one row can hold a
+                // non-finite number before an unparsable one.
+                let n_fields = fields.len();
+                for &a in numeric.iter().filter(|&&a| a < n_fields) {
+                    let group = NUMBER_SPELLINGS[rng.gen_range(0..3usize)];
+                    fields[a] = group[rng.gen_range(0..group.len())].into();
+                }
+            }
             _ => {
-                if let Some(&a) = numeric.get(rng.gen_range(0..numeric.len().max(1))) {
-                    if a < fields.len() {
-                        fields[a] = ["oops", "NaN", "inf", "1e999"][rng.gen_range(0..4usize)];
-                    }
+                // Whitespace at a field's edge, which the loader trims away.
+                let pad = [" ", "\u{a0}", "\u{3000}"][rng.gen_range(0..3usize)];
+                if rng.gen_bool(0.5) {
+                    fields[f].insert_str(0, pad);
+                } else {
+                    fields[f].push_str(pad);
                 }
             }
         }
-        lines[i] = fields.join(",");
+        lines[i] = fields.join(&sep_str);
     }
     // Blank lines may land anywhere, before the header included.
     for _ in 0..rng.gen_range(0..3usize) {
@@ -222,10 +268,55 @@ fn malformed_csv(seed: u64) -> (String, Vec<AttrType>) {
         text.truncate(text.len() - ending.len());
     }
     if rng.gen_bool(0.25) {
-        let cut = rng.gen_range(header_end.min(text.len())..=text.len());
+        let mut cut = rng.gen_range(header_end.min(text.len())..=text.len());
+        while !text.is_char_boundary(cut) {
+            cut -= 1;
+        }
         text.truncate(cut);
     }
-    (text, types)
+    (text, types, sep)
+}
+
+/// A `malformed_csv` text's file copy with a Latin-1 `é` (the byte 0xE9,
+/// which no UTF-8 sequence holds) written into one data row chosen by
+/// `seed`, so that row is not UTF-8. Also returns the text with that row
+/// left blank, and the row's 1-based line number with the reason its load
+/// gives. `None` when the text has no data row.
+fn latin1_row(text: &str, seed: u64) -> Option<(Vec<u8>, String, (usize, String))> {
+    let mut rng = StdRng::seed_from_u64(seed.rotate_left(17));
+    let lines: Vec<&str> = text.split_inclusive('\n').collect();
+    let data: Vec<usize> = (0..lines.len())
+        .filter(|&i| !lines[i].trim().is_empty())
+        .skip(1)
+        .collect();
+    let row = *data.get(rng.gen_range(0..data.len().max(1)))?;
+    let body = match lines[row].strip_suffix('\n') {
+        Some(l) => l.strip_suffix('\r').unwrap_or(l),
+        None => lines[row],
+    };
+    let mut at = rng.gen_range(0..=body.len());
+    while !body.is_char_boundary(at) {
+        at -= 1;
+    }
+    let mut bad = body.as_bytes().to_vec();
+    bad.insert(at, 0xE9);
+    let reason = format!(
+        "not valid UTF-8: {}",
+        std::str::from_utf8(&bad).unwrap_err()
+    );
+    bad.extend_from_slice(&lines[row].as_bytes()[body.len()..]);
+    let mut file = Vec::new();
+    let mut blanked = String::new();
+    for (i, line) in lines.iter().enumerate() {
+        if i == row {
+            file.extend_from_slice(&bad);
+            blanked.push_str(&line[body.len()..]);
+        } else {
+            file.extend_from_slice(line.as_bytes());
+            blanked.push_str(line);
+        }
+    }
+    Some((file, blanked, (row + 1, reason)))
 }
 
 /// A load's outcome in comparable form: the dataset as JSON (exact for
@@ -240,6 +331,204 @@ fn outcome(
     }
 }
 
+/// The CSV loader as it was before lines were read as bytes, split into
+/// reused spans and appended to the columns in one pass, copied verbatim:
+/// the oracle for `one_pass_loader_agrees_with_the_line_by_line_oracle`.
+/// It splits each line into a fresh `Vec<&str>`, builds a `Vec<Value>` per
+/// row and pushes it with `DatasetBuilder::push_row`.
+mod oracle {
+    use pnr_data::{
+        AttrType, CsvOptions, DataError, Dataset, DatasetBuilder, LoadReport, RowPolicy, Value,
+    };
+    use std::io::BufRead;
+
+    /// Records one malformed row: under [`RowPolicy::Fail`] (or past the skip
+    /// cap) this is the load's error; otherwise the row is quarantined into
+    /// the report and parsing goes on.
+    fn quarantine(
+        policy: &RowPolicy,
+        report: &mut LoadReport,
+        line: usize,
+        message: String,
+    ) -> Result<(), DataError> {
+        match policy {
+            RowPolicy::Fail => Err(DataError::Csv { line, message }),
+            RowPolicy::Skip { max } => {
+                if report.skipped.len() >= *max {
+                    Err(DataError::Csv {
+                        line,
+                        message: format!("{message} (skip limit of {max} malformed rows exceeded)"),
+                    })
+                } else {
+                    report.skipped.push((line, message));
+                    Ok(())
+                }
+            }
+        }
+    }
+
+    /// The one loader behind every `read_csv*` function. `open` yields a fresh
+    /// reader over the same bytes on each call: one for the load, plus one
+    /// before it for the inference pass when [`CsvOptions::types`] is `None`.
+    /// Rows are split once, pushed into one builder and quarantined into one
+    /// report, all in file order.
+    pub fn load<R: BufRead>(
+        open: impl Fn() -> Result<R, DataError>,
+        opts: &CsvOptions,
+    ) -> Result<(Dataset, LoadReport), DataError> {
+        let sep = opts.separator;
+        let types = match &opts.types {
+            Some(types) => types.clone(),
+            None => infer_types(open()?, sep)?,
+        };
+        let mut lines = Lines::new(open()?);
+        let names = lines.header(sep)?;
+        let n_attrs = names.len() - 1;
+        if types.len() != n_attrs {
+            return Err(DataError::Csv {
+                line: 1,
+                message: format!("{} types supplied for {} attributes", types.len(), n_attrs),
+            });
+        }
+        let mut b = DatasetBuilder::new();
+        for (name, ty) in names[..n_attrs].iter().zip(&types) {
+            b.add_attribute(name, *ty);
+        }
+        let mut report = LoadReport::default();
+        while let Some((lineno, line)) = lines.next_line()? {
+            let fields: Vec<&str> = line.split(sep).map(str::trim).collect();
+            if let Err(message) = push_record(&mut b, &types, &fields) {
+                quarantine(&opts.on_error, &mut report, lineno, message)?;
+            }
+        }
+        Ok((b.finish(), report))
+    }
+
+    /// Appends one split record to `b`, or says why it is malformed: a wrong
+    /// field count, an unparsable numeric field, or a row the builder rejects.
+    fn push_record(
+        b: &mut DatasetBuilder,
+        types: &[AttrType],
+        fields: &[&str],
+    ) -> Result<(), String> {
+        let n_attrs = types.len();
+        if fields.len() != n_attrs + 1 {
+            return Err(format!(
+                "expected {} fields, got {}",
+                n_attrs + 1,
+                fields.len()
+            ));
+        }
+        let mut row = Vec::with_capacity(n_attrs);
+        for (a, (field, ty)) in fields.iter().zip(types).enumerate() {
+            row.push(match ty {
+                AttrType::Numeric => Value::Num(
+                    field
+                        .parse()
+                        .map_err(|_| format!("field {a} ({field:?}) is not numeric"))?,
+                ),
+                AttrType::Categorical => Value::Cat(field),
+            });
+        }
+        b.push_row(&row, fields[n_attrs], 1.0)
+            .map_err(|e| e.to_string())
+    }
+
+    /// The inference pass: an attribute is numeric iff at least one row has
+    /// the right field count and every such row's field parses as a finite
+    /// `f64`. Rows with a wrong field count are left to the load to report.
+    fn infer_types(reader: impl BufRead, sep: char) -> Result<Vec<AttrType>, DataError> {
+        let mut lines = Lines::new(reader);
+        let n_fields = lines.header(sep)?.len();
+        let mut numeric = vec![true; n_fields - 1];
+        let mut any_row = false;
+        while let Some((_, line)) = lines.next_line()? {
+            let fields: Vec<&str> = line.split(sep).map(str::trim).collect();
+            if fields.len() != n_fields {
+                continue;
+            }
+            any_row = true;
+            for (is_numeric, field) in numeric.iter_mut().zip(&fields) {
+                *is_numeric = *is_numeric && field.parse::<f64>().is_ok_and(f64::is_finite);
+            }
+        }
+        Ok(numeric
+            .into_iter()
+            .map(|is_numeric| {
+                if is_numeric && any_row {
+                    AttrType::Numeric
+                } else {
+                    AttrType::Categorical
+                }
+            })
+            .collect())
+    }
+
+    /// The non-blank lines of a CSV source, read one at a time into one reused
+    /// buffer.
+    struct Lines<R> {
+        reader: R,
+        buf: String,
+        /// 1-based physical number of the line last read.
+        lineno: usize,
+    }
+
+    impl<R: BufRead> Lines<R> {
+        fn new(reader: R) -> Self {
+            Lines {
+                reader,
+                buf: String::new(),
+                lineno: 0,
+            }
+        }
+
+        /// The next non-blank line with its 1-based physical line number, its
+        /// `\n` or `\r\n` ending removed as [`str::lines`] removes it, or `None`
+        /// at the end of the source. A last line without a newline counts.
+        fn next_line(&mut self) -> Result<Option<(usize, &str)>, DataError> {
+            loop {
+                self.buf.clear();
+                if self.reader.read_line(&mut self.buf)? == 0 {
+                    return Ok(None);
+                }
+                self.lineno += 1;
+                if !self.buf.trim().is_empty() {
+                    let line = match self.buf.strip_suffix('\n') {
+                        Some(l) => l.strip_suffix('\r').unwrap_or(l),
+                        None => &self.buf,
+                    };
+                    return Ok(Some((self.lineno, line)));
+                }
+            }
+        }
+
+        /// Reads the header, the first non-blank line, and checks it: at least
+        /// one attribute and the class column, and no name twice. Returns the
+        /// trimmed column names, class column last.
+        fn header(&mut self, sep: char) -> Result<Vec<String>, DataError> {
+            let Some((_, header)) = self.next_line()? else {
+                return Err(DataError::Csv {
+                    line: 1,
+                    message: "missing header".into(),
+                });
+            };
+            let names: Vec<String> = header.split(sep).map(|s| s.trim().to_string()).collect();
+            if names.len() < 2 {
+                return Err(DataError::Csv {
+                    line: 1,
+                    message: "header needs at least one attribute and a class column".into(),
+                });
+            }
+            for (i, name) in names.iter().enumerate() {
+                if names[..i].contains(name) {
+                    return Err(DataError::DuplicateAttribute { name: name.clone() });
+                }
+            }
+            Ok(names)
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -248,11 +537,11 @@ proptest! {
         seed in any::<u64>(),
         explicit_types in prop::bool::ANY,
     ) {
-        let (text, types) = malformed_csv(seed);
+        let (text, types, separator) = malformed_csv(seed);
         let skip = CsvOptions {
+            separator,
             types: explicit_types.then_some(types),
             on_error: RowPolicy::Skip { max: usize::MAX },
-            ..CsvOptions::default()
         };
         let loaded = read_csv_str_with_report(&text, &skip);
         let (d, report) = match &loaded {
@@ -266,14 +555,27 @@ proptest! {
             prop_assert!(w[0].0 < w[1].0, "report out of file order: {:?}", report);
         }
 
+        // The file copy loads as the text with its Latin-1 row left blank,
+        // plus that row quarantined in its place in the report.
+        let (file, expected) = match latin1_row(&text, seed) {
+            Some((file, blanked, bad_row)) => {
+                let mut expected = read_csv_str_with_report(&blanked, &skip);
+                if let Ok((_, report)) = &mut expected {
+                    let at = report.skipped.partition_point(|(line, _)| *line < bad_row.0);
+                    report.skipped.insert(at, bad_row);
+                }
+                (file, expected)
+            }
+            None => (text.clone().into_bytes(), read_csv_str_with_report(&text, &skip)),
+        };
         let path = std::env::temp_dir().join(format!(
             "pnr_data_props_{}_{seed:016x}_{explicit_types}.csv",
             std::process::id()
         ));
-        std::fs::write(&path, &text).unwrap();
+        std::fs::write(&path, &file).unwrap();
         let from_file = read_csv_with_report(&path, &skip);
         std::fs::remove_file(&path).ok();
-        prop_assert_eq!(outcome(&from_file), outcome(&loaded), "text {:?}", text);
+        prop_assert_eq!(outcome(&from_file), outcome(&expected), "file {:?}", String::from_utf8_lossy(&file));
 
         let fail = CsvOptions { on_error: RowPolicy::Fail, ..skip };
         match (read_csv_str_with_report(&text, &fail), report.skipped.first()) {
@@ -290,5 +592,30 @@ proptest! {
                 )));
             }
         }
+    }
+
+    #[test]
+    fn one_pass_loader_agrees_with_the_line_by_line_oracle(
+        seed in any::<u64>(),
+        explicit_types in prop::bool::ANY,
+        policy in 0..3u32,
+    ) {
+        let (text, types, separator) = malformed_csv(seed);
+        let opts = CsvOptions {
+            separator,
+            types: explicit_types.then_some(types),
+            on_error: match policy {
+                0 => RowPolicy::Fail,
+                1 => RowPolicy::Skip { max: 1 },
+                _ => RowPolicy::Skip { max: usize::MAX },
+            },
+        };
+        prop_assert_eq!(
+            outcome(&read_csv_str_with_report(&text, &opts)),
+            outcome(&oracle::load(|| Ok(text.as_bytes()), &opts)),
+            "text {:?} with {:?}",
+            text,
+            opts
+        );
     }
 }
