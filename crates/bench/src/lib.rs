@@ -1,9 +1,10 @@
-//! Shared fixtures for the Criterion benchmarks.
-//!
-//! The benches measure the performance-critical paths of the workspace:
-//! condition search (with and without the range scan), full model induction
-//! for all three learners, ScoreMatrix construction, classification
-//! throughput, and dataset generation. Run with `cargo bench`.
+//! Fixtures and the overwrite guard shared by the three baseline writers,
+//! `score_baseline`, `search_baseline` and `train_baseline`. Each writes one
+//! committed file at the workspace root, `BENCH_score.json`,
+//! `BENCH_search.json` or `BENCH_train.json`, and runs from there with
+//! `cargo run --release -p pnr-bench --bin <name>`. The end-to-end and
+//! per-layer benchmark of fits and the daemon is the separate `pnrbench/`
+//! package (`python3 pnrbench/run.py`).
 
 use pnr_data::Dataset;
 use pnr_synth::numeric::NumericModelConfig;

@@ -10,20 +10,15 @@
 //! engines return the interpreter's exact first-match ranks, both route
 //! them to a cell through the one `ScoreMatrix::route`, and the
 //! threshold comparison is the same.
-//!
-//! For batch scoring, [`CompiledModel::scorer`] binds both programs to a
-//! dataset's columns once ([`CompiledMatcher`]) so the per-row loop is
-//! pure dispatch — this is the engine behind the serving layer's batch
-//! path and the `BENCH_score.json` baseline.
 
 use crate::model::{PnruleModel, RuleTrace};
 use crate::scoring::ScoreMatrix;
 use pnr_data::Dataset;
-use pnr_rules::compiled::{CompiledMatcher, CompiledRuleSet};
+use pnr_rules::compiled::CompiledRuleSet;
 
 /// A [`PnruleModel`] lowered into compiled P- and N-phase predicate
 /// programs plus the scoring mechanism. Compile once per model; score
-/// per row (or per batch through [`Self::scorer`]).
+/// per row.
 #[derive(Debug, Clone)]
 pub struct CompiledModel {
     threshold: f64,
@@ -74,60 +69,6 @@ impl CompiledModel {
     /// The thresholded decision for `row`.
     pub fn predict(&self, data: &Dataset, row: usize) -> bool {
         self.score_with_trace(data, row).0 > self.threshold
-    }
-
-    /// A batch scorer over `data` with both rule programs bound to the
-    /// dataset's columns once.
-    ///
-    /// # Panics
-    /// Panics (like the interpreter's first data access would) when a
-    /// tested attribute's column type contradicts its conditions.
-    pub fn scorer<'a>(&'a self, data: &'a Dataset) -> CompiledScorer<'a> {
-        CompiledScorer {
-            threshold: self.threshold,
-            data,
-            p: self.p.matcher(data),
-            n: &self.n,
-            score_matrix: &self.score_matrix,
-        }
-    }
-}
-
-/// A [`CompiledModel`] bound to one dataset's columns for batch scoring.
-#[derive(Debug, Clone)]
-pub struct CompiledScorer<'a> {
-    threshold: f64,
-    data: &'a Dataset,
-    p: CompiledMatcher<'a>,
-    /// The N-phase runs on the per-row dense path, not a batch matcher:
-    /// it is consulted only for the (rare, in the rare-class serving
-    /// shape) rows some P-rule matched, so paying the matcher's
-    /// bind-time segment precompute for every row would cost more than
-    /// the per-row dispatch it saves.
-    n: &'a CompiledRuleSet,
-    score_matrix: &'a ScoreMatrix,
-}
-
-impl CompiledScorer<'_> {
-    /// Score and explanation of `row`, bit-identical to
-    /// [`PnruleModel::score_with_trace`].
-    #[inline]
-    pub fn score_with_trace(&self, row: usize) -> (f64, RuleTrace) {
-        self.score_matrix.route(self.p.first_match(row), || {
-            self.n.first_match(self.data, row)
-        })
-    }
-
-    /// The model score of `row`.
-    #[inline]
-    pub fn score(&self, row: usize) -> f64 {
-        self.score_with_trace(row).0
-    }
-
-    /// The thresholded decision for `row`.
-    #[inline]
-    pub fn predict(&self, row: usize) -> bool {
-        self.score(row) > self.threshold
     }
 }
 
@@ -181,21 +122,16 @@ mod tests {
     fn compiled_scores_are_bit_identical_to_the_interpreter() {
         let (model, d) = model_and_data();
         let compiled = CompiledModel::compile(&model);
-        let scorer = compiled.scorer(&d);
         for row in 0..d.n_rows() {
             let (want_score, want_trace) = model.score_with_trace(&d, row);
             let (got_score, got_trace) = compiled.score_with_trace(&d, row);
             assert_eq!(got_score.to_bits(), want_score.to_bits(), "row {row}");
             assert_eq!(got_trace, want_trace, "row {row}");
-            let (bs, bt) = scorer.score_with_trace(row);
-            assert_eq!(bs.to_bits(), want_score.to_bits(), "batch row {row}");
-            assert_eq!(bt, want_trace, "batch row {row}");
             assert_eq!(
                 compiled.predict(&d, row),
                 want_score > model.threshold,
                 "row {row}"
             );
-            assert_eq!(scorer.predict(row), want_score > model.threshold);
         }
     }
 

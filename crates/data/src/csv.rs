@@ -168,11 +168,11 @@ fn load<R: BufRead>(
         None => infer_types(open()?, &mut split)?,
     };
     let mut lines = Lines::new(open()?);
-    let names = lines.header(&mut split)?;
+    let (header_line, names) = lines.header(&mut split)?;
     let n_attrs = names.len() - 1;
     if types.len() != n_attrs {
         return Err(DataError::Csv {
-            line: 1,
+            line: header_line,
             message: format!("{} types supplied for {} attributes", types.len(), n_attrs),
         });
     }
@@ -204,7 +204,7 @@ fn not_utf8(e: Utf8Error) -> String {
 /// the load to report.
 fn infer_types(reader: impl BufRead, split: &mut Splitter) -> Result<Vec<AttrType>, DataError> {
     let mut lines = Lines::new(reader);
-    let n_fields = lines.header(split)?.len();
+    let n_fields = lines.header(split)?.1.len();
     let mut numeric = vec![true; n_fields - 1];
     let mut any_row = false;
     while let Some((_, line)) = lines.next_line()? {
@@ -339,8 +339,9 @@ impl<R: BufRead> Lines<R> {
 
     /// Reads the header, the first non-blank line, and checks it: UTF-8,
     /// at least one attribute and the class column, and no name twice.
-    /// Returns the trimmed column names, class column last.
-    fn header(&mut self, split: &mut Splitter) -> Result<Vec<String>, DataError> {
+    /// Returns the header's 1-based physical line number and its trimmed
+    /// column names, class column last.
+    fn header(&mut self, split: &mut Splitter) -> Result<(usize, Vec<String>), DataError> {
         let Some((line, header)) = self.next_line()? else {
             return Err(DataError::Csv {
                 line: 1,
@@ -354,7 +355,7 @@ impl<R: BufRead> Lines<R> {
         let names: Vec<String> = split.split(header).iter().map(str::to_string).collect();
         if names.len() < 2 {
             return Err(DataError::Csv {
-                line: 1,
+                line,
                 message: "header needs at least one attribute and a class column".into(),
             });
         }
@@ -362,7 +363,7 @@ impl<R: BufRead> Lines<R> {
         if let Some(name) = names.iter().find(|name| !seen.insert(name.as_str())) {
             return Err(DataError::DuplicateAttribute { name: name.clone() });
         }
-        Ok(names)
+        Ok((line, names))
     }
 }
 
@@ -497,8 +498,21 @@ mod tests {
             types: Some(vec![]),
             ..Default::default()
         };
-        let err = read_csv_str("x,class\n1,a\n", &opts).unwrap_err();
-        assert!(err.to_string().contains("types"));
+        for (text, line) in [("x,class\n1,a\n", 1), ("\n\nx,class\n1,a\n", 3)] {
+            let err = read_csv_str(text, &opts).unwrap_err();
+            let want = format!("csv line {line}: 0 types supplied for 1 attributes");
+            assert_eq!(err.to_string(), want, "{text:?}");
+        }
+    }
+
+    #[test]
+    fn a_short_header_is_reported_at_its_own_line() {
+        for (text, line) in [("x\n", 1), ("\n\nx\n", 3)] {
+            let err = read_csv_str(text, &CsvOptions::default()).unwrap_err();
+            let want =
+                format!("csv line {line}: header needs at least one attribute and a class column");
+            assert_eq!(err.to_string(), want, "{text:?}");
+        }
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //! The input CSV is reconciled against the artifact's stored schema **by
 //! column name**: column order is free, extra columns (including a
 //! trailing `class` column) are ignored, and missing columns follow
-//! `--missing`. Per-record output is NDJSON — one
+//! `--missing`. The input is read one line at a time, as bytes, and each
+//! line is decoded once: a data line that is not UTF-8 is quarantined as
+//! a structural error, while a header that is not UTF-8 stops the run.
+//! Per-record output is NDJSON — one
 //! `{"row":…,"score":…,"decision":…}` object per scored record, one
 //! `{"row":…,"error":…}` object per quarantined/rejected record — to
 //! `--out` or stdout; the serving report (telemetry counters plus
@@ -23,10 +26,11 @@
 //! invocation. Artifact loads retry transient I/O failures with bounded
 //! exponential backoff before giving up.
 
-use pnr_core::{MissingColumnPolicy, ServingModel, UnknownPolicy};
+use pnr_core::{MissingColumnPolicy, RecordError, ServingModel, UnknownPolicy};
 use pnr_telemetry::{Counter, RecordingSink, TelemetrySink};
-use std::io::Write;
+use std::io::{BufRead, BufReader, Write};
 use std::path::Path;
+use std::str::Utf8Error;
 use std::sync::Arc;
 
 const USAGE: &str = "usage: predict --model <file.artifact> --input <file.csv> \
@@ -44,6 +48,29 @@ fn bail(problem: &str) -> ! {
 fn fail(problem: impl std::fmt::Display) -> ! {
     eprintln!("error: {problem}");
     std::process::exit(pnr_core::exit::DATA_FAILURE);
+}
+
+/// Reads the next line of `input` into `buf` as bytes, without the `\n`
+/// or `\r\n` that [`str::lines`] would split it at, and decodes it once;
+/// `None` at the end of the input.
+fn next_line<'a>(
+    input: &mut impl BufRead,
+    buf: &'a mut Vec<u8>,
+    path: &str,
+) -> Option<Result<&'a str, Utf8Error>> {
+    buf.clear();
+    match input.read_until(b'\n', buf) {
+        Ok(0) => return None,
+        Ok(_) => {}
+        Err(e) => fail(format!("cannot read {path}: {e}")),
+    }
+    if buf.ends_with(b"\n") {
+        buf.pop();
+        if buf.ends_with(b"\r") {
+            buf.pop();
+        }
+    }
+    Some(std::str::from_utf8(buf))
 }
 
 struct Options {
@@ -132,8 +159,8 @@ fn main() {
     }
 
     let input_path = opts.input.as_deref().unwrap_or_else(|| bail("--input"));
-    let text = match std::fs::read_to_string(input_path) {
-        Ok(t) => t,
+    let mut input = match std::fs::File::open(input_path) {
+        Ok(f) => BufReader::new(f),
         Err(e) => fail(format!("cannot read {input_path}: {e}")),
     };
     let recorder = Arc::new(RecordingSink::new());
@@ -142,9 +169,10 @@ fn main() {
         .with_missing_policy(opts.missing)
         .with_sink(recorder.clone() as Arc<dyn TelemetrySink>);
 
-    let mut lines = text.lines();
-    let header: Vec<&str> = match lines.next() {
-        Some(h) if !h.trim().is_empty() => h.split(',').map(str::trim).collect(),
+    let mut buf = Vec::new();
+    let header: Vec<&str> = match next_line(&mut input, &mut buf, input_path) {
+        Some(Ok(h)) if !h.trim().is_empty() => h.split(',').map(str::trim).collect(),
+        Some(Err(e)) => fail(format!("{input_path}: header is not valid UTF-8: {e}")),
         _ => fail(format!("{input_path} has no header row")),
     };
     let map = match serving.reconcile_header(&header) {
@@ -169,13 +197,26 @@ fn main() {
         None => Box::new(std::io::BufWriter::new(std::io::stdout())),
     };
     let (mut n_records, mut n_positive, mut n_abstained, mut n_errors) = (0u64, 0u64, 0u64, 0u64);
-    for (i, line) in lines.enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
+    // Row `i` is the `i`-th line after the header, blank lines included.
+    for i in 0usize.. {
+        let Some(line) = next_line(&mut input, &mut buf, input_path) else {
+            break;
+        };
+        let scored = match line {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => {
+                let fields: Vec<&str> = line.split(',').map(str::trim).collect();
+                serving.score_fields(&fields, &map)
+            }
+            Err(e) => {
+                serving.record_structural_quarantine();
+                Err(RecordError::Structural {
+                    detail: format!("line is not valid UTF-8: {e}"),
+                })
+            }
+        };
         n_records += 1;
-        let fields: Vec<&str> = line.split(',').map(str::trim).collect();
-        let written = match serving.score_fields(&fields, &map) {
+        let written = match scored {
             Ok(rec) => {
                 if rec.decision {
                     n_positive += 1;

@@ -290,6 +290,105 @@ fn predict_writes_valid_ndjson_when_a_quarantined_field_holds_control_characters
 }
 
 #[test]
+fn predict_quarantines_a_data_line_that_is_not_utf8() {
+    let dir = temp_dir("latin1");
+    let artifact = make_artifact(&dir);
+    let csv = dir.join("clean.csv");
+    let out = run(
+        "kdd_csv",
+        &[
+            "--rows",
+            "5",
+            "--test",
+            "--seed",
+            "4",
+            "--out",
+            csv.to_str().unwrap(),
+        ],
+    );
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    // Row 2's `service` field gains a Latin-1 `é`: 0xE9 is no UTF-8
+    // sequence, so that line cannot be decoded.
+    let text = std::fs::read_to_string(&csv).unwrap();
+    let service = text
+        .lines()
+        .next()
+        .unwrap()
+        .split(',')
+        .position(|h| h == "service")
+        .unwrap();
+    let mut bytes = Vec::new();
+    for (n, line) in text.lines().enumerate() {
+        for (c, field) in line.split(',').enumerate() {
+            if c > 0 {
+                bytes.push(b',');
+            }
+            bytes.extend_from_slice(field.as_bytes());
+            if (n, c) == (3, service) {
+                bytes.push(0xE9);
+            }
+        }
+        bytes.push(b'\n');
+    }
+    let latin1 = dir.join("latin1.csv");
+    std::fs::write(&latin1, &bytes).unwrap();
+    let model = artifact.to_str().unwrap();
+
+    let clean = run(
+        "predict",
+        &["--model", model, "--input", csv.to_str().unwrap()],
+    );
+    assert!(clean.status.success(), "{}", stderr_of(&clean));
+    let out = run(
+        "predict",
+        &["--model", model, "--input", latin1.to_str().unwrap()],
+    );
+    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+    let stderr = stderr_of(&out);
+    assert!(stderr.contains("rows_scored=4"), "{stderr}");
+    assert!(stderr.contains("rows_quarantined=1"), "{stderr}");
+    assert!(stderr.contains("1 not scored"), "{stderr}");
+    // Every other row is scored exactly as in the clean file.
+    let (stdout, clean_stdout) = (stdout_of(&out), stdout_of(&clean));
+    let records: Vec<&str> = stdout.lines().collect();
+    let clean_records: Vec<&str> = clean_stdout.lines().collect();
+    assert_eq!(records.len(), 5, "{stdout}");
+    for (row, (got, want)) in records.iter().zip(&clean_records).enumerate() {
+        if row != 2 {
+            assert_eq!(got, want, "row {row}");
+        }
+    }
+    let record = serde_json::parse(records[2]).unwrap_or_else(|e| panic!("{e}: {stdout}"));
+    assert_eq!(record.get("row"), Some(&serde_json::Value::U64(2)));
+    let Some(serde_json::Value::Str(error)) = record.get("error") else {
+        panic!("expected a quarantined row, got {record:?}");
+    };
+    assert!(error.starts_with("Structural: "), "{error}");
+    assert!(error.contains("UTF-8"), "{error}");
+    assert_eq!(
+        record.get("kind"),
+        Some(&serde_json::Value::Str("structural".into()))
+    );
+
+    // A header that is not UTF-8 is still no usable input: exit 1.
+    let mut bad_header = vec![0xE9];
+    bad_header.extend_from_slice(text.as_bytes());
+    std::fs::write(&latin1, &bad_header).unwrap();
+    let out = run(
+        "predict",
+        &["--model", model, "--input", latin1.to_str().unwrap()],
+    );
+    assert_eq!(out.status.code(), Some(1), "{}", stderr_of(&out));
+    assert!(
+        stderr_of(&out).contains("header is not valid UTF-8"),
+        "{}",
+        stderr_of(&out)
+    );
+    assert!(stdout_of(&out).is_empty());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn predict_refuses_a_corrupted_artifact() {
     let dir = temp_dir("corrupt");
     let artifact = make_artifact(&dir);

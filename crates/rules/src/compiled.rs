@@ -57,7 +57,7 @@
 
 use crate::condition::Condition;
 use crate::ruleset::RuleSet;
-use pnr_data::{Column, Dataset};
+use pnr_data::Dataset;
 
 /// Widest live mask (in 64-bit words) evaluated on the stack; rule sets
 /// beyond `64 × STACK_WORDS` rules fall back to a heap buffer per call.
@@ -392,195 +392,6 @@ impl CompiledRuleSet {
             },
         })
     }
-
-    /// A batch matcher over `data` with the per-attribute columns and
-    /// dispatch tables resolved once, for tight scoring loops. Binding
-    /// pays one pass over each numeric program's column (to precompute
-    /// per-row dispatch segments), so it amortizes over a batch — for a
-    /// single row use [`CompiledRuleSet::first_match`] directly.
-    ///
-    /// # Panics
-    /// Panics (like the interpreter's first data access would) when a
-    /// tested attribute's column type contradicts its conditions.
-    pub fn matcher<'a>(&'a self, data: &'a Dataset) -> CompiledMatcher<'a> {
-        let programs = self
-            .programs
-            .iter()
-            .map(|prog| {
-                let table = match (&prog.table, data.column(prog.attr)) {
-                    (DispatchTable::Num { breakpoints, masks }, Column::Num(v)) => {
-                        // Rows visited in ascending value order share a
-                        // monotone segment cursor: O(rows + breakpoints)
-                        // for the whole column, no per-row search.
-                        let mut segments = vec![0u32; v.len()];
-                        let mut seg: u32 = 0;
-                        for &r in data.sort_index(prog.attr) {
-                            let x = v[r as usize];
-                            while (seg as usize) < breakpoints.len()
-                                && breakpoints[seg as usize] < x
-                            {
-                                seg += 1;
-                            }
-                            segments[r as usize] = seg;
-                        }
-                        BoundTable::Num { segments, masks }
-                    }
-                    (DispatchTable::Cat { masks, n_codes }, Column::Cat(v)) => BoundTable::Cat {
-                        codes: v,
-                        masks,
-                        n_codes: *n_codes,
-                    },
-                    (DispatchTable::Num { .. }, Column::Cat(_)) => {
-                        panic!("attribute {} is categorical, not numeric", prog.attr)
-                    }
-                    (DispatchTable::Cat { .. }, Column::Num(_)) => {
-                        panic!("attribute {} is numeric, not categorical", prog.attr)
-                    }
-                };
-                BoundProgram {
-                    base: &prog.base,
-                    constrained: &prog.constrained,
-                    table,
-                }
-            })
-            .collect();
-        CompiledMatcher {
-            n_rules: self.n_rules,
-            stride: self.stride,
-            alive: &self.alive,
-            programs,
-        }
-    }
-}
-
-/// A dispatch table bound to its dataset column (see
-/// [`CompiledRuleSet::matcher`]).
-#[derive(Debug, Clone)]
-enum BoundTable<'a> {
-    Num {
-        /// Per-row dispatch-segment codes, precomputed at bind time by
-        /// one merge-walk over the column's sort index — numeric dispatch
-        /// in the batch path is a single load, like categorical, instead
-        /// of a per-row binary search.
-        segments: Vec<u32>,
-        masks: &'a [u64],
-    },
-    Cat {
-        codes: &'a [u32],
-        masks: &'a [u64],
-        n_codes: usize,
-    },
-}
-
-/// One attribute program bound to its column.
-#[derive(Debug, Clone)]
-struct BoundProgram<'a> {
-    base: &'a [u64],
-    constrained: &'a [u64],
-    table: BoundTable<'a>,
-}
-
-impl BoundProgram<'_> {
-    /// Index of the dispatch entry `row` selects, or `None` for a code
-    /// beyond the table.
-    #[inline]
-    fn entry(&self, row: usize) -> Option<usize> {
-        match &self.table {
-            BoundTable::Num { segments, .. } => Some(segments[row] as usize),
-            BoundTable::Cat { codes, n_codes, .. } => {
-                let c = codes[row] as usize;
-                (c < *n_codes).then_some(c)
-            }
-        }
-    }
-
-    /// The flattened mask words of this program's table.
-    #[inline]
-    fn masks(&self) -> &[u64] {
-        match &self.table {
-            BoundTable::Num { masks, .. } => masks,
-            BoundTable::Cat { masks, .. } => masks,
-        }
-    }
-}
-
-/// A [`CompiledRuleSet`] bound to one dataset's columns: the per-row hot
-/// path pays no column-type dispatch and no bounds re-derivation.
-#[derive(Debug, Clone)]
-pub struct CompiledMatcher<'a> {
-    n_rules: usize,
-    stride: usize,
-    alive: &'a [u64],
-    /// One bound program per attribute program, in program order.
-    programs: Vec<BoundProgram<'a>>,
-}
-
-impl CompiledMatcher<'_> {
-    /// Number of rules in the underlying compiled set.
-    pub fn n_rules(&self) -> usize {
-        self.n_rules
-    }
-
-    /// Rank of the first rule matching `row`, or `None`. Identical to
-    /// [`CompiledRuleSet::first_match`] minus the per-call column lookup.
-    #[inline]
-    pub fn first_match(&self, row: usize) -> Option<usize> {
-        if self.stride == 1 {
-            let mut mask = self.alive[0];
-            for prog in &self.programs {
-                if mask == 0 {
-                    return None;
-                }
-                if mask & prog.constrained[0] == 0 {
-                    continue;
-                }
-                let entry = match prog.entry(row) {
-                    Some(e) => prog.masks()[e],
-                    None => 0,
-                };
-                mask &= prog.base[0] | entry;
-            }
-            if mask == 0 {
-                None
-            } else {
-                Some(mask.trailing_zeros() as usize)
-            }
-        } else if self.stride <= STACK_WORDS {
-            let mut buf = [0u64; STACK_WORDS];
-            buf[..self.stride].copy_from_slice(self.alive);
-            self.first_match_wide(row, &mut buf[..self.stride])
-        } else {
-            let mut buf = self.alive.to_vec();
-            self.first_match_wide(row, &mut buf)
-        }
-    }
-
-    /// Multi-word evaluation over a caller-provided live mask.
-    fn first_match_wide(&self, row: usize, mask: &mut [u64]) -> Option<usize> {
-        for prog in &self.programs {
-            let touched = mask
-                .iter()
-                .zip(prog.constrained)
-                .fold(0u64, |t, (m, c)| t | (m & c));
-            if touched == 0 {
-                continue;
-            }
-            let entry = prog.entry(row);
-            let mut any = 0u64;
-            for (w, m) in mask.iter_mut().enumerate() {
-                let e = match entry {
-                    Some(e) => prog.masks()[e * self.stride + w],
-                    None => 0,
-                };
-                *m &= prog.base[w] | e;
-                any |= *m;
-            }
-            if any == 0 {
-                return None;
-            }
-        }
-        first_bit(mask)
-    }
 }
 
 /// A mask with the low `n` bits set, `stride` words wide.
@@ -750,11 +561,9 @@ mod tests {
 
     fn assert_identical(rules: &RuleSet, data: &Dataset) {
         let compiled = CompiledRuleSet::compile(rules);
-        let matcher = compiled.matcher(data);
         for row in 0..data.n_rows() {
             let want = rules.first_match(data, row);
             assert_eq!(compiled.first_match(data, row), want, "row {row}");
-            assert_eq!(matcher.first_match(row), want, "matcher row {row}");
             let via_lookup =
                 compiled.first_match_lookup(|a| Some(data.num(a, row)), |a| Some(data.cat(a, row)));
             assert_eq!(via_lookup, want, "lookup row {row}");

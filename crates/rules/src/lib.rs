@@ -58,7 +58,7 @@ pub mod view_index;
 
 pub use budget::{BudgetTracker, FitBudget};
 pub use classifier::{evaluate_classifier, score_curve, BinaryClassifier, ConstantClassifier};
-pub use compiled::{CompiledMatcher, CompiledRuleSet};
+pub use compiled::CompiledRuleSet;
 pub use condition::Condition;
 pub use rule::Rule;
 pub use ruleset::RuleSet;

@@ -2,7 +2,9 @@
 //! engine: over random rulesets × random datasets × random unknown masks,
 //! `CompiledRuleSet` must reproduce the interpreter's `first_match`
 //! decisions *exactly* — same `Some`/`None`, same rank, lowest index on
-//! ties — on both the dense (`Dataset`) and the lookup (serving) path.
+//! ties — on both the dense (`Dataset`) and the lookup (serving) path,
+//! for rule sets from empty up to 600 rules (every mask width the
+//! evaluation loop handles).
 
 use pnr_data::{AttrType, Dataset, DatasetBuilder, Value};
 use pnr_rules::{CompiledRuleSet, Condition, Rule, RuleSet};
@@ -73,6 +75,22 @@ fn condition() -> impl Strategy<Value = Condition> {
 fn ruleset() -> impl Strategy<Value = RuleSet> {
     prop::collection::vec(prop::collection::vec(condition(), 0..4), 0..8)
         .prop_map(|rules| RuleSet::from_rules(rules.into_iter().map(Rule::new).collect()))
+}
+
+/// A rule no row of [`dataset`] satisfies: a random condition conjoined
+/// with a threshold beyond every value (rows hold values in `[-10, 10)`)
+/// or with code 3, which no row carries. Unless the two fold to a
+/// contradiction, the compiler cannot know this, so the rule's bit stays
+/// live until a program's dispatch clears it.
+fn unsatisfied_rule() -> impl Strategy<Value = Rule> {
+    (condition(), 0u8..3, 0usize..2, 20.0f64..100.0).prop_map(|(cond, kind, attr, far)| {
+        let never = match kind {
+            0 => Condition::NumGt { attr, value: far },
+            1 => Condition::NumLe { attr, value: -far },
+            _ => Condition::CatEq { attr: 2, value: 3 },
+        };
+        Rule::new(vec![cond, never])
+    })
 }
 
 /// Random condition on attribute 0 or 1 of either kind, so one attribute
@@ -210,12 +228,34 @@ proptest! {
     }
 
     #[test]
-    fn batch_matcher_agrees_with_row_at_a_time(data_rows in rows(), rules in ruleset()) {
+    fn wide_rule_sets_match_the_interpreter_across_mask_words(
+        data_rows in rows(),
+        unsatisfied in prop::collection::vec(unsatisfied_rule(), 53..=593),
+        tail in prop::collection::vec(prop::collection::vec(condition(), 0..4), 1..8),
+        mask in prop::collection::vec(prop::bool::ANY, 3),
+    ) {
+        // 54 to 600 rules: one mask word, the stack buffer (up to 512
+        // rules) and the heap buffer beyond it. The unsatisfied prefix
+        // stays live until dispatch clears it, and every first match lands
+        // past it: in a later word than the first once it passes 64 rules.
+        let mut rules = unsatisfied;
+        rules.extend(tail.into_iter().map(Rule::new));
+        let rules = RuleSet::from_rules(rules);
         let d = dataset(&data_rows);
         let compiled = CompiledRuleSet::compile(&rules);
-        let matcher = compiled.matcher(&d);
         for row in 0..d.n_rows() {
-            prop_assert_eq!(matcher.first_match(row), rules.first_match(&d, row));
+            prop_assert_eq!(
+                compiled.first_match(&d, row),
+                rules.first_match(&d, row),
+                "row {} of {} rules", row, rules.len()
+            );
+            let num = |attr: usize| (!mask[attr]).then(|| d.num(attr, row));
+            let cat = |attr: usize| (!mask[attr]).then(|| d.cat(attr, row));
+            prop_assert_eq!(
+                compiled.first_match_lookup(num, cat),
+                rules.first_match_lookup(num, cat),
+                "row {} mask {:?} of {} rules", row, &mask, rules.len()
+            );
         }
     }
 }
