@@ -1,10 +1,9 @@
-//! Fixtures and the overwrite guard shared by the three baseline writers,
-//! `score_baseline`, `search_baseline` and `train_baseline`. Each writes one
-//! committed file at the workspace root, `BENCH_score.json`,
-//! `BENCH_search.json` or `BENCH_train.json`, and runs from there with
-//! `cargo run --release -p pnr-bench --bin <name>`. The end-to-end and
-//! per-layer benchmark of fits and the daemon is the separate `pnrbench/`
-//! package (`python3 pnrbench/run.py`).
+//! Fixtures and the overwrite guard shared by the two baseline writers,
+//! `search_baseline` and `train_baseline`. Each writes one committed file
+//! at the workspace root, `BENCH_search.json` or `BENCH_train.json`, and
+//! runs from there with `cargo run --release -p pnr-bench --bin <name>`.
+//! The end-to-end and per-layer benchmark of fits and the daemon is the
+//! separate `pnrbench/` package (`python3 pnrbench/run.py`).
 
 use pnr_data::Dataset;
 use pnr_synth::numeric::NumericModelConfig;
@@ -43,11 +42,6 @@ pub fn nsyn3_dataset(n_records: usize) -> Dataset {
         target_frac: 0.01,
     };
     pnr_synth::numeric::generate(&cfg, &scale, 42)
-}
-
-/// A small simulated-KDD dataset.
-pub fn kdd_dataset(n_records: usize) -> Dataset {
-    pnr_kddsim::generate_train(n_records, 42)
 }
 
 /// Target flags for the synthetic target class.
@@ -101,7 +95,5 @@ mod tests {
         assert_eq!(d.n_rows(), 2_000);
         let flags = target_flags(&d, "C");
         assert_eq!(flags.iter().filter(|&&f| f).count(), 20);
-        let k = kdd_dataset(1_000);
-        assert_eq!(k.n_rows(), 1_000);
     }
 }

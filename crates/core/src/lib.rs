@@ -45,7 +45,6 @@
 //! ```
 
 pub mod artifact;
-pub mod compiled;
 pub mod exit;
 pub mod grow;
 pub mod learn;
@@ -65,7 +64,6 @@ pub use artifact::{
     is_transient_io, load_with_retry, retry_transient, ArtifactError, ArtifactLineage,
     ModelArtifact, RetryPolicy, FORMAT_VERSION,
 };
-pub use compiled::CompiledModel;
 pub use grow::{grow_rule, GrowOptions, GrownRule, RecallGuard};
 pub use learn::{FitReport, PnruleLearner};
 pub use model::{PnruleModel, RuleTrace};

@@ -51,6 +51,21 @@ impl PnruleModel {
             })
     }
 
+    /// [`Self::score_with_trace`] against fallible value lookups, the
+    /// serving path's drift-tolerant access: rules are matched with
+    /// `RuleSet::first_match_lookup`, so an unknown (`None`) value
+    /// satisfies no condition.
+    pub fn score_with_trace_lookup<N, C>(&self, num: N, cat: C) -> (f64, RuleTrace)
+    where
+        N: Fn(usize) -> Option<f64>,
+        C: Fn(usize) -> Option<u32>,
+    {
+        self.score_matrix
+            .route(self.p_rules.first_match_lookup(&num, &cat), || {
+                self.n_rules.first_match_lookup(&num, &cat)
+            })
+    }
+
     /// The rules that fire for `row`.
     pub fn trace(&self, data: &Dataset, row: usize) -> RuleTrace {
         self.score_with_trace(data, row).1
@@ -180,13 +195,22 @@ mod tests {
         // Regression: score and trace used to run separate first_match
         // sweeps; the single-pass path must report exactly what the two
         // individual calls report, on every row (matched by P only, by
-        // P and N, and by neither).
+        // P and N, and by neither). The lookup path over the same known
+        // values reports the same bits.
         let (model, d) = model_and_data();
         for row in 0..d.n_rows() {
             let (s, t) = model.score_with_trace(&d, row);
             assert_eq!(s, model.score(&d, row), "row {row}");
             assert_eq!(t, model.trace(&d, row), "row {row}");
+            let (ls, lt) =
+                model.score_with_trace_lookup(|a| Some(d.num(a, row)), |a| Some(d.cat(a, row)));
+            assert_eq!(ls.to_bits(), s.to_bits(), "row {row}");
+            assert_eq!(lt, t, "row {row}");
         }
+        // every value unknown: no P-rule fires, so the no-P score
+        let (s, t) = model.score_with_trace_lookup(|_| None, |_| None);
+        assert_eq!(s.to_bits(), 0.0f64.to_bits());
+        assert_eq!(t, RuleTrace::default());
     }
 
     #[test]

@@ -176,8 +176,8 @@ impl ScoreMatrix {
     /// Score and explanation of a record from its first P-rule match `p`:
     /// no P-rule match scores 0 with an empty trace; otherwise `n_match`
     /// finds the first N-rule match (it runs only then) and the cell of
-    /// the pair is the score. Every scorer, interpreted or compiled,
-    /// routes through here.
+    /// the pair is the score. Every scorer, over a dataset row or over
+    /// serving's value lookups, routes through here.
     #[inline]
     pub(crate) fn route(
         &self,

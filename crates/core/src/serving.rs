@@ -20,13 +20,10 @@
 //! * [`UnknownPolicy::Reject`] — any unknown value is a typed per-record
 //!   error; the record is quarantined, not scored.
 //!
-//! Rule evaluation runs on the **compiled engine** (see
-//! [`crate::compiled`]): the model's rule lists are lowered into
-//! attribute-indexed dispatch tables at construction, and unknown values
-//! mask an attribute's entire dispatch table — the exact compiled form
-//! of "a `None` lookup never satisfies a condition". It is bit-identical
-//! to the interpreter ([`crate::PnruleModel::score_with_trace`]), which
-//! stays as the test oracle.
+//! Rules are evaluated by the one interpreter the learner and the tests
+//! use, through [`crate::PnruleModel::score_with_trace_lookup`]: each
+//! reconciled value is looked up per condition, and an unknown value is a
+//! `None` lookup, which never satisfies a condition.
 //!
 //! Every path reports to telemetry: `rows_scored`, `rows_quarantined`,
 //! `unseen_category_hits` and `nan_numeric_hits` (the hit counters count
@@ -34,10 +31,10 @@
 //! policy decides its fate). Nothing in this module panics on any input.
 
 use crate::artifact::{ArtifactError, ModelArtifact};
-use crate::compiled::CompiledModel;
 use crate::model::RuleTrace;
 use pnr_data::{AttrType, Dataset};
 use pnr_telemetry::{Counter, TelemetrySink};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -235,8 +232,6 @@ pub struct ServingModel {
     artifact: ModelArtifact,
     unknown_policy: UnknownPolicy,
     missing_policy: MissingColumnPolicy,
-    /// The compiled engine, built eagerly at construction.
-    compiled: CompiledModel,
     sink: Arc<dyn TelemetrySink>,
 }
 
@@ -244,12 +239,10 @@ impl ServingModel {
     /// Wraps an artifact with the default policies (`ConditionFalse`
     /// unknowns, `Reject` missing columns) and no telemetry.
     pub fn new(artifact: ModelArtifact) -> Self {
-        let compiled = CompiledModel::compile(&artifact.model);
         ServingModel {
             artifact,
             unknown_policy: UnknownPolicy::default(),
             missing_policy: MissingColumnPolicy::default(),
-            compiled,
             sink: pnr_telemetry::noop(),
         }
     }
@@ -286,11 +279,18 @@ impl ServingModel {
     /// Column order is free and extra columns are ignored; a stored
     /// attribute absent from the header is an error under
     /// [`MissingColumnPolicy::Reject`] and an all-unknown column under
-    /// [`MissingColumnPolicy::Default`].
+    /// [`MissingColumnPolicy::Default`]. A header naming any column twice
+    /// is an error, as it is to the CSV loader.
     pub fn reconcile_header<S: AsRef<str>>(
         &self,
         header: &[S],
     ) -> Result<ColumnMap, ArtifactError> {
+        let mut seen = BTreeSet::new();
+        if let Some(name) = header.iter().map(AsRef::as_ref).find(|h| !seen.insert(*h)) {
+            return Err(ArtifactError::SchemaMismatch {
+                detail: format!("incoming header names column `{name}` twice"),
+            });
+        }
         let mut positions = Vec::with_capacity(self.artifact.schema.n_attrs());
         let mut missing = Vec::new();
         for a in &self.artifact.schema.attributes {
@@ -445,11 +445,12 @@ impl ServingModel {
             Some(ServingValue::Code(c)) => Some(*c),
             _ => None,
         };
-        let (score, trace) = self.compiled.score_with_trace_lookup(num, cat);
+        let model = &self.artifact.model;
+        let (score, trace) = model.score_with_trace_lookup(num, cat);
         self.count(Counter::RowsScored);
         Ok(ScoredRecord {
             score,
-            decision: score > self.compiled.threshold(),
+            decision: score > model.threshold,
             trace,
             abstained: false,
             unknown_values,

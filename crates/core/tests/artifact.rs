@@ -10,8 +10,7 @@
 //! fail with a typed error or load into a model that scores every row.
 
 use pnr_core::{
-    ArtifactError, CompiledModel, ModelArtifact, PnruleLearner, PnruleParams, ServingModel,
-    FORMAT_VERSION,
+    ArtifactError, ModelArtifact, PnruleLearner, PnruleParams, ServingModel, FORMAT_VERSION,
 };
 use pnr_data::{AttrType, Dataset, DatasetBuilder, Value};
 use pnr_rules::BinaryClassifier;
@@ -735,8 +734,8 @@ proptest! {
 
     /// A re-checksummed mutant either fails to load with a typed error or
     /// loads into an artifact every consumer can use without panicking:
-    /// the learner accepts its params, and the interpreter, the compiled
-    /// scorer and the serving path all score every row of a fixed dataset.
+    /// the learner accepts its params, and the interpreter and the serving
+    /// path both score every row of a fixed dataset.
     #[test]
     fn rechecksummed_mutants_fail_typed_or_score_every_row(seed in any::<u64>()) {
         let bench = mutant_bench();
@@ -748,10 +747,8 @@ proptest! {
         };
         let used = catch_unwind(AssertUnwindSafe(|| {
             PnruleLearner::new(artifact.params.clone());
-            let compiled = CompiledModel::compile(&artifact.model);
             for row in 0..bench.data.n_rows() {
                 artifact.model.score_with_trace(&bench.data, row);
-                compiled.score_with_trace(&bench.data, row);
             }
             let serving = ServingModel::new(artifact);
             if let Ok(map) = serving.reconcile_header(&bench.header) {

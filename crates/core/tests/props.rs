@@ -1,8 +1,8 @@
 //! Property-based tests for the PNrule learner's invariants.
 
 use pnr_core::{
-    CompiledModel, ModelArtifact, PnruleLearner, PnruleParams, RecordError, RuleTrace, ScoreMatrix,
-    ScoredRecord, ServingModel, ServingValue, UnknownKind, UnknownPolicy,
+    ModelArtifact, PnruleLearner, PnruleParams, RecordError, RuleTrace, ScoreMatrix, ScoredRecord,
+    ServingModel, ServingValue, UnknownKind, UnknownPolicy,
 };
 use pnr_data::{AttrType, Dataset, DatasetBuilder, Value};
 use pnr_rules::{BinaryClassifier, Condition, Rule, RuleSet};
@@ -132,28 +132,11 @@ proptest! {
     }
 
     #[test]
-    fn compiled_model_scores_bit_identically(data_rows in rows()) {
-        // The compiled engine's contract: for every trained model and
-        // every record, score and trace are *bit-identical* to the
-        // interpreter's — not approximately equal.
-        let (d, _) = dataset(&data_rows);
-        let model = PnruleLearner::new(PnruleParams::default()).fit(&d, 0);
-        let compiled = CompiledModel::compile(&model);
-        for row in 0..d.n_rows() {
-            let (si, ti) = model.score_with_trace(&d, row);
-            let (sc, tc) = compiled.score_with_trace(&d, row);
-            prop_assert_eq!(sc.to_bits(), si.to_bits(), "row {}: {} != {}", row, sc, si);
-            prop_assert_eq!(tc, ti, "row {}", row);
-            prop_assert_eq!(compiled.predict(&d, row), model.predict(&d, row));
-        }
-    }
-
-    #[test]
     fn serving_matches_the_interpreter_under_every_unknown_policy(
         data_rows in rows(),
         masks in prop::collection::vec((prop::bool::ANY, prop::bool::ANY), 24),
     ) {
-        // `ServingModel::score_values` (compiled) must be observationally
+        // `ServingModel::score_values` must be observationally
         // identical to an inline interpreter oracle — score bits,
         // decision, abstention, unknown-value count, trace — under each
         // unknown-value policy, including records carrying unknowns in

@@ -165,6 +165,36 @@ fn missing_column_is_rejected_by_default() {
 }
 
 #[test]
+fn a_header_naming_a_column_twice_is_a_schema_mismatch() {
+    // The CSV loader refuses such a header (`DuplicateAttribute`), so the
+    // serving path must not map the first copy and count the second as
+    // extra. Stored and extra names alike, under either missing policy.
+    let (artifact, _) = serving_artifact();
+    for (policy, header, twice) in [
+        (
+            MissingColumnPolicy::Reject,
+            &["x", "service", "x"][..],
+            "`x`",
+        ),
+        (
+            MissingColumnPolicy::Reject,
+            &["service", "duration", "x", "duration"][..],
+            "`duration`",
+        ),
+        (MissingColumnPolicy::Default, &["x", "x"][..], "`x`"),
+    ] {
+        let serving = ServingModel::new(artifact.clone()).with_missing_policy(policy);
+        match serving.reconcile_header(header) {
+            Err(ArtifactError::SchemaMismatch { detail }) => {
+                assert!(detail.contains(twice), "{detail}");
+                assert!(detail.contains("twice"), "{detail}");
+            }
+            other => panic!("expected SchemaMismatch for {header:?}, got {other:?}"),
+        }
+    }
+}
+
+#[test]
 fn defaulted_missing_column_is_an_unknown_value() {
     let (artifact, _) = serving_artifact();
     let expected = p_no_n_score(&artifact);

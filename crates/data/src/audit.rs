@@ -15,9 +15,8 @@ use crate::weights::approx;
 
 /// Asserts the dataset-wide finite-data invariant: every numeric cell
 /// holds a finite `f64`. Rule evaluation reads numeric cells unguarded
-/// (`Condition::matches`, the compiled dispatch tables), so a NaN would
-/// not crash — it would silently fail every numeric condition and skew
-/// scores. `DatasetBuilder::push_row` rejects NaN/±∞ up front, but a
+/// (`Condition::matches`), so a NaN would not crash — it would silently
+/// fail every numeric condition and skew scores. `DatasetBuilder::push_row` rejects NaN/±∞ up front, but a
 /// dataset rebuilt from serialized form bypasses the builder: JSON has no
 /// literal for non-finite numbers, yet a textual `1e999` parses to `inf`,
 /// so `Dataset::rebuild_after_deserialize` re-checks under `audit`.

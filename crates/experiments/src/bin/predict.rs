@@ -10,9 +10,11 @@
 //! The input CSV is reconciled against the artifact's stored schema **by
 //! column name**: column order is free, extra columns (including a
 //! trailing `class` column) are ignored, and missing columns follow
-//! `--missing`. The input is read one line at a time, as bytes, and each
-//! line is decoded once: a data line that is not UTF-8 is quarantined as
-//! a structural error, while a header that is not UTF-8 stops the run.
+//! `--missing`. As for every `read_csv*` load, the header is the first
+//! line that is not blank, and a record's `row` counts the lines after
+//! it. The input is read one line at a time, as bytes, and each line is
+//! decoded once: a data line that is not UTF-8 is quarantined as a
+//! structural error, while a header that is not UTF-8 stops the run.
 //! Per-record output is NDJSON — one
 //! `{"row":…,"score":…,"decision":…}` object per scored record, one
 //! `{"row":…,"error":…}` object per quarantined/rejected record — to
@@ -170,10 +172,15 @@ fn main() {
         .with_sink(recorder.clone() as Arc<dyn TelemetrySink>);
 
     let mut buf = Vec::new();
-    let header: Vec<&str> = match next_line(&mut input, &mut buf, input_path) {
-        Some(Ok(h)) if !h.trim().is_empty() => h.split(',').map(str::trim).collect(),
-        Some(Err(e)) => fail(format!("{input_path}: header is not valid UTF-8: {e}")),
-        _ => fail(format!("{input_path} has no header row")),
+    // The header is the first line that is not blank, as for every
+    // `read_csv*` load; a line that is not UTF-8 is not blank.
+    let header: Vec<String> = loop {
+        match next_line(&mut input, &mut buf, input_path) {
+            Some(Ok(h)) if h.trim().is_empty() => {}
+            Some(Ok(h)) => break h.split(',').map(|f| f.trim().to_owned()).collect(),
+            Some(Err(e)) => fail(format!("{input_path}: header is not valid UTF-8: {e}")),
+            None => fail(format!("{input_path} has no header row")),
+        }
     };
     let map = match serving.reconcile_header(&header) {
         Ok(m) => m,

@@ -389,6 +389,59 @@ fn predict_quarantines_a_data_line_that_is_not_utf8() {
 }
 
 #[test]
+fn predict_takes_the_header_from_the_first_non_blank_line() {
+    let dir = temp_dir("blank_first");
+    let artifact = make_artifact(&dir);
+    let csv = dir.join("clean.csv");
+    let out = run(
+        "kdd_csv",
+        &[
+            "--rows",
+            "5",
+            "--test",
+            "--seed",
+            "4",
+            "--out",
+            csv.to_str().unwrap(),
+        ],
+    );
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    // Blank lines before the header, as the CSV loader skips them: an
+    // empty line, and one of whitespace ending in `\r\n`.
+    let text = std::fs::read_to_string(&csv).unwrap();
+    let blank_first = dir.join("blank_first.csv");
+    std::fs::write(&blank_first, format!("\n \t\r\n{text}")).unwrap();
+    let model = artifact.to_str().unwrap();
+
+    let clean = run(
+        "predict",
+        &["--model", model, "--input", csv.to_str().unwrap()],
+    );
+    assert!(clean.status.success(), "{}", stderr_of(&clean));
+    let out = run(
+        "predict",
+        &["--model", model, "--input", blank_first.to_str().unwrap()],
+    );
+    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+    assert_eq!(stdout_of(&out).lines().count(), 5, "{}", stdout_of(&out));
+    assert_eq!(stdout_of(&out), stdout_of(&clean));
+
+    // Blank lines alone still hold no header.
+    std::fs::write(&blank_first, "\n \n").unwrap();
+    let out = run(
+        "predict",
+        &["--model", model, "--input", blank_first.to_str().unwrap()],
+    );
+    assert_eq!(out.status.code(), Some(1), "{}", stderr_of(&out));
+    assert!(
+        stderr_of(&out).contains("has no header row"),
+        "{}",
+        stderr_of(&out)
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn predict_refuses_a_corrupted_artifact() {
     let dir = temp_dir("corrupt");
     let artifact = make_artifact(&dir);

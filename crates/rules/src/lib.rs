@@ -6,11 +6,9 @@
 //!   numeric one-sided thresholds, and the paper's explicit **range**
 //!   condition `lo < A ≤ hi`;
 //! * [`Rule`] — a conjunction of conditions — and ordered [`RuleSet`]s with
-//!   first-match semantics;
-//! * [`CompiledRuleSet`] — a rule set lowered into an attribute-indexed
-//!   predicate program (dispatch tables + breakpoint arrays + rule
-//!   bitsets) whose first-match answers are bit-identical to the
-//!   interpreter's at a fraction of the per-row cost;
+//!   first-match semantics, over a dataset row or over fallible value
+//!   lookups (where an unknown value satisfies no condition): the one
+//!   rule evaluator that learning, the experiments and serving share;
 //! * weighted rule-evaluation statistics ([`stats`]): Z-number (the PNrule
 //!   default), FOIL gain (RIPPER's growth metric), entropy gain, gain ratio,
 //!   gini gain, χ² and Laplace accuracy, selectable through [`EvalMetric`];
@@ -46,7 +44,6 @@
 
 pub mod budget;
 pub mod classifier;
-pub mod compiled;
 pub mod condition;
 pub mod mdl;
 pub mod rule;
@@ -58,7 +55,6 @@ pub mod view_index;
 
 pub use budget::{BudgetTracker, FitBudget};
 pub use classifier::{evaluate_classifier, score_curve, BinaryClassifier, ConstantClassifier};
-pub use compiled::CompiledRuleSet;
 pub use condition::Condition;
 pub use rule::Rule;
 pub use ruleset::RuleSet;

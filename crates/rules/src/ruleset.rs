@@ -103,6 +103,10 @@ mod tests {
         Rule::new(vec![Condition::NumLe { attr: 0, value: v }])
     }
 
+    fn gt(v: f64) -> Rule {
+        Rule::new(vec![Condition::NumGt { attr: 0, value: v }])
+    }
+
     #[test]
     fn first_match_respects_rank_order() {
         let d = data();
@@ -134,6 +138,32 @@ mod tests {
         }
         // an unknown numeric value satisfies no rule at all
         assert_eq!(rs.first_match_lookup(|_| None, |_| None), None);
+        // thresholds on a data value (x = 5) are closed on the right
+        let at_five = RuleSet::from_rules(vec![le(5.0), gt(5.0)]);
+        for (row, want) in [(0, Some(0)), (1, Some(0)), (2, Some(1))] {
+            assert_eq!(at_five.first_match(&d, row), want, "row {row}");
+            assert_eq!(
+                at_five.first_match_lookup(|a| Some(d.num(a, row)), |_| None),
+                want,
+                "row {row}"
+            );
+        }
+        // an empty set matches nothing; an empty rule matches every
+        // record, one holding only unknowns included, at its own rank
+        let empty = RuleSet::new();
+        let catch_all = RuleSet::from_rules(vec![Rule::empty(), le(1.5)]);
+        for row in 0..d.n_rows() {
+            assert_eq!(empty.first_match(&d, row), None);
+            assert_eq!(catch_all.first_match(&d, row), Some(0));
+        }
+        assert_eq!(empty.first_match_lookup(|_| Some(1.0), |_| Some(0)), None);
+        assert_eq!(catch_all.first_match_lookup(|_| None, |_| None), Some(0));
+        // a code past the dictionary satisfies no `CatEq`
+        let by_code = RuleSet::from_rules(vec![
+            Rule::new(vec![Condition::CatEq { attr: 0, value: 0 }]),
+            Rule::empty(),
+        ]);
+        assert_eq!(by_code.first_match_lookup(|_| None, |_| Some(7)), Some(1));
     }
 
     #[test]

@@ -862,3 +862,30 @@ fn a_line_that_is_not_utf8_is_a_bad_request_and_the_connection_stays_open() {
     assert_eq!(code, Some(0));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_hello_naming_a_column_twice_is_a_schema_mismatch() {
+    let dir = temp_dir("hello_twice");
+    let a1 = make_artifact(&dir, "a1.artifact", 7);
+    let daemon = Daemon::start(&["--model", a1.to_str().unwrap()]);
+    let mut client = Client::connect(&daemon.addr);
+
+    // the KDD header with its first column named again at the end
+    let mut columns: Vec<String> = pnr_kddsim::ATTR_NAMES
+        .iter()
+        .map(|c| c.to_string())
+        .collect();
+    columns.push(columns[0].clone());
+    let twice = format!("`{}`", columns[0]);
+    let reply = client.request(&Request::Hello { columns }.to_line());
+    assert!(!is_ok(&reply), "{reply:?}");
+    assert_eq!(jstr(&reply, "error"), "schema_mismatch");
+    assert!(jstr(&reply, "detail").contains(&twice), "{reply:?}");
+    // the connection stays open for a hello that reconciles
+    client.hello();
+
+    client.send(&Request::Shutdown.to_line());
+    let (code, _) = daemon.wait();
+    assert_eq!(code, Some(0));
+    std::fs::remove_dir_all(&dir).ok();
+}
