@@ -6,9 +6,10 @@
 //! or inferred (a column is numeric when every field parses as `f64`).
 //!
 //! Every `read_csv*` function streams its source through one loader that
-//! reads a line at a time, so transient parse memory is one line whether
-//! the source is a string or a file far larger than RAM. Each line is read
-//! as bytes and decoded once; a line that is not UTF-8 is a malformed row.
+//! reads a line at a time with [`LineReader`], so transient parse memory
+//! is one line whether the source is a string or a file far larger than
+//! RAM. Each line is read as bytes and decoded once; a line that is not
+//! UTF-8 is a malformed row.
 //! One scan of a line's bytes records where each field starts and ends in
 //! a span buffer that every line reuses, and an accepted row is appended
 //! straight into the dataset's columns, so no row allocates.
@@ -16,6 +17,7 @@
 use crate::builder::DatasetBuilder;
 use crate::dataset::{Column, Dataset};
 use crate::error::DataError;
+use crate::lines::LineReader;
 use crate::schema::AttrType;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -167,8 +169,8 @@ fn load<R: BufRead>(
         Some(types) => types.clone(),
         None => infer_types(open()?, &mut split)?,
     };
-    let mut lines = Lines::new(open()?);
-    let (header_line, names) = lines.header(&mut split)?;
+    let mut lines = LineReader::new(open()?);
+    let (header_line, names) = header(&mut lines, &mut split)?;
     let n_attrs = names.len() - 1;
     if types.len() != n_attrs {
         return Err(DataError::Csv {
@@ -203,8 +205,8 @@ fn not_utf8(e: Utf8Error) -> String {
 /// `f64`. Rows with a wrong field count or that are not UTF-8 are left to
 /// the load to report.
 fn infer_types(reader: impl BufRead, split: &mut Splitter) -> Result<Vec<AttrType>, DataError> {
-    let mut lines = Lines::new(reader);
-    let n_fields = lines.header(split)?.1.len();
+    let mut lines = LineReader::new(reader);
+    let n_fields = header(&mut lines, split)?.1.len();
     let mut numeric = vec![true; n_fields - 1];
     let mut any_row = false;
     while let Some((_, line)) = lines.next_line()? {
@@ -294,88 +296,36 @@ impl<'a> Fields<'a> {
     }
 }
 
-/// A line's text, or why its bytes are not UTF-8.
-type LineText<'a> = Result<&'a str, Utf8Error>;
-
-/// The non-blank lines of a CSV source, read one at a time as bytes into
-/// one reused buffer.
-struct Lines<R> {
-    reader: R,
-    buf: Vec<u8>,
-    /// 1-based physical number of the line last read.
-    lineno: usize,
-}
-
-impl<R: BufRead> Lines<R> {
-    fn new(reader: R) -> Self {
-        Lines {
-            reader,
-            buf: Vec::new(),
-            lineno: 0,
-        }
-    }
-
-    /// The next non-blank line with its 1-based physical line number, its
-    /// `\n` or `\r\n` ending removed as [`str::lines`] removes it, or `None`
-    /// at the end of the source. A last line without a newline counts.
-    fn next_line(&mut self) -> Result<Option<(usize, LineText<'_>)>, DataError> {
-        loop {
-            self.buf.clear();
-            if self.reader.read_until(b'\n', &mut self.buf)? == 0 {
-                return Ok(None);
-            }
-            self.lineno += 1;
-            if self.buf.ends_with(b"\n") {
-                self.buf.pop();
-                if self.buf.ends_with(b"\r") {
-                    self.buf.pop();
-                }
-            }
-            if !is_blank(&self.buf) {
-                return Ok(Some((self.lineno, std::str::from_utf8(&self.buf))));
-            }
-        }
-    }
-
-    /// Reads the header, the first non-blank line, and checks it: UTF-8,
-    /// at least one attribute and the class column, and no name twice.
-    /// Returns the header's 1-based physical line number and its trimmed
-    /// column names, class column last.
-    fn header(&mut self, split: &mut Splitter) -> Result<(usize, Vec<String>), DataError> {
-        let Some((line, header)) = self.next_line()? else {
-            return Err(DataError::Csv {
-                line: 1,
-                message: "missing header".into(),
-            });
-        };
-        let header = header.map_err(|e| DataError::Csv {
+/// Reads the header, the first non-blank line, and checks it: UTF-8, at
+/// least one attribute and the class column, and no name twice. Returns
+/// the header's 1-based physical line number and its trimmed column names,
+/// class column last.
+fn header<R: BufRead>(
+    lines: &mut LineReader<R>,
+    split: &mut Splitter,
+) -> Result<(usize, Vec<String>), DataError> {
+    let Some((line, header)) = lines.next_line()? else {
+        return Err(DataError::Csv {
+            line: 1,
+            message: "missing header".into(),
+        });
+    };
+    let header = header.map_err(|e| DataError::Csv {
+        line,
+        message: not_utf8(e),
+    })?;
+    let names: Vec<String> = split.split(header).iter().map(str::to_string).collect();
+    if names.len() < 2 {
+        return Err(DataError::Csv {
             line,
-            message: not_utf8(e),
-        })?;
-        let names: Vec<String> = split.split(header).iter().map(str::to_string).collect();
-        if names.len() < 2 {
-            return Err(DataError::Csv {
-                line,
-                message: "header needs at least one attribute and a class column".into(),
-            });
-        }
-        let mut seen = BTreeSet::new();
-        if let Some(name) = names.iter().find(|name| !seen.insert(name.as_str())) {
-            return Err(DataError::DuplicateAttribute { name: name.clone() });
-        }
-        Ok((line, names))
+            message: "header needs at least one attribute and a class column".into(),
+        });
     }
-}
-
-/// Whether a line holds nothing but whitespace (as [`str::trim`] counts
-/// it). A line that is not UTF-8 is not blank. An ASCII byte that is not
-/// whitespace settles it without decoding the line, and data rows start
-/// with one.
-fn is_blank(line: &[u8]) -> bool {
-    !line
-        .iter()
-        .any(|&b| b.is_ascii() && !char::from(b).is_whitespace())
-        && std::str::from_utf8(line).is_ok_and(|s| s.trim().is_empty())
+    let mut seen = BTreeSet::new();
+    if let Some(name) = names.iter().find(|name| !seen.insert(name.as_str())) {
+        return Err(DataError::DuplicateAttribute { name: name.clone() });
+    }
+    Ok((line, names))
 }
 
 /// Writes a dataset to a CSV file. See [`write_csv_string`].

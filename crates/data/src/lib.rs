@@ -4,7 +4,8 @@
 //! workspace: a columnar [`Dataset`] with mixed numeric/categorical
 //! attributes, per-record weights, interned class labels, lazily computed
 //! per-attribute sort indexes (which power single-scan numeric condition
-//! search), row subsets ([`RowSet`]), CSV I/O, train/test splitting and the
+//! search), row subsets ([`RowSet`]), CSV I/O over the workspace's one
+//! line reader ([`LineReader`]), train/test splitting and the
 //! stratified-weighting transform used for the paper's `-we` classifier
 //! variants.
 //!
@@ -37,6 +38,7 @@ mod dict;
 mod error;
 pub mod fingerprint;
 pub mod index;
+mod lines;
 mod rowset;
 mod schema;
 mod split;
@@ -53,6 +55,7 @@ pub use csv::{
 pub use dataset::{Column, Dataset};
 pub use dict::Dictionary;
 pub use error::DataError;
+pub use lines::LineReader;
 pub use rowset::{filter_members, RowSet};
 pub use schema::{AttrType, Attribute, Schema};
 pub use split::{stratified_split, subsample_class, train_test_split};

@@ -1,14 +1,16 @@
 //! Property-based tests for the dataset substrate, with the CSV loader's
-//! oracle and wide-header checks.
+//! oracle and wide-header checks and the line reader under read timeouts.
 
 use pnr_data::{
     filter_members, read_csv_str, read_csv_str_with_report, read_csv_with_report, stratify_weights,
-    write_csv_string, AttrType, CsvOptions, DataError, Dataset, DatasetBuilder, LoadReport,
-    RowPolicy, RowSet, Value,
+    write_csv_string, AttrType, CsvOptions, DataError, Dataset, DatasetBuilder, LineReader,
+    LoadReport, RowPolicy, RowSet, Value,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::io::{self, BufRead, BufReader, Read};
+use std::str::Utf8Error;
 
 fn rowset_strategy(max: u32) -> impl Strategy<Value = RowSet> {
     prop::collection::vec(0..max, 0..64).prop_map(RowSet::from_vec)
@@ -616,6 +618,112 @@ proptest! {
             "text {:?} with {:?}",
             text,
             opts
+        );
+    }
+}
+
+/// Random lines of text: ASCII, multi-byte characters, Unicode
+/// whitespace, a stray `\r` and bytes that are no UTF-8 (a Latin-1 `é`,
+/// `0xFF`, a lone continuation byte), with blank and whitespace-only
+/// lines among them. Lines end in `\n`, `\r\n` or a bare `\r` (which ends
+/// no line), and the last line may have no ending at all.
+fn line_soup(rng: &mut StdRng) -> Vec<u8> {
+    const SPACE: [&str; 5] = [" ", "\t", "\r", "\u{a0}", "\u{3000}"];
+    const TEXT: [&[u8]; 8] = [
+        b"a",
+        b"7,x",
+        "é".as_bytes(),
+        "中".as_bytes(),
+        "😀".as_bytes(),
+        b"\xe9",
+        b"\xff",
+        b"\x80",
+    ];
+    let mut text = Vec::new();
+    for _ in 0..rng.gen_range(0..10usize) {
+        let blank = rng.gen_bool(0.3);
+        for _ in 0..rng.gen_range(0..5usize) {
+            if blank || rng.gen_bool(0.3) {
+                text.extend_from_slice(SPACE[rng.gen_range(0..SPACE.len())].as_bytes());
+            } else {
+                text.extend_from_slice(TEXT[rng.gen_range(0..TEXT.len())]);
+            }
+        }
+        text.extend_from_slice([&b"\n"[..], b"\r\n", b"\r"][rng.gen_range(0..3usize)]);
+    }
+    if rng.gen_bool(0.5) {
+        text.extend_from_slice(TEXT[rng.gen_range(0..TEXT.len())]);
+    }
+    text
+}
+
+/// A stream over `bytes` that fails with `WouldBlock` or `TimedOut` each
+/// time a read reaches one of `fails` (sorted byte offsets; an offset
+/// listed twice fails twice), and otherwise reads up to the next one.
+struct Flaky<'a> {
+    bytes: &'a [u8],
+    at: usize,
+    fails: Vec<(usize, io::ErrorKind)>,
+}
+
+impl Read for Flaky<'_> {
+    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+        let mut end = self.bytes.len();
+        if let Some(&(offset, kind)) = self.fails.first() {
+            if offset == self.at {
+                self.fails.remove(0);
+                return Err(kind.into());
+            }
+            end = offset;
+        }
+        let n = out.len().min(end - self.at);
+        out[..n].copy_from_slice(&self.bytes[self.at..self.at + n]);
+        self.at += n;
+        Ok(n)
+    }
+}
+
+/// Every line `lines` yields as `(line number, text or why it is not
+/// UTF-8)`, retrying each read that fails with `WouldBlock` or `TimedOut`.
+fn read_all<R: BufRead>(mut lines: LineReader<R>) -> Vec<(usize, Result<String, Utf8Error>)> {
+    let mut out = Vec::new();
+    loop {
+        match lines.next_line() {
+            Ok(Some((n, line))) => out.push((n, line.map(str::to_string))),
+            Ok(None) => return out,
+            Err(e) => assert!(
+                matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ),
+                "{e}"
+            ),
+        }
+    }
+}
+
+proptest! {
+    /// A read timeout at any byte, inside a character and between a `\r`
+    /// and its `\n` included, loses nothing: the lines and their numbers
+    /// are those of one uninterrupted read.
+    #[test]
+    fn line_reader_resumes_after_a_read_timeout_at_any_byte(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let text = line_soup(&mut rng);
+        let mut fails = Vec::new();
+        for offset in 0..=text.len() {
+            while rng.gen_bool(0.3) {
+                let kind = [io::ErrorKind::WouldBlock, io::ErrorKind::TimedOut][rng.gen_range(0..2usize)];
+                fails.push((offset, kind));
+            }
+        }
+        let flaky = Flaky { bytes: &text, at: 0, fails };
+        let capacity = rng.gen_range(1..=8usize);
+        prop_assert_eq!(
+            read_all(LineReader::new(BufReader::with_capacity(capacity, flaky))),
+            read_all(LineReader::new(&text[..])),
+            "text {:?}",
+            String::from_utf8_lossy(&text)
         );
     }
 }

@@ -150,17 +150,11 @@ fn main() {
     text.push_str(&header.join(","));
     text.push('\n');
     for row in 0..data.n_rows() {
+        let attrs = pnr_kddsim::row_fields(&data, row);
         let mut fields: Vec<String> = cols
             .iter()
             .map(|c| match c {
-                Col::Attr(i) => {
-                    let a = data.schema().attr(*i);
-                    if a.is_numeric() {
-                        data.num(*i, row).to_string()
-                    } else {
-                        a.dict.name(data.cat(*i, row)).to_string()
-                    }
-                }
+                Col::Attr(i) => attrs[*i].clone(),
                 Col::Class => data.class_name(data.label(row)).to_string(),
             })
             .collect();

@@ -10,11 +10,11 @@
 //! The input CSV is reconciled against the artifact's stored schema **by
 //! column name**: column order is free, extra columns (including a
 //! trailing `class` column) are ignored, and missing columns follow
-//! `--missing`. As for every `read_csv*` load, the header is the first
-//! line that is not blank, and a record's `row` counts the lines after
-//! it. The input is read one line at a time, as bytes, and each line is
-//! decoded once: a data line that is not UTF-8 is quarantined as a
-//! structural error, while a header that is not UTF-8 stops the run.
+//! `--missing`. The input is read through [`pnr_data::LineReader`], the
+//! line reader of every `read_csv*` load: the header is the first line
+//! that is not blank, and a record's `row` counts the lines after it. A
+//! data line that is not UTF-8 is quarantined as a structural error,
+//! while a header that is not UTF-8 stops the run.
 //! Per-record output is NDJSON — one
 //! `{"row":…,"score":…,"decision":…}` object per scored record, one
 //! `{"row":…,"error":…}` object per quarantined/rejected record — to
@@ -29,10 +29,10 @@
 //! exponential backoff before giving up.
 
 use pnr_core::{MissingColumnPolicy, RecordError, ServingModel, UnknownPolicy};
+use pnr_data::LineReader;
 use pnr_telemetry::{Counter, RecordingSink, TelemetrySink};
 use std::io::{BufRead, BufReader, Write};
 use std::path::Path;
-use std::str::Utf8Error;
 use std::sync::Arc;
 
 const USAGE: &str = "usage: predict --model <file.artifact> --input <file.csv> \
@@ -52,27 +52,15 @@ fn fail(problem: impl std::fmt::Display) -> ! {
     std::process::exit(pnr_core::exit::DATA_FAILURE);
 }
 
-/// Reads the next line of `input` into `buf` as bytes, without the `\n`
-/// or `\r\n` that [`str::lines`] would split it at, and decodes it once;
-/// `None` at the end of the input.
+/// The next non-blank line of `input` with its 1-based line number, or
+/// `None` at the end of the input; a read error stops the run.
 fn next_line<'a>(
-    input: &mut impl BufRead,
-    buf: &'a mut Vec<u8>,
+    input: &'a mut LineReader<impl BufRead>,
     path: &str,
-) -> Option<Result<&'a str, Utf8Error>> {
-    buf.clear();
-    match input.read_until(b'\n', buf) {
-        Ok(0) => return None,
-        Ok(_) => {}
-        Err(e) => fail(format!("cannot read {path}: {e}")),
-    }
-    if buf.ends_with(b"\n") {
-        buf.pop();
-        if buf.ends_with(b"\r") {
-            buf.pop();
-        }
-    }
-    Some(std::str::from_utf8(buf))
+) -> Option<(usize, Result<&'a str, std::str::Utf8Error>)> {
+    input
+        .next_line()
+        .unwrap_or_else(|e| fail(format!("cannot read {path}: {e}")))
 }
 
 struct Options {
@@ -162,7 +150,7 @@ fn main() {
 
     let input_path = opts.input.as_deref().unwrap_or_else(|| bail("--input"));
     let mut input = match std::fs::File::open(input_path) {
-        Ok(f) => BufReader::new(f),
+        Ok(f) => LineReader::new(BufReader::new(f)),
         Err(e) => fail(format!("cannot read {input_path}: {e}")),
     };
     let recorder = Arc::new(RecordingSink::new());
@@ -171,16 +159,12 @@ fn main() {
         .with_missing_policy(opts.missing)
         .with_sink(recorder.clone() as Arc<dyn TelemetrySink>);
 
-    let mut buf = Vec::new();
     // The header is the first line that is not blank, as for every
-    // `read_csv*` load; a line that is not UTF-8 is not blank.
-    let header: Vec<String> = loop {
-        match next_line(&mut input, &mut buf, input_path) {
-            Some(Ok(h)) if h.trim().is_empty() => {}
-            Some(Ok(h)) => break h.split(',').map(|f| f.trim().to_owned()).collect(),
-            Some(Err(e)) => fail(format!("{input_path}: header is not valid UTF-8: {e}")),
-            None => fail(format!("{input_path} has no header row")),
-        }
+    // `read_csv*` load.
+    let (header_line, header): (usize, Vec<String>) = match next_line(&mut input, input_path) {
+        Some((n, Ok(h))) => (n, h.split(',').map(|f| f.trim().to_owned()).collect()),
+        Some((_, Err(e))) => fail(format!("{input_path}: header is not valid UTF-8: {e}")),
+        None => fail(format!("{input_path} has no header row")),
     };
     let map = match serving.reconcile_header(&header) {
         Ok(m) => m,
@@ -205,12 +189,9 @@ fn main() {
     };
     let (mut n_records, mut n_positive, mut n_abstained, mut n_errors) = (0u64, 0u64, 0u64, 0u64);
     // Row `i` is the `i`-th line after the header, blank lines included.
-    for i in 0usize.. {
-        let Some(line) = next_line(&mut input, &mut buf, input_path) else {
-            break;
-        };
+    while let Some((n, line)) = next_line(&mut input, input_path) {
+        let i = n - header_line - 1;
         let scored = match line {
-            Ok(line) if line.trim().is_empty() => continue,
             Ok(line) => {
                 let fields: Vec<&str> = line.split(',').map(str::trim).collect();
                 serving.score_fields(&fields, &map)

@@ -7,9 +7,10 @@
 //! briefly restarting does not kill the monitor.
 
 use pnr_core::retry::{self, Backoff, RetryError};
+use pnr_data::LineReader;
 use pnr_serve::protocol::{decode_reply, ErrorReply, Request, Stats, SwapReply};
 use serde::Content;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::path::Path;
 use std::time::Duration;
@@ -22,7 +23,7 @@ pub type PublishOutcome = Result<SwapReply, ErrorReply>;
 /// A connected control client.
 #[derive(Debug)]
 pub struct DaemonClient {
-    reader: BufReader<TcpStream>,
+    lines: LineReader<BufReader<TcpStream>>,
     writer: TcpStream,
 }
 
@@ -49,7 +50,7 @@ impl DaemonClient {
             .try_clone()
             .map_err(|e| format!("cannot clone stream: {e}"))?;
         Ok(DaemonClient {
-            reader: BufReader::new(stream),
+            lines: LineReader::new(BufReader::new(stream)),
             writer,
         })
     }
@@ -57,20 +58,11 @@ impl DaemonClient {
     /// Sends one line, reads one reply line.
     fn roundtrip(&mut self, line: &str) -> Result<String, String> {
         writeln!(self.writer, "{line}").map_err(|e| format!("write failed: {e}"))?;
-        let mut buf = String::new();
-        loop {
-            match self.reader.read_line(&mut buf) {
-                Ok(0) => return Err("daemon closed the connection".to_string()),
-                Ok(_) => {
-                    let reply = buf.trim().to_string();
-                    if reply.is_empty() {
-                        buf.clear();
-                        continue;
-                    }
-                    return Ok(reply);
-                }
-                Err(e) => return Err(format!("read failed: {e}")),
-            }
+        match self.lines.next_line() {
+            Ok(Some((_, Ok(reply)))) => Ok(reply.trim().to_string()),
+            Ok(Some((_, Err(e)))) => Err(format!("reply line is not UTF-8: {e}")),
+            Ok(None) => Err("daemon closed the connection".to_string()),
+            Err(e) => Err(format!("read failed: {e}")),
         }
     }
 

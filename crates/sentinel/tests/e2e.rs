@@ -16,7 +16,7 @@ use pnr_sentinel::{
     supervise_refit, DaemonClient, DetectorConfig, DriftDetector, DriftVerdict, RefitOutcome,
     SupervisorConfig, WindowDelta,
 };
-use pnr_serve::protocol::Mode;
+use pnr_serve::protocol::{Mode, Stats};
 use pnr_telemetry::TelemetrySink;
 use serde::Content;
 use std::io::{BufRead, BufReader, Write};
@@ -48,10 +48,11 @@ fn make_baseline(dir: &Path, seed: u64) -> (PathBuf, String) {
 }
 
 /// Runs the daemon library in a thread; returns (join handle, bound addr).
+/// The thread returns the daemon's final `stats` record.
 fn start_daemon(
     model: &Path,
     dir: &Path,
-) -> (std::thread::JoinHandle<Result<i32, String>>, String) {
+) -> (std::thread::JoinHandle<Result<String, String>>, String) {
     let addr_file = dir.join("daemon.addr");
     let config = pnr_serve::DaemonConfig {
         workers: 2,
@@ -267,7 +268,8 @@ fn step_drift_is_detected_and_refit_publishes_with_lineage() {
     );
 
     ctl.shutdown().unwrap();
-    assert_eq!(daemon.join().unwrap().unwrap(), 0);
+    let last = Stats::parse(&daemon.join().unwrap().unwrap()).unwrap();
+    assert_eq!(last.active_checksum, stats.active_checksum);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -335,6 +337,7 @@ fn corrupted_refit_keeps_last_known_good_and_degraded_mode_is_visible() {
     assert!(!degraded, "recovery must clear the envelope flag");
 
     ctl.shutdown().unwrap();
-    assert_eq!(daemon.join().unwrap().unwrap(), 0);
+    let last = Stats::parse(&daemon.join().unwrap().unwrap()).unwrap();
+    assert_eq!(last.active_checksum, stats.active_checksum);
     let _ = std::fs::remove_dir_all(&dir);
 }

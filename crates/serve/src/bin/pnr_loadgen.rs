@@ -29,11 +29,12 @@
 //! Exit codes: 0 on a completed run, 1 for connection/model failures,
 //! 2 for usage errors.
 
+use pnr_data::LineReader;
 use pnr_kddsim::{row_fields, FaultInjector, ATTR_NAMES};
 use pnr_serve::protocol::{fields, object_line};
 use pnr_serve::{LatencyHistogram, Request};
 use serde::Content;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -259,14 +260,14 @@ fn drive(opts: &RunOptions, mut injector: FaultInjector) -> Result<(), String> {
     let mut write_half = stream
         .try_clone()
         .map_err(|e| format!("cannot clone stream: {e}"))?;
-    let mut reader = BufReader::new(stream);
+    let mut lines = LineReader::new(BufReader::new(stream));
 
     // handshake: declare the KDD header, lockstep
     let hello = Request::Hello {
         columns: ATTR_NAMES.iter().map(|c| c.to_string()).collect(),
     };
     writeln!(write_half, "{}", hello.to_line()).map_err(|e| format!("hello write failed: {e}"))?;
-    let reply = read_reply(&mut reader, Instant::now() + Duration::from_secs(10))?
+    let reply = read_reply(&mut lines, Instant::now() + Duration::from_secs(10))?
         .ok_or("daemon closed the connection during hello")?;
     let parsed = serde_json::parse(&reply).map_err(|e| format!("bad hello reply: {e}"))?;
     if parsed.get("ok") != Some(&Content::Bool(true)) {
@@ -380,7 +381,7 @@ fn drive(opts: &RunOptions, mut injector: FaultInjector) -> Result<(), String> {
     let wall_deadline = Instant::now() + Duration::from_secs(120);
     let mut received = 0usize;
     while received < expected {
-        match read_reply(&mut reader, wall_deadline)? {
+        match read_reply(&mut lines, wall_deadline)? {
             Some(line) => {
                 received += 1;
                 tally(&line, &mut report, &send_times, &hist);
@@ -437,27 +438,18 @@ fn drive(opts: &RunOptions, mut injector: FaultInjector) -> Result<(), String> {
     Ok(())
 }
 
-/// Reads one complete response line, tolerating read timeouts (partial
-/// data persists in `buf`, as bytes, so a timeout may split a multi-byte
-/// character). `Ok(None)` on EOF; a line that is not UTF-8 is an error.
+/// Reads one complete response line, tolerating read timeouts (the
+/// reader keeps a line a timeout cut, even inside a character).
+/// `Ok(None)` on EOF; a line that is not UTF-8 is an error.
 fn read_reply(
-    reader: &mut BufReader<TcpStream>,
+    lines: &mut LineReader<BufReader<TcpStream>>,
     deadline: Instant,
 ) -> Result<Option<String>, String> {
-    let mut buf = Vec::new();
     loop {
-        match reader.read_until(b'\n', &mut buf) {
-            Ok(0) => return Ok(None),
-            Ok(_) => {
-                let text = std::str::from_utf8(&buf)
-                    .map_err(|e| format!("reply line is not UTF-8: {e}"))?;
-                let line = text.trim().to_string();
-                if line.is_empty() {
-                    buf.clear();
-                    continue;
-                }
-                return Ok(Some(line));
-            }
+        match lines.next_line() {
+            Ok(None) => return Ok(None),
+            Ok(Some((_, Ok(line)))) => return Ok(Some(line.trim().to_string())),
+            Ok(Some((_, Err(e)))) => return Err(format!("reply line is not UTF-8: {e}")),
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>

@@ -10,14 +10,16 @@
 //!
 //! Binds a TCP listener (port 0 picks a free port), prints
 //! `pnr-serve listening on <addr>` on stdout, then serves the NDJSON
-//! protocol until a `shutdown` command drains it. With `--state`, the
-//! active artifact path is persisted across restarts and a present state
-//! file wins over `--model` (kill -9 recovery).
+//! protocol until a `shutdown` command drains it; its last stdout line
+//! is then the final `stats` record. With `--state`, the active artifact
+//! path is persisted across restarts and a present state file wins over
+//! `--model` (kill -9 recovery).
 //!
 //! Exit codes: 0 after a graceful drain, 1 for data/model failures
 //! (artifact unreadable, bind failure), 2 for usage errors.
 
 use pnr_serve::{DaemonConfig, ShedPolicy};
+use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -96,7 +98,11 @@ fn main() -> ExitCode {
         return bail("--model is required");
     };
     match pnr_serve::run(&model, config) {
-        Ok(code) => ExitCode::from(code as u8),
+        Ok(last_stats) => {
+            // the drain's final `stats` record is the last stdout line
+            let _ = writeln!(std::io::stdout().lock(), "{last_stats}");
+            ExitCode::from(pnr_core::exit::OK as u8)
+        }
         Err(msg) => {
             eprintln!("error: {msg}");
             ExitCode::from(pnr_core::exit::DATA_FAILURE as u8)

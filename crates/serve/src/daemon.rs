@@ -1,14 +1,17 @@
 //! The scoring daemon: accept loop, admission control, hot-swap and
 //! graceful drain.
 //!
-//! Life of a request: a connection thread reads one NDJSON line as bytes,
-//! checks it is UTF-8, decodes it in one pass ([`parse_request`]), builds
-//! a `ScoreJob` against the *currently active* model epoch (capturing
-//! the epoch's `Arc` and the connection's column map for that epoch, so
-//! a concurrent swap can never mismatch a map with a model), and pushes
-//! it into the bounded queue. A pool worker pops it, scores it under the
-//! panic boundary, writing each row's result into a [`ScoreReply`] as it
-//! goes, and answers through the connection's writer channel.
+//! Life of a request: a connection thread reads one NDJSON line through
+//! [`LineReader`], which hands over complete, non-blank lines and keeps
+//! a line that a read timeout cut; a line that is not UTF-8 is answered
+//! `bad_request`. The thread decodes the line in one pass
+//! ([`parse_request`]), builds a `ScoreJob` against the *currently
+//! active* model epoch (capturing the epoch's `Arc` and the connection's
+//! column map for that epoch, so a concurrent swap can never mismatch a
+//! map with a model), and pushes it into the bounded queue. A pool
+//! worker pops it, scores it under the panic boundary, writing each
+//! row's result into a [`ScoreReply`] as it goes, and answers through
+//! the connection's writer channel.
 //! Every submitted job is answered exactly once — served, shed, deadline
 //! -expired or panicked — which is what the fault suite's
 //! `served + shed == submitted` assertions rest on.
@@ -21,10 +24,11 @@
 //! is a typed `swap_failed`, and the old epoch keeps serving.
 //!
 //! Graceful drain (`shutdown`): the accept loop stops, queued jobs are
-//! finished and answered, workers exit, and the final `stats` record is
-//! flushed to stdout as one NDJSON line before the process exits 0. For
-//! ungraceful exits (`kill -9`), the state file (see [`crate::state`])
-//! remembers the last *activated* artifact so a restart resumes it.
+//! finished and answered, workers exit, and [`run`] returns the final
+//! `stats` record, which `pnr-serve` prints as its last stdout line
+//! before it exits 0. For ungraceful exits (`kill -9`), the state file
+//! (see [`crate::state`]) remembers the last *activated* artifact so a
+//! restart resumes it.
 
 use crate::pool::WorkerPool;
 use crate::protocol::{
@@ -38,9 +42,10 @@ use pnr_core::{
     load_with_retry, Backoff, ColumnMap, MissingColumnPolicy, ModelArtifact, ServingModel,
     UnknownPolicy,
 };
+use pnr_data::LineReader;
 use pnr_telemetry::{Counter, Span, SpanKind, TelemetrySink};
 use serde::Content;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -144,14 +149,37 @@ impl DegradedState {
 #[derive(Debug)]
 struct EpochModel {
     epoch: u64,
-    source: PathBuf,
     serving: ServingModel,
-    served: AtomicU64,
+    /// Requests served, shared with the epoch's [`EpochRecord`].
+    served: Arc<AtomicU64>,
     /// Artifact envelope checksum — the identity swap lineage checks
     /// compare against.
     checksum: String,
     /// Lineage the artifact carried (refit candidates name their parent).
     lineage: Option<pnr_core::ArtifactLineage>,
+}
+
+impl EpochModel {
+    /// The history entry for this epoch, loaded from `source`.
+    fn record(&self, source: &Path) -> EpochRecord {
+        EpochRecord {
+            epoch: self.epoch,
+            source: source.display().to_string(),
+            checksum: self.checksum.clone(),
+            served: self.served.clone(),
+        }
+    }
+}
+
+/// What `stats` reports of one published epoch. The history keeps only
+/// this, not the model, so a replaced model is freed when its last
+/// in-flight job finishes.
+#[derive(Debug)]
+struct EpochRecord {
+    epoch: u64,
+    source: String,
+    checksum: String,
+    served: Arc<AtomicU64>,
 }
 
 /// What a queued job does when a worker picks it up.
@@ -183,7 +211,7 @@ struct ScoreJob {
 struct Shared {
     config: DaemonConfig,
     active: Mutex<Arc<EpochModel>>,
-    history: Mutex<Vec<Arc<EpochModel>>>,
+    history: Mutex<Vec<EpochRecord>>,
     sink: Arc<ServeSink>,
     queue: Arc<BoundedQueue<ScoreJob>>,
     /// Jobs admitted but not yet answered. Zero means fully drained.
@@ -201,11 +229,18 @@ impl Shared {
             .clone()
     }
 
-    fn history(&self) -> Vec<Arc<EpochModel>> {
-        self.history
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
+    /// What `stats` reports of every epoch published so far, oldest first.
+    fn history(&self) -> Vec<EpochInfo> {
+        let history = self.history.lock().unwrap_or_else(PoisonError::into_inner);
+        history
+            .iter()
+            .map(|e| EpochInfo {
+                epoch: e.epoch,
+                served: e.served.load(Ordering::Relaxed),
+                source: e.source.clone(),
+                checksum: e.checksum.clone(),
+            })
+            .collect()
     }
 }
 
@@ -375,39 +410,26 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
             }
         }
     });
-    let mut reader = BufReader::new(stream);
+    let mut lines = LineReader::new(BufReader::new(stream));
     let mut conn = ConnState {
         header: None,
         map: None,
         map_epoch: 0,
     };
-    // Lines are read as bytes and decoded once complete: a read timeout
-    // can split a multi-byte character, and `read_line` would drop the
-    // part it had read.
-    let mut buf = Vec::new();
     loop {
-        match reader.read_until(b'\n', &mut buf) {
-            Ok(0) => break,
-            Ok(_) => {
-                match std::str::from_utf8(&buf) {
-                    Ok(text) => {
-                        let line = text.trim();
-                        if !line.is_empty() {
-                            handle_line(line, &mut conn, &tx, &shared);
-                        }
-                    }
-                    Err(e) => {
-                        let detail = format!("request line is not UTF-8: {e}");
-                        let _ = tx.send(err_line("bad_request", &detail, Vec::new()));
-                    }
-                }
-                buf.clear();
+        match lines.next_line() {
+            Ok(None) => break,
+            Ok(Some((_, Ok(line)))) => handle_line(line.trim(), &mut conn, &tx, &shared),
+            Ok(Some((_, Err(e)))) => {
+                let detail = format!("request line is not UTF-8: {e}");
+                let _ = tx.send(err_line("bad_request", &detail, Vec::new()));
             }
+            // A read timeout leaves a partial line in the reader; check
+            // for drain.
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
-                // partial data (if any) stays in `buf`; check for drain
                 if shared.shutdown.load(Ordering::SeqCst) {
                     break;
                 }
@@ -677,9 +699,8 @@ fn handle_swap(path: &str, tx: &mpsc::Sender<String>, shared: &Arc<Shared>) {
                     _ => {
                         let fresh = Arc::new(EpochModel {
                             epoch: active.epoch + 1,
-                            source: PathBuf::from(path),
                             serving,
-                            served: AtomicU64::new(0),
+                            served: Arc::default(),
                             checksum: checksum.clone(),
                             lineage,
                         });
@@ -694,7 +715,7 @@ fn handle_swap(path: &str, tx: &mpsc::Sender<String>, shared: &Arc<Shared>) {
                         .history
                         .lock()
                         .unwrap_or_else(PoisonError::into_inner)
-                        .push(fresh.clone());
+                        .push(fresh.record(Path::new(path)));
                     sink.add(Counter::ModelSwaps, 1);
                     // a freshly validated model supersedes degraded mode
                     shared.degraded.clear();
@@ -766,16 +787,7 @@ fn stats_line(shared: &Shared) -> String {
         worker_respawns: shared.pool.respawns(),
         pending: shared.pending.load(Ordering::SeqCst),
         counters: Counters::from_fn(|c| sink.value(c)),
-        epochs: shared
-            .history()
-            .iter()
-            .map(|e| EpochInfo {
-                epoch: e.epoch,
-                served: e.served.load(Ordering::Relaxed),
-                source: e.source.display().to_string(),
-                checksum: e.checksum.clone(),
-            })
-            .collect(),
+        epochs: shared.history(),
         score_hist: sink.score_hist().to_vec(),
         p_first_match: sink.p_first_match(),
         request_latency: sink.request_latency().summary(),
@@ -784,10 +796,9 @@ fn stats_line(shared: &Shared) -> String {
     stats.to_line()
 }
 
-/// Runs the daemon to completion. Returns the process exit code (0 after
-/// a graceful drain) or an error message for startup failures the CLI
-/// maps to exit code 1.
-pub fn run(model_arg: &Path, config: DaemonConfig) -> Result<i32, String> {
+/// Loads the boot model and starts the worker pool: everything the
+/// daemon shares before it binds its listener.
+fn start(model_arg: &Path, config: DaemonConfig) -> Result<Arc<Shared>, String> {
     // The state file is the memory that survives kill -9: when present,
     // it names the last artifact a swap activated and wins over --model.
     let (model_path, from_state) = match &config.state_path {
@@ -819,9 +830,8 @@ pub fn run(model_arg: &Path, config: DaemonConfig) -> Result<i32, String> {
     }
     let first = Arc::new(EpochModel {
         epoch: 1,
-        source: model_path,
         serving,
-        served: AtomicU64::new(0),
+        served: Arc::default(),
         checksum,
         lineage,
     });
@@ -853,18 +863,25 @@ pub fn run(model_arg: &Path, config: DaemonConfig) -> Result<i32, String> {
             },
         )
     };
-    let shared = Arc::new(Shared {
+    Ok(Arc::new(Shared {
         config,
-        active: Mutex::new(first.clone()),
-        history: Mutex::new(vec![first]),
-        sink: sink.clone(),
-        queue: queue.clone(),
-        pending: pending.clone(),
+        history: Mutex::new(vec![first.record(&model_path)]),
+        active: Mutex::new(first),
+        sink,
+        queue,
+        pending,
         shutdown: AtomicBool::new(false),
         degraded,
         pool,
-    });
+    }))
+}
 
+/// Runs the daemon to completion. Returns the final `stats` record after
+/// a graceful drain (the `pnr-serve` binary prints it as its last stdout
+/// line and exits 0), or an error message for startup failures the CLI
+/// maps to exit code 1.
+pub fn run(model_arg: &Path, config: DaemonConfig) -> Result<String, String> {
+    let shared = start(model_arg, config)?;
     let listener = TcpListener::bind(&shared.config.addr)
         .map_err(|e| format!("cannot bind {}: {e}", shared.config.addr))?;
     let local = listener
@@ -898,6 +915,7 @@ pub fn run(model_arg: &Path, config: DaemonConfig) -> Result<i32, String> {
 
     // Drain: stop admitting (submit() refuses under the shutdown flag),
     // let workers finish the backlog, then close the queue so they exit.
+    let pending = &shared.pending;
     eprintln!(
         "shutdown: draining {} pending job(s)",
         pending.load(Ordering::SeqCst)
@@ -906,7 +924,7 @@ pub fn run(model_arg: &Path, config: DaemonConfig) -> Result<i32, String> {
     while pending.load(Ordering::SeqCst) > 0 && Instant::now() < drain_deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
-    queue.close();
+    shared.queue.close();
     while shared.pool.alive() > 0 && Instant::now() < drain_deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
@@ -915,13 +933,9 @@ pub fn run(model_arg: &Path, config: DaemonConfig) -> Result<i32, String> {
         eprintln!("warn: {leftover} job(s) unanswered at drain deadline");
     }
 
-    // Final telemetry flush: the last `stats` record is the daemon's last
-    // words.
-    {
-        let mut out = std::io::stdout().lock();
-        let _ = writeln!(out, "{}", stats_line(&shared));
-        let _ = out.flush();
-    }
+    // Final telemetry: the last `stats` record is the daemon's last words.
+    let last = stats_line(&shared);
+    let sink = &shared.sink;
     eprintln!(
         "drained: requests_served={} requests_shed={} worker_panics={} model_swaps={}",
         sink.value(Counter::RequestsServed),
@@ -929,5 +943,61 @@ pub fn run(model_arg: &Path, config: DaemonConfig) -> Result<i32, String> {
         sink.value(Counter::WorkerPanics),
         sink.value(Counter::ModelSwaps),
     );
-    Ok(pnr_core::exit::OK)
+    Ok(last)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Fits a small dos-vs-rest model on kddsim rows and saves it.
+    fn save_artifact(dir: &Path, name: &str, seed: u64) -> PathBuf {
+        let train = pnr_kddsim::generate_train(800, seed);
+        let target = train.class_code("dos").unwrap();
+        let params = pnr_core::PnruleParams::default();
+        let (model, report) =
+            pnr_core::PnruleLearner::new(params.clone()).fit_with_report(&train, target);
+        let artifact = ModelArtifact::new(model, params, report, train.schema().clone()).unwrap();
+        let path = dir.join(name);
+        artifact.save(&path).unwrap();
+        path
+    }
+
+    #[test]
+    fn a_replaced_model_is_freed_when_its_last_job_ends() {
+        let dir = std::env::temp_dir().join(format!("pnr_serve_history_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let a1 = save_artifact(&dir, "a1.artifact", 7);
+        let a2 = save_artifact(&dir, "a2.artifact", 11);
+        let config = DaemonConfig {
+            workers: 1,
+            ..DaemonConfig::default()
+        };
+        let shared = start(&a1, config).unwrap();
+        // An in-flight job holds its epoch's model, as a `ScoreJob` does.
+        let in_flight = shared.active();
+        in_flight.served.fetch_add(3, Ordering::Relaxed);
+        let replaced = Arc::downgrade(&in_flight);
+
+        let (tx, rx) = mpsc::channel();
+        handle_swap(&a2.display().to_string(), &tx, &shared);
+        let reply = rx.recv().unwrap();
+        assert!(reply.contains("\"reply\":\"swap\""), "{reply}");
+        assert!(replaced.upgrade().is_some(), "the job still holds epoch 1");
+        drop(in_flight);
+        assert!(
+            replaced.upgrade().is_none(),
+            "the epoch history keeps a replaced model alive"
+        );
+
+        // The history still reports both epochs, with what each served.
+        let epochs: Vec<(u64, u64)> = shared
+            .history()
+            .iter()
+            .map(|e| (e.epoch, e.served))
+            .collect();
+        assert_eq!(epochs, [(1, 3), (2, 0)]);
+        shared.queue.close();
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

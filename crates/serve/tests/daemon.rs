@@ -79,6 +79,16 @@ impl Daemon {
     }
 }
 
+/// A test that fails before its daemon exits must not leave the process
+/// running. After `wait` or `kill9` the child is reaped, and `kill` on a
+/// reaped child sends no signal.
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
 struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
