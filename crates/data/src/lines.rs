@@ -43,6 +43,12 @@ impl<R: BufRead> LineReader<R> {
         }
     }
 
+    /// The underlying reader, as [`io::BufReader::get_ref`] gives it: a
+    /// caller can look at what it has buffered without reading further.
+    pub fn get_ref(&self) -> &R {
+        &self.reader
+    }
+
     /// The next non-blank line with its 1-based physical line number, as
     /// text or as why its bytes are not UTF-8; `None` at the end of the
     /// stream. An error from the underlying reader is returned as is, and
@@ -107,5 +113,15 @@ mod tests {
         for blank in [&b""[..], b"\n\r\n", b" \t"] {
             assert!(LineReader::new(blank).next_line().unwrap().is_none());
         }
+    }
+
+    #[test]
+    fn get_ref_shows_what_is_buffered_behind_the_current_line() {
+        let mut lines = LineReader::new(std::io::BufReader::new(&b"a\nb\nc"[..]));
+        assert!(lines.get_ref().buffer().is_empty(), "nothing read yet");
+        assert_eq!(lines.next_line().unwrap().unwrap().0, 1);
+        assert_eq!(lines.get_ref().buffer(), b"b\nc");
+        assert_eq!(lines.next_line().unwrap().unwrap().0, 2);
+        assert_eq!(lines.get_ref().buffer(), b"c");
     }
 }

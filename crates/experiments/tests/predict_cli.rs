@@ -566,13 +566,33 @@ fn kdd_csv_fault_flags_inject_deterministically_and_report_a_census() {
     );
     assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
     let report = stderr_of(&out);
-    let quarantined = counter_value(&report, "rows_quarantined=");
-    let unseen = counter_value(&report, "unseen_category_hits=");
-    let non_finite = counter_value(&report, "nan_numeric_hits=");
-    assert!(quarantined > 0, "malformed rows quarantined: {report}");
-    assert!(unseen > 0, "drifted categories flagged: {report}");
-    assert!(non_finite > 0, "non-finite numerics flagged: {report}");
+    assert_eq!(stdout_of(&out).lines().count(), 300, "one record per row");
+    // every fault the census counts reaches the serving counters: a
+    // truncated row keeps at least one field, so none reads as blank
+    let truncated = census_count(&stderr, "truncated");
+    let unparsable = census_count(&stderr, "unparsable-numeric");
+    assert!(truncated > 0 && unparsable > 0, "{stderr}");
+    assert_eq!(
+        counter_value(&report, "rows_quarantined="),
+        truncated + unparsable,
+        "malformed rows quarantined: {report}"
+    );
+    let unseen = census_count(&stderr, "unseen-category");
+    let non_finite = census_count(&stderr, "non-finite");
+    assert!(unseen > 0 && non_finite > 0, "{stderr}");
+    assert_eq!(counter_value(&report, "unseen_category_hits="), unseen);
+    assert_eq!(counter_value(&report, "nan_numeric_hits="), non_finite);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Reads `<n> <kind>` from `kdd_csv`'s fault census line.
+fn census_count(stderr: &str, kind: &str) -> u64 {
+    let words: Vec<&str> = stderr.split_whitespace().collect();
+    words
+        .windows(2)
+        .find(|w| w[1].trim_end_matches(',') == kind)
+        .and_then(|w| w[0].parse().ok())
+        .unwrap_or_else(|| panic!("no `<n> {kind}` in census: {stderr}"))
 }
 
 /// Extracts `prefix<digits>` from a serving report line.

@@ -163,7 +163,9 @@ impl FaultInjector {
         let fault = self.pick(fields.len(), numeric, categorical);
         match fault {
             Some(InjectedFault::TruncatedRow) => {
-                let keep = self.rng.gen_range(0..fields.len());
+                // keep at least one field: an empty row is a blank line,
+                // which every reader skips instead of quarantining
+                let keep = self.rng.gen_range(1..fields.len());
                 fields.truncate(keep);
                 self.census.truncated_rows += 1;
             }
@@ -209,9 +211,10 @@ impl FaultInjector {
         let malformed = self.rng.gen_bool(self.malformed_rate);
         let drifted = self.rng.gen_bool(self.drift_rate);
         if malformed {
+            // truncation keeps 1..width fields, so it needs two
             let truncate = self.rng.gen_bool(0.5);
-            if (truncate && width > 0) || numeric.is_empty() {
-                if width == 0 {
+            if (truncate && width > 1) || numeric.is_empty() {
+                if width < 2 {
                     return None;
                 }
                 return Some(InjectedFault::TruncatedRow);
@@ -267,7 +270,9 @@ mod tests {
             let mut f = fields();
             let fault = inj.inject(&mut f, &[0, 2], &[1, 3]).expect("fault");
             match fault {
-                InjectedFault::TruncatedRow => assert!(f.len() < 4),
+                InjectedFault::TruncatedRow => {
+                    assert!((1..4).contains(&f.len()), "kept {} fields", f.len());
+                }
                 InjectedFault::UnparsableNumeric => {
                     assert!(f.contains(&"not-a-number".to_string()));
                 }
@@ -277,6 +282,22 @@ mod tests {
         assert_eq!(inj.census().malformed_rows(), 50);
         assert!(inj.census().truncated_rows > 0);
         assert!(inj.census().unparsable_numerics > 0);
+    }
+
+    #[test]
+    fn a_truncated_row_is_never_empty() {
+        // no numeric column: every malformed fault is a truncation
+        let mut inj = FaultInjector::new(13, 1.0, 0.0).unwrap();
+        for _ in 0..100 {
+            let mut f = vec!["tcp".to_string(), "http".to_string()];
+            let fault = inj.inject(&mut f, &[], &[0, 1]);
+            assert_eq!(fault, Some(InjectedFault::TruncatedRow));
+            assert_eq!(f, ["tcp"]);
+        }
+        // a one-field row has nothing to drop and keep a field
+        let mut f = vec!["tcp".to_string()];
+        assert_eq!(inj.inject(&mut f, &[], &[0]), None);
+        assert_eq!(f, ["tcp"]);
     }
 
     #[test]

@@ -12,6 +12,11 @@
 //! worker pops it, scores it under the panic boundary, writing each
 //! row's result into a [`ScoreReply`] as it goes, and answers through
 //! the connection's writer channel.
+//! Both hand-offs carry a batch when requests arrive pipelined: the
+//! connection thread admits every complete line already in its read
+//! buffer before it yields to the workers (only while more jobs are
+//! queued than there are workers) and reads the socket again, and the
+//! writer thread sends every reply waiting in its channel with one flush.
 //! Every submitted job is answered exactly once — served, shed, deadline
 //! -expired or panicked — which is what the fault suite's
 //! `served + shed == submitted` assertions rest on.
@@ -392,6 +397,25 @@ struct ConnState {
     map_epoch: u64,
 }
 
+/// A connection's writer loop: writes each reply as one line, in the
+/// order received. After each reply it takes every reply already waiting
+/// in the channel too, then flushes once, so a burst leaves in one write
+/// (or one per full buffer). It ends when the channel closes or a write
+/// fails.
+fn write_replies(rx: mpsc::Receiver<String>, out: impl Write) {
+    let mut out = BufWriter::new(out);
+    while let Ok(first) = rx.recv() {
+        for line in std::iter::once(first).chain(rx.try_iter()) {
+            if writeln!(out, "{line}").is_err() {
+                return;
+            }
+        }
+        if out.flush().is_err() {
+            return;
+        }
+    }
+}
+
 fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
     if stream.set_read_timeout(Some(POLL)).is_err() {
         return;
@@ -402,14 +426,7 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
     let (tx, rx) = mpsc::channel::<String>();
     // Single writer thread per connection: worker responses and control
     // replies funnel through one channel, so wire writes never interleave.
-    let writer = std::thread::spawn(move || {
-        let mut out = BufWriter::new(write_half);
-        for line in rx {
-            if writeln!(out, "{line}").is_err() || out.flush().is_err() {
-                break;
-            }
-        }
-    });
+    let writer = std::thread::spawn(move || write_replies(rx, write_half));
     let mut lines = LineReader::new(BufReader::new(stream));
     let mut conn = ConnState {
         header: None,
@@ -417,6 +434,18 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
         map_epoch: 0,
     };
     loop {
+        // A queued job holds its rows as owned strings, about 6x their
+        // bytes on the wire. While the backlog exceeds the workers, give
+        // them the CPU before the next socket read, so later requests
+        // wait in the socket buffer rather than in the queue. Lines
+        // already in the read buffer are admitted first: holding them
+        // back would leave nothing in the socket, and the yield then
+        // comes once per buffer, not once per job. Yielding never
+        // blocks, so admission and shedding are unchanged.
+        if !lines.get_ref().buffer().contains(&b'\n') && shared.queue.len() > shared.pool.workers()
+        {
+            std::thread::yield_now();
+        }
         match lines.next_line() {
             Ok(None) => break,
             Ok(Some((_, Ok(line)))) => handle_line(line.trim(), &mut conn, &tx, &shared),
@@ -546,7 +575,9 @@ fn handle_line(line: &str, conn: &mut ConnState, tx: &mpsc::Sender<String>, shar
 }
 
 /// Admission control: captures the active epoch + column map, applies
-/// backpressure, and enqueues.
+/// backpressure, and enqueues. It never waits: the connection loop in
+/// `handle_connection` yields to the workers before its next socket
+/// read.
 fn submit(
     kind: JobKind,
     id: String,
@@ -615,16 +646,7 @@ fn submit(
     };
     shared.pending.fetch_add(1, Ordering::SeqCst);
     match shared.queue.push(job) {
-        // A queued job holds its rows as owned strings, about 6x their
-        // bytes on the wire. While the backlog exceeds the workers, give
-        // them the CPU before reading the next line, so in-flight
-        // requests wait in the socket buffer rather than in the queue.
-        // Yielding never blocks, so admission and shedding are unchanged.
-        Ok(PushOutcome::Enqueued) => {
-            if shared.queue.len() > shared.pool.workers() {
-                std::thread::yield_now();
-            }
-        }
+        Ok(PushOutcome::Enqueued) => {}
         Ok(PushOutcome::DroppedOldest(evicted)) => {
             sink.add(Counter::RequestsShed, 1);
             let ScoreJob { id, respond, .. } = evicted;
@@ -999,5 +1021,66 @@ mod tests {
         assert_eq!(epochs, [(1, 3), (2, 0)]);
         shared.queue.close();
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Keeps the bytes of every `write` call it receives, one entry each.
+    #[derive(Default)]
+    struct Recorder {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn replies_waiting_in_the_channel_leave_in_one_write_in_order() {
+        let (tx, rx) = mpsc::channel();
+        let replies: Vec<String> = (0..20).map(|i| format!("{{\"id\":\"r{i}\"}}")).collect();
+        for reply in &replies {
+            tx.send(reply.clone()).unwrap();
+        }
+        drop(tx);
+        let mut out = Recorder::default();
+        write_replies(rx, &mut out);
+        assert_eq!(out.writes.len(), 1, "one write for the whole burst");
+        let want: String = replies.iter().map(|r| format!("{r}\n")).collect();
+        assert_eq!(String::from_utf8(out.writes.concat()).unwrap(), want);
+    }
+
+    #[test]
+    fn a_failing_write_ends_the_writer_without_a_panic() {
+        struct Broken;
+        impl Write for Broken {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Err(std::io::ErrorKind::BrokenPipe.into())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let (tx, rx) = mpsc::channel();
+        for i in 0..3 {
+            tx.send(format!("r{i}")).unwrap();
+        }
+        // The sender stays open, so only the write error can end the loop.
+        let (done_tx, done_rx) = mpsc::channel();
+        let writer = std::thread::spawn(move || {
+            write_replies(rx, Broken);
+            let _ = done_tx.send(());
+        });
+        assert!(
+            done_rx.recv_timeout(Duration::from_secs(10)).is_ok(),
+            "the writer neither stopped nor returned"
+        );
+        writer.join().unwrap();
+        drop(tx);
     }
 }

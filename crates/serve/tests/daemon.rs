@@ -899,3 +899,133 @@ fn a_hello_naming_a_column_twice_is_a_schema_mismatch() {
     assert_eq!(code, Some(0));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_pipelined_burst_is_answered_once_per_id_with_in_process_scores() {
+    let dir = temp_dir("pipelined");
+    let a1 = make_artifact(&dir, "a1.artifact", 7);
+    let daemon = Daemon::start(&[
+        "--model",
+        a1.to_str().unwrap(),
+        "--workers",
+        "2",
+        "--queue-capacity",
+        "512",
+    ]);
+    let data = pnr_kddsim::generate_train(400, 3);
+    let serving = pnr_core::ServingModel::new(pnr_core::ModelArtifact::load(&a1).unwrap());
+    let map = serving.reconcile_header(pnr_kddsim::ATTR_NAMES).unwrap();
+    let mut client = Client::connect(&daemon.addr);
+    client.hello();
+
+    // 300 single-row requests and four 32-row ones, all in one write;
+    // the queue holds them all, so none can be shed
+    let batches: Vec<usize> = [vec![1; 300], vec![32; 4]].concat();
+    let mut burst = String::new();
+    for (id, &batch) in batches.iter().enumerate() {
+        burst.push_str(&Client::score_line(&data, id, batch));
+        burst.push('\n');
+    }
+    client.writer.write_all(burst.as_bytes()).unwrap();
+
+    let mut replies = vec![None; batches.len()];
+    for _ in 0..batches.len() {
+        let reply = client.recv();
+        assert!(is_ok(&reply), "{reply:?}");
+        let id: usize = jstr(&reply, "id")[1..].parse().unwrap();
+        assert!(replies[id].is_none(), "r{id} answered twice");
+        replies[id] = Some(reply);
+    }
+    for (id, reply) in replies.iter().enumerate() {
+        let reply = reply.as_ref().unwrap();
+        let results = reply.get("results").and_then(Content::as_seq).unwrap();
+        assert_eq!(results.len(), batches[id], "r{id}");
+        for (j, result) in results.iter().enumerate() {
+            let row = (id * batches[id] + j) % data.n_rows();
+            let want = serving
+                .score_fields(&pnr_kddsim::row_fields(&data, row), &map)
+                .unwrap();
+            let score = result.get("score").and_then(Content::as_f64).unwrap();
+            assert_eq!(score.to_bits(), want.score.to_bits(), "r{id} row {j}");
+            assert_eq!(
+                result.get("decision"),
+                Some(&Content::Bool(want.decision)),
+                "r{id} row {j}"
+            );
+        }
+    }
+
+    let stats = client.stats();
+    assert_eq!(
+        stats.counters.get(Counter::RequestsServed),
+        batches.len() as u64
+    );
+    assert_eq!(stats.counters.get(Counter::RequestsShed), 0);
+
+    client.send(&Request::Shutdown.to_line());
+    let (code, _) = daemon.wait();
+    assert_eq!(code, Some(0));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_pipelined_burst_over_capacity_sheds_with_typed_rejections_and_exact_accounting() {
+    let dir = temp_dir("pipelined_shed");
+    let a1 = make_artifact(&dir, "a1.artifact", 7);
+    let daemon = Daemon::start(&[
+        "--model",
+        a1.to_str().unwrap(),
+        "--workers",
+        "1",
+        "--queue-capacity",
+        "2",
+        "--shed",
+        "reject",
+        "--enable-fault-injection",
+    ]);
+    let data = pnr_kddsim::generate_train(100, 3);
+    let mut client = Client::connect(&daemon.addr);
+    client.hello();
+
+    // hold the only worker, then send 20 requests in one write
+    client.send("{\"cmd\":\"stall\",\"ms\":1000}");
+    let mut burst = String::new();
+    for id in 0..20 {
+        burst.push_str(&Client::score_line(&data, id, 1));
+        burst.push('\n');
+    }
+    client.writer.write_all(burst.as_bytes()).unwrap();
+
+    let mut answered = [false; 20];
+    let (mut stall_ok, mut score_ok, mut rejected) = (0, 0, 0);
+    for _ in 0..21 {
+        let reply = client.recv();
+        if is_ok(&reply) && jstr(&reply, "reply") == "stall" {
+            stall_ok += 1;
+            continue;
+        }
+        if is_ok(&reply) {
+            assert_eq!(jstr(&reply, "reply"), "score", "{reply:?}");
+            score_ok += 1;
+        } else {
+            assert_eq!(jstr(&reply, "error"), "queue_full", "{reply:?}");
+            rejected += 1;
+        }
+        let id: usize = jstr(&reply, "id")[1..].parse().unwrap();
+        assert!(!answered[id], "r{id} answered twice");
+        answered[id] = true;
+    }
+    assert_eq!(stall_ok, 1);
+    assert!(rejected > 0, "a queue of 2 cannot hold a burst of 20");
+
+    // served + shed == submissions
+    let stats = client.stats();
+    assert_eq!(stats.counters.get(Counter::RequestsServed), 1 + score_ok);
+    assert_eq!(stats.counters.get(Counter::RequestsShed), rejected);
+    assert_eq!(score_ok + rejected, 20);
+
+    client.send(&Request::Shutdown.to_line());
+    let (code, _) = daemon.wait();
+    assert_eq!(code, Some(0));
+    std::fs::remove_dir_all(&dir).ok();
+}
