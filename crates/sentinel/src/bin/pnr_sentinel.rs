@@ -173,13 +173,7 @@ fn resolve_addr(o: &Options) -> Result<String, String> {
         return Ok(addr.clone());
     }
     let path = o.addr_file.as_ref().ok_or("no address source")?;
-    for _ in 0..100 {
-        match std::fs::read_to_string(path) {
-            Ok(s) if !s.trim().is_empty() => return Ok(s.trim().to_string()),
-            _ => std::thread::sleep(Duration::from_millis(100)),
-        }
-    }
-    Err(format!("addr file {} never appeared", path.display()))
+    pnr_serve::read_addr_file(path)
 }
 
 fn main() -> ExitCode {

@@ -36,7 +36,7 @@ use pnr_serve::{LatencyHistogram, Request};
 use serde::Content;
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -222,17 +222,9 @@ fn run(mut args: impl Iterator<Item = String>) -> ExitCode {
         let Some(path) = &opts.addr_file else {
             return bail("run requires --addr or --addr-file");
         };
-        for _ in 0..100 {
-            match std::fs::read_to_string(path) {
-                Ok(s) if !s.trim().is_empty() => {
-                    opts.addr = s.trim().to_string();
-                    break;
-                }
-                _ => std::thread::sleep(Duration::from_millis(100)),
-            }
-        }
-        if opts.addr.is_empty() {
-            return fail(&format!("addr file {path} never appeared"));
+        match pnr_serve::read_addr_file(Path::new(path)) {
+            Ok(addr) => opts.addr = addr,
+            Err(e) => return fail(&e),
         }
     }
     // validate rates before touching the network

@@ -55,6 +55,7 @@ use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How often blocking reads and the accept loop wake up to check the
@@ -63,6 +64,11 @@ const POLL: Duration = Duration::from_millis(100);
 
 /// Rows scored between deadline re-checks inside one batch.
 const DEADLINE_CHECK_EVERY: usize = 32;
+
+/// How many of the most recently published epochs `stats` lists.
+/// Unbounded, the reply would grow by one entry per swap, and the drift
+/// sentinel parses all of it on every poll.
+const EPOCH_HISTORY: usize = 16;
 
 /// Daemon configuration (the CLI maps flags onto this 1:1).
 #[derive(Debug, Clone)]
@@ -234,7 +240,17 @@ impl Shared {
             .clone()
     }
 
-    /// What `stats` reports of every epoch published so far, oldest first.
+    /// Adds a published epoch to the history and forgets the oldest one
+    /// beyond [`EPOCH_HISTORY`].
+    fn remember(&self, record: EpochRecord) {
+        let mut history = self.history.lock().unwrap_or_else(PoisonError::into_inner);
+        history.push(record);
+        if history.len() > EPOCH_HISTORY {
+            history.remove(0);
+        }
+    }
+
+    /// What `stats` reports of the epochs in the history, oldest first.
     fn history(&self) -> Vec<EpochInfo> {
         let history = self.history.lock().unwrap_or_else(PoisonError::into_inner);
         history
@@ -416,6 +432,19 @@ fn write_replies(rx: mpsc::Receiver<String>, out: impl Write) {
     }
 }
 
+/// Starts one of a connection's two threads. When the OS refuses a
+/// thread, the connection is dropped with a warning and the daemon keeps
+/// serving the others.
+fn spawn_for_connection(
+    role: &str,
+    body: impl FnOnce() + Send + 'static,
+) -> Option<JoinHandle<()>> {
+    std::thread::Builder::new()
+        .spawn(body)
+        .map_err(|e| eprintln!("warn: connection dropped: cannot start its {role} thread: {e}"))
+        .ok()
+}
+
 fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
     if stream.set_read_timeout(Some(POLL)).is_err() {
         return;
@@ -426,7 +455,9 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
     let (tx, rx) = mpsc::channel::<String>();
     // Single writer thread per connection: worker responses and control
     // replies funnel through one channel, so wire writes never interleave.
-    let writer = std::thread::spawn(move || write_replies(rx, write_half));
+    let Some(writer) = spawn_for_connection("writer", move || write_replies(rx, write_half)) else {
+        return;
+    };
     let mut lines = LineReader::new(BufReader::new(stream));
     let mut conn = ConnState {
         header: None,
@@ -733,11 +764,7 @@ fn handle_swap(path: &str, tx: &mpsc::Sender<String>, shared: &Arc<Shared>) {
             };
             match published {
                 Ok(fresh) => {
-                    shared
-                        .history
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .push(fresh.record(Path::new(path)));
+                    shared.remember(fresh.record(Path::new(path)));
                     sink.add(Counter::ModelSwaps, 1);
                     // a freshly validated model supersedes degraded mode
                     shared.degraded.clear();
@@ -805,8 +832,6 @@ fn stats_line(shared: &Shared) -> String {
         queue_capacity: shared.queue.capacity() as u64,
         shed_policy: shared.queue.policy().name().to_string(),
         workers: shared.pool.workers() as u64,
-        workers_alive: shared.pool.alive() as u64,
-        worker_respawns: shared.pool.respawns(),
         pending: shared.pending.load(Ordering::SeqCst),
         counters: Counters::from_fn(|c| sink.value(c)),
         epochs: shared.history(),
@@ -884,6 +909,7 @@ fn start(model_arg: &Path, config: DaemonConfig) -> Result<Arc<Shared>, String> 
                 );
             },
         )
+        .map_err(|e| format!("cannot start worker threads: {e}"))?
     };
     Ok(Arc::new(Shared {
         config,
@@ -896,6 +922,19 @@ fn start(model_arg: &Path, config: DaemonConfig) -> Result<Arc<Shared>, String> 
         degraded,
         pool,
     }))
+}
+
+/// Waits up to 10 s for the address a daemon started with `--addr-file`
+/// writes there once it listens, and returns it. Clients that wait for it
+/// may be started before the daemon.
+pub fn read_addr_file(path: &Path) -> Result<String, String> {
+    for _ in 0..100 {
+        match std::fs::read_to_string(path) {
+            Ok(s) if !s.trim().is_empty() => return Ok(s.trim().to_string()),
+            _ => std::thread::sleep(Duration::from_millis(100)),
+        }
+    }
+    Err(format!("addr file {} never appeared", path.display()))
 }
 
 /// Runs the daemon to completion. Returns the final `stats` record after
@@ -923,7 +962,7 @@ pub fn run(model_arg: &Path, config: DaemonConfig) -> Result<String, String> {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 let shared = shared.clone();
-                std::thread::spawn(move || handle_connection(stream, shared));
+                spawn_for_connection("reader", move || handle_connection(stream, shared));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(10));
@@ -935,24 +974,23 @@ pub fn run(model_arg: &Path, config: DaemonConfig) -> Result<String, String> {
         }
     }
 
-    // Drain: stop admitting (submit() refuses under the shutdown flag),
-    // let workers finish the backlog, then close the queue so they exit.
+    // Drain: admission already refuses new work (submit() checks the
+    // shutdown flag), so close the queue at once. The workers answer the
+    // backlog and exit; once they have, every admitted job is answered.
     let pending = &shared.pending;
     eprintln!(
         "shutdown: draining {} pending job(s)",
         pending.load(Ordering::SeqCst)
     );
-    let drain_deadline = Instant::now() + Duration::from_secs(30);
-    while pending.load(Ordering::SeqCst) > 0 && Instant::now() < drain_deadline {
-        std::thread::sleep(Duration::from_millis(5));
-    }
     shared.queue.close();
-    while shared.pool.alive() > 0 && Instant::now() < drain_deadline {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    let leftover = pending.load(Ordering::SeqCst);
-    if leftover > 0 {
-        eprintln!("warn: {leftover} job(s) unanswered at drain deadline");
+    if !shared
+        .pool
+        .exited_by(Instant::now() + Duration::from_secs(30))
+    {
+        eprintln!(
+            "warn: {} job(s) unanswered at drain deadline",
+            pending.load(Ordering::SeqCst)
+        );
     }
 
     // Final telemetry: the last `stats` record is the daemon's last words.
@@ -1021,6 +1059,49 @@ mod tests {
         assert_eq!(epochs, [(1, 3), (2, 0)]);
         shared.queue.close();
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn stats_lists_only_the_most_recent_epochs() {
+        let dir = std::env::temp_dir().join(format!("pnr_serve_epochs_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let artifacts = [
+            save_artifact(&dir, "a1.artifact", 7),
+            save_artifact(&dir, "a2.artifact", 11),
+        ];
+        let config = DaemonConfig {
+            workers: 1,
+            ..DaemonConfig::default()
+        };
+        let shared = start(&artifacts[0], config).unwrap();
+        let (tx, rx) = mpsc::channel();
+        for swap in 0..20 {
+            let path = &artifacts[(swap + 1) % 2];
+            handle_swap(&path.display().to_string(), &tx, &shared);
+            let reply = rx.recv().unwrap();
+            assert!(reply.contains("\"reply\":\"swap\""), "{reply}");
+        }
+        let epochs: Vec<u64> = shared.history().iter().map(|e| e.epoch).collect();
+        assert_eq!(epochs, (6..=21).collect::<Vec<u64>>());
+        assert_eq!(shared.active().epoch, 21);
+        shared.queue.close();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn read_addr_file_waits_for_the_daemon_to_write_it() {
+        let path = std::env::temp_dir().join(format!("pnr_serve_addr_{}", std::process::id()));
+        std::fs::remove_file(&path).ok();
+        let writer = {
+            let path = path.clone();
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(150));
+                std::fs::write(&path, "127.0.0.1:4321\n").unwrap();
+            })
+        };
+        assert_eq!(read_addr_file(&path).unwrap(), "127.0.0.1:4321");
+        writer.join().unwrap();
+        std::fs::remove_file(&path).ok();
     }
 
     /// Keeps the bytes of every `write` call it receives, one entry each.

@@ -8,7 +8,7 @@
 //! * **Panic isolation** ([`pool`]): every request runs on a fixed worker
 //!   pool inside the workspace's one panic boundary,
 //!   [`pnr_core::panic_capture::run_caught`]; a panicking request becomes
-//!   a typed `worker_panic` response and the worker respawns.
+//!   a typed `worker_panic` response and its worker pops the next job.
 //! * **Backpressure** ([`queue`]): a bounded queue with an explicit shed
 //!   policy (reject with `retry_after_ms`, or drop-oldest), so overload
 //!   degrades into typed rejections instead of unbounded memory growth.
@@ -38,9 +38,9 @@ pub mod queue;
 pub mod sink;
 pub mod state;
 
-pub use daemon::{run, DaemonConfig};
+pub use daemon::{read_addr_file, run, DaemonConfig};
 pub use pool::WorkerPool;
 pub use protocol::{err_line, ok_line, parse_request, Request};
-pub use queue::{BoundedQueue, PopResult, PushError, PushOutcome, ShedPolicy};
+pub use queue::{BoundedQueue, PushError, PushOutcome, ShedPolicy};
 pub use sink::{LatencyHistogram, ServeSink};
 pub use state::{persist_active, read_active};

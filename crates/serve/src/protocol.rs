@@ -14,7 +14,7 @@
 //! | `shed`               | job evicted by the drop-oldest policy              |
 //! | `shutting_down`      | daemon is draining; no new work admitted           |
 //! | `deadline_exceeded`  | per-request wall-clock deadline expired            |
-//! | `worker_panic`       | the scoring worker panicked; worker was respawned  |
+//! | `worker_panic`       | the job panicked its worker; the worker serves on  |
 //! | `swap_failed`        | hot-swap validation failed; old model still active |
 //! | `lineage_mismatch`   | swap candidate's parent checksum is not the active model; old model still active |
 //! | `schema_mismatch`    | connection header irreconcilable with the model    |
@@ -543,16 +543,12 @@ pub struct Stats {
     pub shed_policy: String,
     /// Worker threads in the pool.
     pub workers: u64,
-    /// Worker threads currently alive.
-    pub workers_alive: u64,
-    /// Workers respawned after a caught panic.
-    pub worker_respawns: u64,
     /// Jobs admitted but not yet answered.
     pub pending: u64,
     /// Cumulative telemetry counters (monotone across polls of one
     /// daemon).
     pub counters: Counters,
-    /// Epoch history, oldest first.
+    /// The 16 most recently published epochs, oldest first.
     pub epochs: Vec<EpochInfo>,
     /// Cumulative score histogram: equal bins over `[0, 1]`.
     pub score_hist: Vec<u64>,
@@ -1271,7 +1267,7 @@ mod tests {
         "{\"ok\":true,\"reply\":\"stats\",\"epoch\":2,\"mode\":\"normal\",",
         "\"degraded_reason\":null,\"active_checksum\":\"9fa70c57bf7ba8e7\",\"lineage\":null,",
         "\"queue_len\":0,\"queue_capacity\":64,\"shed_policy\":\"reject\",\"workers\":2,",
-        "\"workers_alive\":2,\"worker_respawns\":1,\"pending\":1,",
+        "\"pending\":1,",
         "\"counters\":{\"conditions_evaluated\":0,\"candidate_charges\":0,",
         "\"view_warm_hits\":0,\"view_cold_builds\":0,\"mdl_prunes\":0,",
         "\"first_match_rows\":0,\"rows_scored\":141,\"rows_quarantined\":19,",
@@ -1299,7 +1295,7 @@ mod tests {
         "{\"ok\":true,\"reply\":\"stats\",\"epoch\":2,\"mode\":\"degraded\",",
         "\"degraded_reason\":\"drift: \\\"quoted\\\"\",\"active_checksum\":\"9fa70c57bf7ba8e7\",",
         "\"lineage\":null,\"queue_len\":0,\"queue_capacity\":64,\"shed_policy\":\"reject\",",
-        "\"workers\":2,\"workers_alive\":2,\"worker_respawns\":0,\"pending\":0,",
+        "\"workers\":2,\"pending\":0,",
         "\"counters\":{\"conditions_evaluated\":0,\"candidate_charges\":0,",
         "\"view_warm_hits\":0,\"view_cold_builds\":0,\"mdl_prunes\":0,",
         "\"first_match_rows\":0,\"rows_scored\":0,\"rows_quarantined\":0,",
@@ -1329,7 +1325,7 @@ mod tests {
             "\"lineage\":{\"parent_checksum\":\"1122334455667788\",",
             "\"window_id\":4,\"verdict\":\"refit\"},",
             "\"queue_len\":1,\"queue_capacity\":64,\"shed_policy\":\"reject\",",
-            "\"workers\":4,\"workers_alive\":4,\"worker_respawns\":0,\"pending\":2,",
+            "\"workers\":4,\"pending\":2,",
             "\"counters\":{\"conditions_evaluated\":0,\"candidate_charges\":0,",
             "\"view_warm_hits\":0,\"view_cold_builds\":0,\"mdl_prunes\":0,",
             "\"first_match_rows\":0,\"rows_scored\":100,\"rows_quarantined\":3,",

@@ -18,11 +18,10 @@
 //!
 //! [`BoundedQueue::close`] flips the queue into drain mode: pops continue
 //! until the backlog is empty, further pushes are refused, and blocked
-//! workers wake up and observe [`PopResult::Closed`].
+//! workers wake up and get `None`.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, PoisonError};
-use std::time::Duration;
 
 /// What to do with a push that would exceed capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -69,17 +68,6 @@ pub enum PushError {
     /// The queue is at capacity and the policy is [`ShedPolicy::Reject`].
     Full,
     /// The queue is draining; no new work is admitted.
-    Closed,
-}
-
-/// Outcome of a timed pop.
-#[derive(Debug)]
-pub enum PopResult<T> {
-    /// A job.
-    Item(T),
-    /// Nothing arrived within the timeout; the queue is still open.
-    TimedOut,
-    /// The queue is closed and fully drained; the worker should exit.
     Closed,
 }
 
@@ -165,29 +153,21 @@ impl<T> BoundedQueue<T> {
         Ok(outcome)
     }
 
-    /// Waits up to `timeout` for a job. Workers call this in a loop so
-    /// they observe [`PopResult::Closed`] promptly during drain.
-    pub fn pop_timeout(&self, timeout: Duration) -> PopResult<T> {
+    /// Waits until a job arrives or the queue is closed. `None` means
+    /// closed and fully drained: the worker should exit.
+    pub fn pop(&self) -> Option<T> {
         let mut inner = self.lock();
         loop {
             if let Some(item) = inner.items.pop_front() {
-                return PopResult::Item(item);
+                return Some(item);
             }
             if inner.closed {
-                return PopResult::Closed;
+                return None;
             }
-            let (guard, wait) = self
+            inner = self
                 .not_empty
-                .wait_timeout(inner, timeout)
+                .wait(inner)
                 .unwrap_or_else(PoisonError::into_inner);
-            inner = guard;
-            if wait.timed_out() {
-                return match inner.items.pop_front() {
-                    Some(item) => PopResult::Item(item),
-                    None if inner.closed => PopResult::Closed,
-                    None => PopResult::TimedOut,
-                };
-            }
         }
     }
 
@@ -228,15 +208,9 @@ mod tests {
             assert!(matches!(q.push(i), Ok(PushOutcome::Enqueued)));
         }
         for i in 0..4 {
-            match q.pop_timeout(Duration::from_millis(10)) {
-                PopResult::Item(v) => assert_eq!(v, i),
-                other => panic!("{other:?}"),
-            }
+            assert_eq!(q.pop(), Some(i));
         }
-        assert!(matches!(
-            q.pop_timeout(Duration::from_millis(1)),
-            PopResult::TimedOut
-        ));
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -257,10 +231,7 @@ mod tests {
             Ok(PushOutcome::DroppedOldest(old)) => assert_eq!(old, 1),
             other => panic!("{other:?}"),
         }
-        match q.pop_timeout(Duration::from_millis(10)) {
-            PopResult::Item(v) => assert_eq!(v, 2, "head is now the second job"),
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(q.pop(), Some(2), "head is now the second job");
     }
 
     #[test]
@@ -269,14 +240,8 @@ mod tests {
         q.push(7).unwrap();
         q.close();
         assert_eq!(q.push(8).unwrap_err(), PushError::Closed);
-        assert!(matches!(
-            q.pop_timeout(Duration::from_millis(10)),
-            PopResult::Item(7)
-        ));
-        assert!(matches!(
-            q.pop_timeout(Duration::from_millis(10)),
-            PopResult::Closed
-        ));
+        assert_eq!(q.pop(), Some(7));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
@@ -284,14 +249,16 @@ mod tests {
         let q = Arc::new(BoundedQueue::<u32>::new(1, ShedPolicy::Reject));
         let waiter = {
             let q = q.clone();
-            std::thread::spawn(move || {
-                // a long timeout that close() must cut short
-                matches!(q.pop_timeout(Duration::from_secs(30)), PopResult::Closed)
-            })
+            // blocks until close() wakes it
+            std::thread::spawn(move || q.pop())
         };
         std::thread::sleep(Duration::from_millis(50));
         q.close();
-        assert!(waiter.join().unwrap(), "blocked pop observed the close");
+        assert_eq!(
+            waiter.join().unwrap(),
+            None,
+            "blocked pop observed the close"
+        );
     }
 
     #[test]

@@ -49,8 +49,6 @@ fn stats(rng: &mut StdRng) -> Stats {
         queue_capacity: rng.gen(),
         shed_policy: text(rng),
         workers: rng.gen(),
-        workers_alive: rng.gen(),
-        worker_respawns: rng.gen(),
         pending: rng.gen(),
         counters: Counters::from_fn(|_| rng.gen()),
         epochs: (0..rng.gen_range(0..4usize))

@@ -87,7 +87,7 @@ pub enum Counter {
     /// deadline expired before or during scoring.
     DeadlineExceeded,
     /// Worker panics caught by the daemon's isolation boundary; each one
-    /// produced a typed error response and a respawned worker.
+    /// produced a typed error response, and the worker served on.
     WorkerPanics,
     /// Model hot-swaps that validated and published a new serving epoch.
     ModelSwaps,
